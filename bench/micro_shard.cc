@@ -2,9 +2,8 @@
  * @file
  * Microbenchmarks for the sharded VM engine (DESIGN.md §17): the
  * Lemire route itself, the resident-touch hot path at 1 and 8 shards
- * (the sharding tax on the common case), a steady steal/unmap cycle
- * (the reclaim path, forwarding entry included), and a cross-shard
- * adoption round trip (mailbox post + drain + forwarded share).
+ * (the sharding tax on the common case), and a cross-shard adoption
+ * round trip (mailbox post + drain + forwarded share).
  */
 
 #include <benchmark/benchmark.h>
@@ -67,31 +66,6 @@ BM_ShardTouchResident(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardTouchResident)->Arg(1)->Arg(8);
-
-void
-BM_ShardStealBurst(benchmark::State &state)
-{
-    // Steady steal/unmap cycle: asid 1's home shard is packed full,
-    // so each fresh touch places at the donor (forwarding entry
-    // included) and the unmap returns the frame and kills the entry.
-    ShardedVmConfig config = shardedConfig(2, 64 * 8);
-    ShardedMosaicVm vm(config);
-    Asid victim = 1;
-    while (vm.homeShard(victim) != 0)
-        ++victim;
-    const auto full =
-        static_cast<Vpn>(vm.numFrames() / 2);
-    for (Vpn v = 0; v < full; ++v)
-        vm.touch(victim, v, true);
-    Vpn fresh = full;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(vm.touch(victim, fresh, true));
-        vm.unmapRange(victim, fresh, 1);
-        ++fresh;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardStealBurst);
 
 void
 BM_ShardAdopt(benchmark::State &state)

@@ -7,7 +7,6 @@
 #include "core/vm_touch_sink.hh"
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
-#include "util/parse.hh"
 
 namespace mosaic
 {
@@ -156,19 +155,6 @@ runFig6Cell(WorkloadKind kind, const Fig6Options &options,
     if (!options.kernelHugePages)
         config.kernel.accessEvery = 0;
     config.seed = options.seed;
-
-    // MOSAIC_FULL_POOL=k (k >= 1) lifts the scaled-down-memory wart:
-    // the cell runs against the paper's real 4 GiB / 1 Mi-frame pool,
-    // demand-paged through a k-shard ShardedMosaicVm (DESIGN.md §17)
-    // instead of a footprint-sized ample pool. Malformed values exit
-    // via envUnsigned's strict parse — never a silent default.
-    if (const std::uint64_t shards = envUnsigned("MOSAIC_FULL_POOL", 0);
-            shards >= 1) {
-        MemoryGeometry full = MemoryGeometry::paperLinuxPool();
-        full.hashSeed = config.memory.hashSeed;
-        config.memory = full;
-        config.vmShards = shards;
-    }
 
     TranslationSim sim(config);
     if (const unsigned block = batchBlockFromEnv(); block > 1) {

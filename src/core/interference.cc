@@ -177,7 +177,6 @@ runInterferenceCell(const InterferenceOptions &options,
     // Shared run: round-robin quanta until every trace drains, with
     // per-tenant delta attribution at quantum boundaries.
     {
-        config.vmShards = options.vmShards;
         TranslationSim sim(config);
         std::vector<std::size_t> cursor(mix.tenants.size(), 0);
         bool work_left = true;
@@ -202,19 +201,9 @@ runInterferenceCell(const InterferenceOptions &options,
             }
         }
         cell.accesses = sim.totalAccesses();
-        if (const ShardedMosaicVm *vm = sim.shardedVm()) {
-            const VmStats &s = vm->stats();
-            cell.vmShards = vm->numShards();
-            cell.vmMinorFaults = s.minorFaults;
-            cell.vmSwapOuts = s.swapOuts;
-            cell.vmConflicts = s.conflicts;
-            cell.vmSteals = vm->counters().steals;
-            cell.vmResidentPages = vm->residentPages();
-        }
     }
 
     // Solo baselines: each tenant alone on an identical machine.
-    config.vmShards = 0;
     for (std::size_t t = 0; t < mix.tenants.size(); ++t) {
         TranslationSim solo(config);
         solo.setActiveAsid(static_cast<Asid>(t + 1));
@@ -250,14 +239,6 @@ recordInterference(telemetry::Registry &r, const InterferenceCell &cell)
     const std::string mix = "interference." + cell.mixName;
     r.counter(mix + ".accesses", cell.accesses);
     r.counter(mix + ".tenants", cell.tenants.size());
-    if (cell.vmShards != 0) {
-        r.counter(mix + ".vm.shards", cell.vmShards);
-        r.counter(mix + ".vm.minorFaults", cell.vmMinorFaults);
-        r.counter(mix + ".vm.swapOuts", cell.vmSwapOuts);
-        r.counter(mix + ".vm.conflicts", cell.vmConflicts);
-        r.counter(mix + ".vm.steals", cell.vmSteals);
-        r.counter(mix + ".vm.residentPages", cell.vmResidentPages);
-    }
     for (std::size_t t = 0; t < cell.tenants.size(); ++t) {
         const InterferenceTenantResult &res = cell.tenants[t];
         const std::string base = mix + ".tenant" + std::to_string(t) +

@@ -68,16 +68,6 @@ struct InterferenceOptions
     /** Accesses per scheduling quantum. */
     std::size_t quantum = 4096;
 
-    /**
-     * Shard count of the ride-along multi-tenant VM engine inside the
-     * shared-machine run (DESIGN.md §17): 0 (default) = off. Nonzero
-     * attaches a ShardedMosaicVm to the shared TranslationSim so each
-     * tenant's data stream also exercises demand paging under its own
-     * ASID. Solo baselines never attach one — they measure TLB
-     * interference, which the VM engine does not perturb.
-     */
-    std::size_t vmShards = 0;
-
     std::uint64_t seed = 1;
 };
 
@@ -131,17 +121,6 @@ struct InterferenceCell
     std::string mixName;
     std::uint64_t accesses = 0;
     std::vector<InterferenceTenantResult> tenants;
-
-    /** Shard count the ride-along VM engine ran with (0 = off). */
-    std::size_t vmShards = 0;
-
-    /** Ride-along VM engine figures from the shared run; all zero
-     *  when vmShards == 0. */
-    std::uint64_t vmMinorFaults = 0;
-    std::uint64_t vmSwapOuts = 0;
-    std::uint64_t vmConflicts = 0;
-    std::uint64_t vmSteals = 0;
-    std::uint64_t vmResidentPages = 0;
 
     /** Wall-clock seconds this cell took (timing only). */
     double seconds = 0.0;

@@ -40,21 +40,6 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
         }
     }
 
-    if (config_.vmShards > 0) {
-        // Round the pool up so it splits into bucket-aligned shard
-        // slices; ample-memory experiments only grow, never shrink.
-        ShardedVmConfig vcfg;
-        vcfg.base.geometry = config_.memory;
-        const std::size_t align =
-            config_.vmShards * config_.memory.slotsPerBucket();
-        vcfg.base.geometry.numFrames =
-            (config_.memory.numFrames + align - 1) / align * align;
-        vcfg.base.arity = config_.arities.front();
-        vcfg.base.seed = config_.seed;
-        vcfg.shards = config_.vmShards;
-        shardedVm_ = std::make_unique<ShardedMosaicVm>(vcfg);
-    }
-
     DesignParams defaults;
     defaults.geometry =
         TlbGeometry{config_.tlbEntries, config_.designWays};
@@ -330,13 +315,10 @@ TranslationSim::accessBatch(std::span<const MemRef> block)
 }
 
 void
-TranslationSim::access(Addr vaddr, bool write)
+TranslationSim::access(Addr vaddr, bool /*write*/)
 {
     ++accesses_;
     translate(vpnOf(vaddr), false);
-
-    if (shardedVm_)
-        shardedVm_->touch(activeAsid_, vpnOf(vaddr), write);
 
     if (config_.instr.enabled)
         instructionFetch();

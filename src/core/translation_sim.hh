@@ -30,7 +30,6 @@
 
 #include "mem/frame_table.hh"
 #include "mem/mosaic_allocator.hh"
-#include "os/sharded_vm.hh"
 #include "pt/mosaic_page_table.hh"
 #include "pt/vanilla_page_table.hh"
 #include "tlb/mosaic_tlb.hh"
@@ -115,17 +114,6 @@ struct TranslationSimConfig
      *  'ways' explicitly (their entry count defaults to tlbEntries). */
     unsigned designWays = 8;
 
-    /**
-     * Shard count of the optional multi-tenant VM engine
-     * (DESIGN.md §17) riding the data stream: 0 (default) = none,
-     * k >= 1 = attach a ShardedMosaicVm with k shards whose pool is
-     * `memory` rounded up to a splittable size, and touch it once
-     * per data reference in the active ASID. Ride-along demand
-     * paging only — the TLB grid and design results are unaffected,
-     * so existing goldens hold at the default.
-     */
-    std::size_t vmShards = 0;
-
     Asid asid = 1;
     std::uint64_t seed = 7;
 };
@@ -193,10 +181,6 @@ class TranslationSim : public AccessSink
     /** Mosaic frame metadata, for consistency checks in tests. */
     const FrameTable &mosaicFrames() const { return frames_; }
 
-    /** The sharded VM engine; nullptr unless config.vmShards > 0. */
-    ShardedMosaicVm *shardedVm() { return shardedVm_.get(); }
-    const ShardedMosaicVm *shardedVm() const { return shardedVm_.get(); }
-
   private:
     void ensureMapped(Vpn vpn);
     void kernelAccess();
@@ -247,9 +231,6 @@ class TranslationSim : public AccessSink
     // Instruction TLBs (same grid shape, fed by synthetic fetches).
     std::vector<std::unique_ptr<VanillaTlb>> itlbVanilla_;
     std::vector<std::vector<std::unique_ptr<MosaicTlb>>> itlbMosaic_;
-
-    /** Optional sharded multi-tenant VM engine fed the data stream. */
-    std::unique_ptr<ShardedMosaicVm> shardedVm_;
 
     // Pluggable designs (data stream only) and their walker state:
     // CPFN by packPageId(asid, vpn), recorded only when designs exist.

@@ -2054,8 +2054,8 @@ class IcebergBatchShadow
 /**
  * Differential harness for the sharded multi-tenant engine
  * (DESIGN.md §17). The engine under test is a ShardedMosaicVm; the
- * mirror independently replays the routing, work-stealing, and
- * adoption protocol over its own per-shard scalar MosaicVms — built
+ * mirror independently replays the routing and adoption protocol
+ * over its own per-shard scalar MosaicVms — built
  * from ShardedMosaicVm::shardConfig with an identically seeded fault
  * injector — and every op must land on the same global frame. With
  * one shard a plain scalar MosaicVm is additionally locked in step,
@@ -2079,8 +2079,6 @@ class ShardHarness
         log2Arity_ = ceilLog2(arity_);
         shards_ = cfg.shards;
         part_ = PoolPartition::split(cfg.base.geometry, cfg.shards);
-        stealEnabled_ = cfg.shards > 1 && !locMode_ &&
-                        cfg.base.policy != EvictionPolicy::ShrunkenCache;
         vm_ = std::make_unique<ShardedMosaicVm>(cfg);
 
         ShardedVmConfig mcfg = cfg;
@@ -2132,89 +2130,26 @@ class ShardHarness
     // the scalar MosaicVm public API.
 
     std::uint64_t
-    routeKey(Asid asid, Vpn vpn) const
+    tocKey(Asid asid, Vpn vpn) const
     {
-        return locMode_
-            ? (std::uint64_t{asid} << 48) | (vpn >> log2Arity_)
-            : packPageId(PageId{asid, vpn});
+        return (std::uint64_t{asid} << 48) | (vpn >> log2Arity_);
     }
 
+    /** Home shard, unless an adoption forwarded the page's ToC (only
+     *  LocationId-mode shares create forwards). */
     std::size_t
     mirrorRoute(Asid asid, Vpn vpn) const
     {
-        const auto it = mforward_.find(routeKey(asid, vpn));
+        const auto it = mforward_.find(tocKey(asid, vpn));
         if (it != mforward_.end())
             return it->second;
         return shardRoute(asid, static_cast<std::uint32_t>(shards_));
-    }
-
-    bool
-    mirrorWouldSteal(std::size_t s, Asid asid, Vpn vpn)
-    {
-        MosaicVm &vm = *mirror_[s];
-        if (vm.frameTable().usedFrames() < vm.numFrames())
-            return false;
-        if (vm.pageTable(asid).walk(vpn).present)
-            return false;
-        const std::uint64_t key = packPageId(PageId{asid, vpn});
-        if (vm.swapDevice().contains(key))
-            return false;
-        const Tick h = vm.horizon();
-        const CandidateSet cand = vm.allocator().mapper().candidates(key);
-        return !vm.allocator()
-                    .place(cand, vm.frameTable(),
-                           [h](const Frame &f) {
-                               return f.lastAccess < h;
-                           })
-                    .has_value();
-    }
-
-    std::optional<std::size_t>
-    mirrorPickDonor(std::size_t home, Asid asid, Vpn vpn) const
-    {
-        std::size_t best = shards_;
-        std::size_t best_free = 0;
-        for (std::size_t d = 0; d < shards_; ++d) {
-            if (d == home)
-                continue;
-            const MosaicVm &vm = *mirror_[d];
-            const std::size_t free =
-                vm.numFrames() - vm.frameTable().usedFrames();
-            if (free > best_free) {
-                best_free = free;
-                best = d;
-            }
-        }
-        if (best == shards_ || best_free == 0)
-            return std::nullopt;
-        const MosaicVm &donor = *mirror_[best];
-        const Tick h = donor.horizon();
-        const CandidateSet cand = donor.allocator().mapper().candidates(
-            packPageId(PageId{asid, vpn}));
-        if (!donor.allocator()
-                 .place(cand, donor.frameTable(),
-                        [h](const Frame &f) {
-                            return f.lastAccess < h;
-                        })
-                 .has_value())
-            return std::nullopt;
-        return best;
     }
 
     Pfn
     mirrorTouch(Asid asid, Vpn vpn, bool write)
     {
         const std::size_t s = mirrorRoute(asid, vpn);
-        if (stealEnabled_ && mirrorWouldSteal(s, asid, vpn)) {
-            if (const std::optional<std::size_t> donor =
-                    mirrorPickDonor(s, asid, vpn)) {
-                const Pfn local = mirror_[*donor]->touch(asid, vpn, write);
-                mforward_[packPageId(PageId{asid, vpn})] =
-                    static_cast<std::uint32_t>(*donor);
-                ++msteals_;
-                return part_.toGlobal(*donor, local);
-            }
-        }
         return part_.toGlobal(s, mirror_[s]->touch(asid, vpn, write));
     }
 
@@ -2222,33 +2157,23 @@ class ShardHarness
     mirrorUnmap(Asid asid, Vpn vpn, std::size_t npages)
     {
         const std::uint64_t arity = std::uint64_t{1} << log2Arity_;
-        const auto flush = [&](std::size_t begin, std::size_t end,
-                               std::size_t s) {
-            mirror_[s]->unmapRange(asid, vpn + begin, end - begin);
-            if (!locMode_) {
-                for (std::size_t j = begin; j < end; ++j)
-                    mforward_.erase(packPageId(PageId{asid, vpn + j}));
-            }
-        };
         std::size_t run_start = 0;
         std::size_t run_shard = mirrorRoute(asid, vpn);
         std::size_t i = 0;
         while (i < npages) {
-            const std::size_t unit_end = locMode_
-                ? std::min(npages,
-                           i + (arity - ((vpn + i) & (arity - 1))))
-                : i + 1;
-            i = unit_end;
+            i = std::min(npages, i + (arity - ((vpn + i) & (arity - 1))));
             if (i >= npages)
                 break;
             const std::size_t s = mirrorRoute(asid, vpn + i);
             if (s != run_shard) {
-                flush(run_start, i, run_shard);
+                mirror_[run_shard]->unmapRange(asid, vpn + run_start,
+                                               i - run_start);
                 run_start = i;
                 run_shard = s;
             }
         }
-        flush(run_start, npages, run_shard);
+        mirror_[run_shard]->unmapRange(asid, vpn + run_start,
+                                       npages - run_start);
     }
 
     void
@@ -2256,7 +2181,7 @@ class ShardHarness
     {
         for (std::size_t i = 0; i < n; i += arity_) {
             const std::size_t owner = mirrorRoute(sa, sv + i);
-            const std::uint64_t dkey = routeKey(da, dv + i);
+            const std::uint64_t dkey = tocKey(da, dv + i);
             if (owner !=
                     shardRoute(da, static_cast<std::uint32_t>(shards_)))
                 mforward_[dkey] = static_cast<std::uint32_t>(owner);
@@ -2383,11 +2308,6 @@ class ShardHarness
     compareCounters(std::size_t idx)
     {
         const ShardCounters &c = vm_->counters();
-        if (c.steals != msteals_) {
-            return diverge(idx, "sharded steal count: engine " +
-                std::to_string(c.steals) + " != mirror " +
-                std::to_string(msteals_));
-        }
         if (c.msgsPosted != c.msgsDrained) {
             return diverge(idx, "sharded adoption mailboxes not fully "
                 "drained between ops");
@@ -2473,12 +2393,10 @@ class ShardHarness
     unsigned log2Arity_ = 0;
     std::size_t shards_ = 1;
     PoolPartition part_;
-    bool stealEnabled_ = false;
     std::unique_ptr<ShardedMosaicVm> vm_;
     std::vector<std::unique_ptr<MosaicVm>> mirror_;
     std::unique_ptr<MosaicVm> scalar_;
     std::map<std::uint64_t, std::uint32_t> mforward_;
-    std::uint64_t msteals_ = 0;
 };
 
 } // namespace

@@ -146,8 +146,8 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
         return bad;
 
     // Every resident page's owner must route (forward-aware) to the
-    // shard actually holding it — stealing and adoption may move
-    // pages off home, but never off the books.
+    // shard actually holding it — adoption may move pages off home,
+    // but never off the books.
     if (deep) {
         for (std::size_t s = 0; s < shards; ++s) {
             const MosaicVm &sv = vm.shard(s);

@@ -12,9 +12,9 @@
  *    and ghost counts themselves recomputed from a frame-table scan;
  *  - stat conservation: the aggregate VmStats equals an independent
  *    fold of the per-shard stats;
- *  - routing validity: every forwarding entry targets an existing
- *    shard other than the key's home, and every resident page's
- *    owner routes (forward-aware) to the shard actually holding it.
+ *  - routing validity: every ToC forwarding entry targets an
+ *    existing shard other than the key's home, and every resident
+ *    page's owner routes (forward-aware) to the shard holding it.
  */
 
 #ifndef MOSAIC_ORACLE_SHARD_ORACLE_HH_

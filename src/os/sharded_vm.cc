@@ -24,107 +24,33 @@ ShardedMosaicVm::shardConfig(const ShardedVmConfig &config,
 }
 
 ShardedMosaicVm::ShardedMosaicVm(const ShardedVmConfig &config)
-    : config_(config),
-      part_(PoolPartition::split(config.base.geometry, config.shards)),
+    : part_(PoolPartition::split(config.base.geometry, config.shards)),
       locMode_(config.base.sharing == SharingMode::LocationId),
       log2Arity_(ceilLog2(config.base.arity)),
-      mailboxes_(config.shards)
+      mailboxes_(config.shards),
+      batches_(config.shards)
 {
     vms_.reserve(config.shards);
     for (std::size_t s = 0; s < config.shards; ++s)
         vms_.push_back(std::make_unique<MosaicVm>(shardConfig(config, s)));
-    stealEnabled_ = vms_.size() > 1 && !locMode_ &&
-                    config.base.policy != EvictionPolicy::ShrunkenCache;
 }
 
 std::size_t
 ShardedMosaicVm::routeOf(Asid asid, Vpn vpn) const
 {
-    const std::uint64_t key = locMode_
-        ? tocKeyOf(asid, vpn, log2Arity_)
-        : packPageId(PageId{asid, vpn});
-    if (const std::uint32_t *target = forward_.find(key))
-        return *target;
+    if (locMode_) {
+        if (const std::uint32_t *target =
+                forward_.find(tocKeyOf(asid, vpn, log2Arity_)))
+            return *target;
+    }
     return homeShard(asid);
-}
-
-bool
-ShardedMosaicVm::wouldSteal(std::size_t s, Asid asid, Vpn vpn)
-{
-    MosaicVm &vm = *vms_[s];
-    if (vm.frameTable().usedFrames() < vm.numFrames())
-        return false;
-    // A present page hits; a local swap copy must be honored locally
-    // (stealing it would strand the copy and skew major faults).
-    if (vm.pageTable(asid).walk(vpn).present)
-        return false;
-    const std::uint64_t key = packPageId(PageId{asid, vpn});
-    if (vm.swapDevice().contains(key))
-        return false;
-    // The exact placement query the shard's touch would make: a ghost
-    // below the shard horizon still counts as reclaimable, so only a
-    // hard associativity conflict on a dry pool triggers a steal.
-    const Tick h = vm.horizon();
-    const CandidateSet cand = vm.allocator().mapper().candidates(key);
-    return !vm.allocator()
-                .place(cand, vm.frameTable(),
-                       [h](const Frame &f) { return f.lastAccess < h; })
-                .has_value();
-}
-
-std::optional<std::size_t>
-ShardedMosaicVm::pickDonor(std::size_t home, Asid asid, Vpn vpn) const
-{
-    std::size_t best = vms_.size();
-    std::size_t best_free = 0;
-    for (std::size_t d = 0; d < vms_.size(); ++d) {
-        if (d == home)
-            continue;
-        const MosaicVm &vm = *vms_[d];
-        const std::size_t free =
-            vm.numFrames() - vm.frameTable().usedFrames();
-        if (free > best_free) {
-            best_free = free;
-            best = d;
-        }
-    }
-    if (best == vms_.size() || best_free == 0)
-        return std::nullopt;
-    // The donor must be able to place this specific page: free frames
-    // elsewhere in its pool don't help a conflicted candidate set.
-    const MosaicVm &donor = *vms_[best];
-    const Tick h = donor.horizon();
-    const CandidateSet cand = donor.allocator().mapper().candidates(
-        packPageId(PageId{asid, vpn}));
-    if (!donor.allocator()
-             .place(cand, donor.frameTable(),
-                    [h](const Frame &f) { return f.lastAccess < h; })
-             .has_value())
-        return std::nullopt;
-    return best;
-}
-
-Pfn
-ShardedMosaicVm::touchOne(Asid asid, Vpn vpn, bool write)
-{
-    const std::size_t s = routeOf(asid, vpn);
-    if (stealEnabled_ && wouldSteal(s, asid, vpn)) {
-        if (const std::optional<std::size_t> donor =
-                pickDonor(s, asid, vpn)) {
-            const Pfn local = vms_[*donor]->touch(asid, vpn, write);
-            forward_[packPageId(PageId{asid, vpn})] =
-                static_cast<std::uint32_t>(*donor);
-            ++counters_.steals;
-            return part_.toGlobal(*donor, local);
-        }
-    }
-    return part_.toGlobal(s, vms_[s]->touch(asid, vpn, write));
 }
 
 Pfn
 ShardedMosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
-    return touchOne(asid, vpn, write);
+    const std::size_t s = routeOf(asid, vpn);
+    return part_.toGlobal(s, vms_[s]->touch(asid, vpn, write));
 }
 
 void
@@ -136,75 +62,27 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
         vms_[0]->touchBatch(block, out);
         return;
     }
-    if (block.size() < 2) {
-        for (std::size_t i = 0; i < block.size(); ++i)
-            out[i] = touchOne(block[i].asid, block[i].vpn, block[i].write);
-        return;
-    }
 
-    const std::size_t shards = vms_.size();
-    batchIdx_.resize(shards);
-    for (auto &idx : batchIdx_)
-        idx.clear();
+    for (ShardBatch &b : batches_) {
+        b.ops.clear();
+        b.idx.clear();
+    }
     for (std::size_t i = 0; i < block.size(); ++i) {
-        batchIdx_[routeOf(block[i].asid, block[i].vpn)].push_back(
-            static_cast<std::uint32_t>(i));
+        ShardBatch &b = batches_[routeOf(block[i].asid, block[i].vpn)];
+        b.ops.push_back(block[i]);
+        b.idx.push_back(static_cast<std::uint32_t>(i));
     }
 
-    // Parallel phase: each shard applies its ops in block order,
-    // touching only shard-local state (the steal gate is consulted
-    // but never acted on here), so the result is independent of how
-    // parallelFor schedules the shards across workers.
-    std::vector<std::vector<std::uint32_t>> deferred(shards);
-    parallelFor(shards, [&](std::size_t s) {
-        MosaicVm &vm = *vms_[s];
-        const std::vector<std::uint32_t> &idx = batchIdx_[s];
-        std::vector<PageTouch> seg;
-        std::vector<Pfn> seg_out;
-        std::size_t pos = 0;
-        while (pos < idx.size()) {
-            // With stealing off the gate can't trip: run everything
-            // through one batch. Otherwise bound the segment by the
-            // free-frame count — each op consumes at most one frame,
-            // so the shard can run dry only at a segment boundary
-            // and the gate cannot trip mid-segment.
-            const std::size_t free = stealEnabled_
-                ? vm.numFrames() - vm.frameTable().usedFrames()
-                : idx.size() - pos;
-            if (free > 0) {
-                const std::size_t k = std::min(free, idx.size() - pos);
-                seg.resize(k);
-                seg_out.resize(k);
-                for (std::size_t j = 0; j < k; ++j)
-                    seg[j] = block[idx[pos + j]];
-                vm.touchBatch({seg.data(), k}, seg_out.data());
-                for (std::size_t j = 0; j < k; ++j)
-                    out[idx[pos + j]] = part_.toGlobal(s, seg_out[j]);
-                pos += k;
-                continue;
-            }
-            const PageTouch &t = block[idx[pos]];
-            if (wouldSteal(s, t.asid, t.vpn))
-                break; // defer the rest: steals mutate other shards
-            out[idx[pos]] =
-                part_.toGlobal(s, vm.touch(t.asid, t.vpn, t.write));
-            ++pos;
-        }
-        deferred[s].assign(idx.begin() + static_cast<std::ptrdiff_t>(pos),
-                           idx.end());
+    // Each shard runs its ops in block order and touches only its own
+    // state, so the result is independent of how parallelFor
+    // schedules the shards across workers.
+    parallelFor(vms_.size(), [&](std::size_t s) {
+        ShardBatch &b = batches_[s];
+        b.out.resize(b.ops.size());
+        vms_[s]->touchBatch(b.ops, b.out.data());
+        for (std::size_t j = 0; j < b.ops.size(); ++j)
+            out[b.idx[j]] = part_.toGlobal(s, b.out[j]);
     });
-
-    // Serial drain: ops a shard deferred at its steal gate, applied
-    // in ascending block order. This is the one place batched order
-    // deviates from the scalar loop — only in blocks where a steal
-    // engaged, and identically for every thread count.
-    std::vector<std::uint32_t> drain;
-    for (const auto &d : deferred)
-        drain.insert(drain.end(), d.begin(), d.end());
-    std::sort(drain.begin(), drain.end());
-    counters_.deferredBatchOps += drain.size();
-    for (const std::uint32_t i : drain)
-        out[i] = touchOne(block[i].asid, block[i].vpn, block[i].write);
 }
 
 void
@@ -217,43 +95,25 @@ ShardedMosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
     if (npages == 0)
         return;
 
+    // Split the range into per-shard runs at ToC granularity, the
+    // unit a cross-shard adoption forwards.
     const std::uint64_t arity = std::uint64_t{1} << log2Arity_;
-    const auto flush = [&](std::size_t begin, std::size_t end,
-                           std::size_t s) {
-        vms_[s]->unmapRange(asid, vpn + begin, end - begin);
-        if (!locMode_) {
-            // The pages are fully gone from the shard (frames freed,
-            // swap copies dropped), so their forwarding entries die
-            // too: the range re-homes and the map stays bounded. ToC
-            // entries are sticky — a re-touched ToC rebinds at its
-            // forwarded shard, which keeps routing consistent with
-            // sharers that may still hold the location ID.
-            for (std::size_t j = begin; j < end; ++j)
-                forward_.erase(packPageId(PageId{asid, vpn + j}));
-        }
-    };
-
-    // Split the range into per-shard runs at routing-unit granularity
-    // (pages in PageIdHash mode, ToCs in LocationId mode).
     std::size_t run_start = 0;
     std::size_t run_shard = routeOf(asid, vpn);
     std::size_t i = 0;
     while (i < npages) {
-        const std::size_t unit_end = locMode_
-            ? std::min(npages,
-                       i + (arity - ((vpn + i) & (arity - 1))))
-            : i + 1;
-        i = unit_end;
+        i = std::min(npages, i + (arity - ((vpn + i) & (arity - 1))));
         if (i >= npages)
             break;
         const std::size_t s = routeOf(asid, vpn + i);
         if (s != run_shard) {
-            flush(run_start, i, run_shard);
+            vms_[run_shard]->unmapRange(asid, vpn + run_start,
+                                        i - run_start);
             run_start = i;
             run_shard = s;
         }
     }
-    flush(run_start, npages, run_shard);
+    vms_[run_shard]->unmapRange(asid, vpn + run_start, npages - run_start);
 }
 
 void

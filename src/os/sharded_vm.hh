@@ -7,21 +7,9 @@
  * horizon clock, and ghost list.
  *
  * Routing. ASIDs are hash-routed to a home shard with a Lemire
- * multiply-shift (shardRoute); every page of an ASID lives in its
- * home shard unless a forwarding entry says otherwise. Forwarding
- * entries are created by work stealing (per page, PageIdHash mode)
- * and by cross-shard sharing (per ToC, LocationId mode); page
- * entries die with the page's unmap, ToC entries are sticky.
- *
- * Work stealing (PageIdHash). When a touch faults at a shard whose
- * free list has run dry and placement would hard-conflict — and the
- * page has no swap copy to honor at home — the page is placed at the
- * donor shard with the most free frames instead, and a forwarding
- * entry pins all later touches, evictions, and the final unmap of
- * the page to the donor. A donor that cannot place the page (or the
- * absence of any donor with free frames) falls back to the ordinary
- * local conflict path, so paper conflict metrics only improve via
- * frames that actually exist elsewhere.
+ * multiply-shift (shardRoute), and every page of an ASID lives in its
+ * home shard. The one exception is cross-shard sharing: a ToC adopted
+ * from another shard's location ID is forwarded there (sticky).
  *
  * Cross-shard sharing (LocationId). shareRange posts one adoption
  * message per mosaic-page chunk to the mailbox of the shard owning
@@ -29,11 +17,11 @@
  * the scalar shareRange at the owner, and the destination ToC is
  * forwarded to the owner so both sides of the share resolve there.
  *
- * Determinism contract: for a fixed shard count, every outcome
- * (placements, stats, digests) is bit-identical for any
- * MOSAIC_THREADS value — the parallel batch phase touches only
- * shard-local state and the steal/adopt steps run serially. With
- * shards=1 the engine is a pure delegate: stat-for-stat and
+ * Determinism contract: the engine is exactly N independent MosaicVms
+ * built from shardConfig(), each fed its routed ops in order. So a
+ * sharded machine equals N plain MosaicVms, touchBatch equals a scalar
+ * touch() loop, and both hold at any MOSAIC_THREADS. With shards=1
+ * the engine is a pure delegate: stat-for-stat and
  * placement-for-placement identical to a plain MosaicVm built from
  * the same config.
  */
@@ -43,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "mem/shard_view.hh"
@@ -70,7 +57,10 @@ struct ShardedVmConfig
 /** Cross-shard protocol counters (telemetry and tests). */
 struct ShardCounters
 {
-    /** Pages placed at a donor shard by work-stealing reclaim. */
+    /** Always 0: shards never steal frames from each other. Kept,
+     *  with deferredBatchOps, because perfbench/tenants_churn.cc
+     *  reads and digests both; they go with that benchmark's next
+     *  revision. */
     std::uint64_t steals = 0;
 
     /** Adoption messages posted to shard mailboxes. */
@@ -82,8 +72,7 @@ struct ShardCounters
     /** Adoptions that forwarded a destination ToC off its home. */
     std::uint64_t crossShardAdoptions = 0;
 
-    /** Batch ops deferred past the parallel phase because a shard
-     *  hit its steal gate mid-block. */
+    /** Always 0: touchBatch defers nothing (see steals). */
     std::uint64_t deferredBatchOps = 0;
 };
 
@@ -109,17 +98,11 @@ class ShardedMosaicVm : public VirtualMemory
     Pfn touch(Asid asid, Vpn vpn, bool write) override;
 
     /**
-     * Batched touch across shards. The block is partitioned by
-     * routed shard; each shard applies its ops in order across
-     * MOSAIC_THREADS workers — full blocks through the shard's
-     * batched pipeline while free frames bound the segment (the
-     * steal gate cannot trip mid-segment), then single-stepping at a
-     * dry free list. A shard stops at the first op that would steal;
-     * stopped ops are applied serially, in ascending block order,
-     * after the parallel phase. Results are bit-identical to a
-     * scalar touch() loop whenever no steal engages (always with
-     * shards=1, where this delegates to MosaicVm::touchBatch), and
-     * bit-identical across thread counts unconditionally.
+     * Batched touch across shards: the block is partitioned by routed
+     * shard, and each shard runs its ops, in block order, through its
+     * own MosaicVm::touchBatch on the MOSAIC_THREADS pool. Shards
+     * share no state, so results are bit-identical to a scalar
+     * touch() loop for any thread count.
      */
     void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
 
@@ -134,8 +117,7 @@ class ShardedMosaicVm : public VirtualMemory
     std::string name() const override { return "sharded-mosaic"; }
 
     /** unmapRange, routed: the range is split into per-shard runs
-     *  (per page in PageIdHash mode, per ToC in LocationId mode);
-     *  page forwarding entries in the range die with it. */
+     *  at ToC granularity (forwarded ToCs run at their owner). */
     void unmapRange(Asid asid, Vpn vpn, std::size_t npages);
 
     /** shareRange via the adoption-message protocol (class docs). */
@@ -157,8 +139,8 @@ class ShardedMosaicVm : public VirtualMemory
         return shardRoute(asid, static_cast<std::uint32_t>(vms_.size()));
     }
 
-    /** Forward-aware shard of one page (PageIdHash) or of the ToC
-     *  containing it (LocationId). */
+    /** Shard holding (asid, vpn): the home shard, unless the page's
+     *  ToC was forwarded by a cross-shard adoption. */
     std::size_t routeOf(Asid asid, Vpn vpn) const;
 
     MosaicVm &shard(std::size_t s) { return *vms_[s]; }
@@ -173,12 +155,11 @@ class ShardedMosaicVm : public VirtualMemory
     /** ToC entries across all shards' location-ID user lists. */
     std::size_t locationUsers() const;
 
-    /** Live forwarding entries (pages + ToCs). */
+    /** Live ToC forwarding entries. */
     std::size_t forwardEntries() const { return forward_.size(); }
 
-    /** Visit every forwarding entry as (key, target shard); page
-     *  keys are packPageId values, ToC keys (asid << 48) | mvpn —
-     *  the two spaces never coexist (they are mode-exclusive). */
+    /** Visit every forwarding entry as (ToC key, target shard); the
+     *  key is (asid << 48) | mvpn. */
     template <typename Fn>
     void
     forEachForward(Fn &&fn) const
@@ -203,33 +184,13 @@ class ShardedMosaicVm : public VirtualMemory
         return (std::uint64_t{asid} << 48) | (vpn >> log2_arity);
     }
 
-    /** The scalar touch path: route, maybe steal, touch the shard. */
-    Pfn touchOne(Asid asid, Vpn vpn, bool write);
-
-    /** True when a touch at shard @p s would need a donor: free list
-     *  dry, page absent with no local swap copy, and placement
-     *  hard-conflicts. Reads only shard-local state. */
-    bool wouldSteal(std::size_t s, Asid asid, Vpn vpn);
-
-    /** The donor for a steal: most free frames (ties to the lowest
-     *  index), able to place the page; nullopt when no shard
-     *  qualifies. */
-    std::optional<std::size_t> pickDonor(std::size_t home, Asid asid,
-                                         Vpn vpn) const;
-
-    ShardedVmConfig config_;
     PoolPartition part_;
     std::vector<std::unique_ptr<MosaicVm>> vms_;
     bool locMode_ = false;
     unsigned log2Arity_ = 0;
 
-    /** Work stealing engages only with >1 shard in PageIdHash mode
-     *  under a policy whose full pool can hard-conflict (ShrunkenCache
-     *  pre-evicts below capacity and never runs dry). */
-    bool stealEnabled_ = false;
-
-    /** Pages (packPageId) or ToCs ((asid << 48) | mvpn) living away
-     *  from their ASID's home shard. */
+    /** ToCs ((asid << 48) | mvpn) living away from their ASID's home
+     *  shard; only LocationId-mode adoptions create them. */
     FlatMap<std::uint64_t, std::uint32_t> forward_;
 
     /** Per-shard adoption mailboxes; drained before shareRange
@@ -241,8 +202,16 @@ class ShardedMosaicVm : public VirtualMemory
     /** Aggregate rebuilt on demand by stats(). */
     mutable VmStats aggStats_;
 
-    /** touchBatch scratch (index partition, per-shard segments). */
-    std::vector<std::vector<std::uint32_t>> batchIdx_;
+    /** One shard's slice of a touchBatch block: the ops, their block
+     *  indices, and the shard-local PFNs. Kept across calls so
+     *  steady-state batches allocate nothing. */
+    struct ShardBatch
+    {
+        std::vector<PageTouch> ops;
+        std::vector<std::uint32_t> idx;
+        std::vector<Pfn> out;
+    };
+    std::vector<ShardBatch> batches_;
 };
 
 } // namespace mosaic

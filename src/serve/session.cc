@@ -39,10 +39,6 @@ ServeConfig::fingerprint() const
     std::ostringstream out;
     out << "serve tlb=" << tlbEntries << " ways=" << ways
         << " arity=" << arity << " seed=" << seed;
-    // Appended only when set so fingerprints (and thus recovery
-    // manifests) from before the knob existed remain byte-identical.
-    if (vmShards != 0)
-        out << " vmshards=" << vmShards;
     return out.str();
 }
 
@@ -61,7 +57,6 @@ sessionSimConfig(const ServeConfig &config, std::uint64_t session_id,
     sc.instr.enabled = false;
     sc.asid = asid;
     sc.seed = experimentCellSeed(config.seed, session_id);
-    sc.vmShards = config.vmShards;
     return sc;
 }
 

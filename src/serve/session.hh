@@ -59,16 +59,6 @@ struct ServeConfig
      *  memory); connect() may override per session. */
     std::uint64_t footprintBytes = std::uint64_t{16} << 20;
 
-    /**
-     * Shard count of the per-session ride-along VM engine
-     * (DESIGN.md §17): 0 (default) = none — the value every
-     * existing recovery-drill digest was pinned at. Nonzero attaches
-     * a ShardedMosaicVm to each session sim; it joins the config
-     * fingerprint (only when set), so changing it across a restart
-     * is a detected config mismatch, not silent state drift.
-     */
-    std::size_t vmShards = 0;
-
     /** Max accepted requests per session; 0 = unlimited. */
     std::uint64_t sessionQuota = 0;
 

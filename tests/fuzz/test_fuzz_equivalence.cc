@@ -55,7 +55,7 @@ constexpr CorpusGolden corpusGoldens[] = {
     {"tlb_seed3.trace", 2856143697853722682ull, 2000},
     {"tlb_seed4.trace", 13487116255103069025ull, 2000},
     {"vm-shard_seed1.trace", 7354204406591376375ull, 2000},
-    {"vm-shard_seed11.trace", 9834741282570056801ull, 2000},
+    {"vm-shard_seed11.trace", 9328550632844078930ull, 2000},
     {"vm-shard_seed13.trace", 13357099176557344888ull, 1884},
     {"vm-shard_seed29.trace", 13300108742336519232ull, 1906},
     {"vm-shard_seed4.trace", 6269676809091984375ull, 2000},
@@ -95,7 +95,7 @@ constexpr FreshGolden freshGoldens[] = {
     {"vm", 7ull, 4000u, 15069368938410500506ull, 4000u},
     {"vm", 8ull, 4000u, 4558736807962956266ull, 4000u},
     {"vm-shard", 1ull, 4000u, 8571212845453879594ull, 3802u},
-    {"vm-shard", 2ull, 4000u, 1260410224573605056ull, 4000u},
+    {"vm-shard", 2ull, 4000u, 18412944092187819907ull, 4000u},
     {"vm-shard", 3ull, 4000u, 17576827964146887582ull, 4000u},
     {"vm-shard", 4ull, 4000u, 16584354164570952334ull, 3794u},
     {"tlb", 1ull, 4000u, 3585466602176344134ull, 4000u},

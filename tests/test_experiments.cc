@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "core/experiments.hh"
 
 namespace mosaic
@@ -88,36 +86,6 @@ TEST(Fig6, KernelHugePagesOptionChangesVanilla)
     const Fig6Result b = runFig6(WorkloadKind::Gups, without);
     // The kernel stream adds accesses (and some misses) when on.
     EXPECT_GT(a.accesses, b.accesses);
-}
-
-TEST(Fig6, FullPoolKnobRunsRealGeometryWithShardedVm)
-{
-    // MOSAIC_FULL_POOL=2 swaps the footprint-sized ample pool for
-    // the paper's 1 Mi-frame geometry, demand-paged through a
-    // 2-shard ShardedMosaicVm. The TLB grid results stay sane — the
-    // ride-along engine never feeds the TLBs.
-    ASSERT_EQ(setenv("MOSAIC_FULL_POOL", "2", 1), 0);
-    Fig6Options o = tinyFig6();
-    o.waysList = {8};
-    const Fig6Cell cell = runFig6Cell(WorkloadKind::Gups, o, 0);
-    ASSERT_EQ(unsetenv("MOSAIC_FULL_POOL"), 0);
-    EXPECT_GT(cell.accesses, 0u);
-    EXPECT_GT(cell.row.vanillaMisses, 0u);
-    ASSERT_EQ(cell.row.mosaicMisses.size(), 2u);
-}
-
-TEST(Fig6DeathTest, MalformedFullPoolKnobIsFatal)
-{
-    // A typo'd MOSAIC_FULL_POOL must abort, never silently run the
-    // scaled-down default geometry (util/parse.hh contract).
-    Fig6Options o = tinyFig6();
-    o.waysList = {8};
-    EXPECT_DEATH(
-        {
-            setenv("MOSAIC_FULL_POOL", "3O", 1);
-            runFig6Cell(WorkloadKind::Gups, o, 0);
-        },
-        "MOSAIC_FULL_POOL");
 }
 
 TEST(Table3, FirstConflictNearNinetyEightPercent)

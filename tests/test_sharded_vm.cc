@@ -5,15 +5,18 @@
  * and placement-for-placement identical to a plain MosaicVm over 24
  * seeds × every eviction policy × both sharing modes, and multi-shard
  * machines must preserve the whole-machine conservation invariants
- * checked by the shard oracle while exercising the cross-shard
- * protocols (work stealing, adoption messages, forwarding).
+ * checked by the shard oracle while exercising cross-shard adoption.
+ * The contract: a sharded machine is N independent MosaicVms built
+ * from shardConfig and fed by route, and touchBatch ≡ scalar touch at
+ * any worker count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "mem/shard_view.hh"
@@ -191,7 +194,6 @@ TEST(ShardedVm, OneShardMatchesScalarStatForStat)
                 EXPECT_EQ(sharded.ghostPages(), scalar.ghostPages());
                 EXPECT_EQ(sharded.locationBindings(),
                           scalar.locationBindings());
-                EXPECT_EQ(sharded.counters().steals, 0u);
                 EXPECT_EQ(sharded.forwardEntries(), 0u);
             }
         }
@@ -224,45 +226,93 @@ TEST(ShardedVm, MultiShardPreservesConservation)
     }
 }
 
-TEST(ShardedVm, StealsEngageWhenOneShardRunsDry)
+namespace
 {
-    // Two shards; every ASID in the stream happens to share one home
-    // shard, so its pool runs dry while the other stays empty — the
-    // canonical steal scenario.
-    const ShardedVmConfig cfg = shardedConfig(
-        2, EvictionPolicy::HorizonLru, SharingMode::PageIdHash, 5);
-    ShardedMosaicVm vm(cfg);
-    Asid asid = 1;
-    while (vm.homeShard(asid) != 0)
-        ++asid;
-    const std::size_t frames = vm.numFrames();
-    // Touch twice the whole machine's frames through one ASID: the
-    // home shard conflicts, the donor absorbs the overflow.
-    for (Vpn vpn = 0; vpn < frames * 2; ++vpn)
-        vm.touch(asid, vpn, true);
-    EXPECT_GT(vm.counters().steals, 0u);
-    EXPECT_GT(vm.forwardEntries(), 0u);
-    EXPECT_GT(vm.shard(1).residentPages(), 0u);
-    const auto bad = checkShardConservation(vm);
-    ASSERT_FALSE(bad.has_value()) << *bad;
 
-    // Stolen pages stay pinned to their donor: re-touching resolves
-    // at the forwarded shard, not home.
-    std::vector<std::pair<Vpn, std::size_t>> stolen;
-    vm.forEachForward([&](std::uint64_t key, std::uint32_t target) {
-        stolen.emplace_back(key & ((std::uint64_t{1} << 48) - 1),
-                            target);
-    });
-    ASSERT_FALSE(stolen.empty());
-    for (const auto &[vpn, target] : stolen)
-        EXPECT_EQ(vm.routeOf(asid, vpn), target);
+/**
+ * Two shards; one ASID homed on shard 0 touches twice the whole
+ * machine's frames, so its home shard runs dry and conflicts while
+ * shard 1 stays empty. Shards never lend frames, so every way of
+ * driving this stream through a ShardedMosaicVm must equal two plain
+ * MosaicVms built from shardConfig and fed by homeShard.
+ */
+struct DryHomeShard
+{
+    DryHomeShard()
+        : cfg(shardedConfig(2, EvictionPolicy::HorizonLru,
+                            SharingMode::PageIdHash, 5)),
+          probe(cfg)
+    {
+        Asid asid = 1;
+        while (probe.homeShard(asid) != 0)
+            ++asid;
+        for (Vpn vpn = 0; vpn < probe.numFrames() * 2; ++vpn)
+            stream.push_back(PageTouch{asid, vpn, true});
 
-    // Unmapping the whole range re-homes every page: forwarding
-    // entries die with their pages.
-    vm.unmapRange(asid, 0, frames * 2);
-    EXPECT_EQ(vm.forwardEntries(), 0u);
-    EXPECT_EQ(vm.residentPages(), 0u);
-    ASSERT_FALSE(checkShardConservation(vm).has_value());
+        for (std::size_t s = 0; s < cfg.shards; ++s) {
+            ref.push_back(std::make_unique<MosaicVm>(
+                ShardedMosaicVm::shardConfig(cfg, s)));
+        }
+        want.resize(stream.size());
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            const PageTouch &t = stream[i];
+            const std::size_t s = probe.homeShard(t.asid);
+            want[i] = probe.partition().toGlobal(
+                s, ref[s]->touch(t.asid, t.vpn, t.write));
+        }
+    }
+
+    void
+    expectMatchesRef(const ShardedMosaicVm &vm,
+                     const std::vector<Pfn> &got) const
+    {
+        EXPECT_EQ(got, want);
+        for (std::size_t s = 0; s < cfg.shards; ++s)
+            expectStatsEqual(vm.shard(s).stats(), ref[s]->stats());
+        ASSERT_FALSE(checkShardConservation(vm).has_value());
+    }
+
+    ShardedVmConfig cfg;
+    ShardedMosaicVm probe;
+    std::vector<PageTouch> stream;
+    std::vector<std::unique_ptr<MosaicVm>> ref;
+    std::vector<Pfn> want;
+};
+
+} // namespace
+
+TEST(ShardedVm, DryHomeShardMatchesIndependentShards)
+{
+    const DryHomeShard dry;
+    ASSERT_GT(dry.ref[0]->stats().conflicts, 0u);
+    ASSERT_EQ(dry.ref[1]->residentPages(), 0u);
+
+    ShardedMosaicVm vm(dry.cfg);
+    std::vector<Pfn> got(dry.stream.size());
+    for (std::size_t i = 0; i < dry.stream.size(); ++i) {
+        const PageTouch &t = dry.stream[i];
+        got[i] = vm.touch(t.asid, t.vpn, t.write);
+    }
+    dry.expectMatchesRef(vm, got);
+    EXPECT_EQ(vm.shard(1).residentPages(), 0u);
+}
+
+TEST(ShardedVm, DryHomeShardBatchMatchesIndependentShards)
+{
+    const DryHomeShard dry;
+    for (const unsigned workers : {1u, 4u}) {
+        ThreadPool pool(workers);
+        ShardedMosaicVm vm(dry.cfg);
+        std::vector<Pfn> got(dry.stream.size(), invalidPfn);
+        parallelFor(pool, 1, [&](std::size_t) {
+            for (std::size_t i = 0; i < dry.stream.size(); i += 128) {
+                const std::size_t n =
+                    std::min<std::size_t>(128, dry.stream.size() - i);
+                vm.touchBatch({dry.stream.data() + i, n}, got.data() + i);
+            }
+        });
+        dry.expectMatchesRef(vm, got);
+    }
 }
 
 TEST(ShardedVm, CrossShardAdoptionSharesFrames)
@@ -301,8 +351,7 @@ TEST(ShardedVm, BatchMatchesScalarLoopAndIsThreadInvariant)
         const ShardedVmConfig cfg = shardedConfig(
             4, EvictionPolicy::HorizonLru, sharing, 31);
         // Build the touch stream once: overcommitted enough to fault
-        // and evict, but routed across shards so no single shard runs
-        // fully dry (the no-steal regime where batch ≡ scalar).
+        // and evict across every shard.
         Rng rng(99);
         std::vector<PageTouch> stream;
         for (int i = 0; i < 3000; ++i) {
@@ -333,51 +382,12 @@ TEST(ShardedVm, BatchMatchesScalarLoopAndIsThreadInvariant)
                     vm.touchBatch({stream.data() + i, n}, out.data() + i);
                 }
             });
-            if (vm.counters().steals == 0 &&
-                    scalar.counters().steals == 0) {
-                EXPECT_EQ(out, want);
-                const VmStats batched = vm.stats();
-                expectStatsEqual(batched, scalar.stats());
-            }
+            EXPECT_EQ(out, want);
+            expectStatsEqual(vm.stats(), scalar.stats());
             ASSERT_FALSE(checkShardConservation(vm).has_value());
         }
         EXPECT_EQ(serial, threaded);
     }
-}
-
-TEST(ShardedVm, BatchDrainsDeferredOpsDeterministically)
-{
-    // Force the steal gate inside a batch: one ASID overflows its
-    // home shard mid-block. The deferred serial drain must produce
-    // identical results at 1 and 4 workers.
-    const ShardedVmConfig cfg = shardedConfig(
-        2, EvictionPolicy::HorizonLru, SharingMode::PageIdHash, 5);
-    ShardedMosaicVm probe(cfg);
-    Asid asid = 1;
-    while (probe.homeShard(asid) != 0)
-        ++asid;
-    std::vector<PageTouch> stream;
-    for (Vpn vpn = 0; vpn < probe.numFrames() * 2; ++vpn)
-        stream.push_back(PageTouch{asid, vpn, true});
-
-    std::vector<std::vector<Pfn>> outs;
-    for (const unsigned workers : {1u, 4u}) {
-        ThreadPool pool(workers);
-        ShardedMosaicVm vm(cfg);
-        std::vector<Pfn> out(stream.size());
-        parallelFor(pool, 1, [&](std::size_t) {
-            for (std::size_t i = 0; i < stream.size(); i += 128) {
-                const std::size_t n =
-                    std::min<std::size_t>(128, stream.size() - i);
-                vm.touchBatch({stream.data() + i, n}, out.data() + i);
-            }
-        });
-        EXPECT_GT(vm.counters().steals, 0u);
-        EXPECT_GT(vm.counters().deferredBatchOps, 0u);
-        ASSERT_FALSE(checkShardConservation(vm).has_value());
-        outs.push_back(std::move(out));
-    }
-    EXPECT_EQ(outs[0], outs[1]);
 }
 
 TEST(ShardedVm, ShardConfigSlicesPoolAndMixesSeeds)
