@@ -105,25 +105,31 @@ runTable4Cell(WorkloadKind kind, const Table4Options &options,
     Table4Sample sample;
     sample.footprintBytes = workload->info().footprintBytes;
 
+    // Both VMs consume one pass of the workload through a tee: each
+    // sees exactly the touch sequence a private run would give it,
+    // and the reference stream is generated once for both.
     LinuxVmConfig linux_config;
     linux_config.numFrames = options.memFrames;
     LinuxVm linux_vm(linux_config);
-    const unsigned block = batchBlockFromEnv();
-    const auto linux_sink = makeVmTouchSink(linux_vm, 1, block);
-    workload->run(*linux_sink);
-    linux_sink->flush();
-    sample.linuxSwapIo =
-        static_cast<double>(linux_vm.stats().swapIns +
-                            linux_vm.stats().swapOuts);
 
     MosaicVmConfig mosaic_config;
     mosaic_config.geometry.numFrames = options.memFrames;
     mosaic_config.geometry.hashSeed = seed ^ 0xA110C;
     mosaic_config.seed = seed;
     MosaicVm mosaic_vm(mosaic_config);
+
+    const unsigned block = batchBlockFromEnv();
+    const auto linux_sink = makeVmTouchSink(linux_vm, 1, block);
     const auto mosaic_sink = makeVmTouchSink(mosaic_vm, 1, block);
-    workload->run(*mosaic_sink);
-    mosaic_sink->flush();
+    TeeSink tee;
+    tee.add(linux_sink.get());
+    tee.add(mosaic_sink.get());
+    workload->run(tee);
+    tee.flush();
+
+    sample.linuxSwapIo =
+        static_cast<double>(linux_vm.stats().swapIns +
+                            linux_vm.stats().swapOuts);
     sample.mosaicSwapIo =
         static_cast<double>(mosaic_vm.stats().swapIns +
                             mosaic_vm.stats().swapOuts);

@@ -113,8 +113,8 @@ class FrameTable
      * [base, base + width) is about to be scanned: the dense tick
      * run, the used-bit word, and the Frame records themselves. Pure
      * performance hint — no observable state changes. Used by the
-     * batched touch pipeline to warm a candidate bucket one stage
-     * before placement reads it.
+     * batched touch pipeline to warm a resident page's frame before
+     * its touch updates it.
      */
     void
     prefetchRange(Pfn base, unsigned width) const

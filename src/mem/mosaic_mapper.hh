@@ -121,6 +121,25 @@ class MosaicMapper
     }
 
     /**
+     * Decode a valid CPFN straight from the page's hash input,
+     * computing only the one hash output the CPFN names: H_0 for the
+     * front yard, H_{c+1} for backyard choice c. Bit-identical to
+     * toPfn(candidates(hash_input), cpfn) with one hash output
+     * instead of 1 + d: the resident-touch path, where the page walk
+     * already yielded the CPFN.
+     */
+    Pfn
+    pfnOf(std::uint64_t hash_input, Cpfn cpfn) const
+    {
+        const CpfnCodec::Decoded d = codec_.decode(cpfn);
+        const unsigned k = d.front ? 0 : d.choice + 1;
+        const Pfn base = Pfn{bucketMod_.mod(hasher_.hash(hash_input, k))} *
+                         geometry_.slotsPerBucket();
+        return d.front ? base + d.offset
+                       : base + geometry_.frontSlots + d.offset;
+    }
+
+    /**
      * Encode the CPFN denoting the given PFN, which must be one of
      * the candidate slots (panics otherwise — that would mean the OS
      * placed a page outside its allowed frames).

@@ -76,6 +76,10 @@ class GhostTracker
     /** A live frame was touched: move it to most recently used. */
     void touchLive(Pfn pfn) { liveOrder_.touch(pfn); }
 
+    /** Prefetch a frame's live-order node ahead of a touchLive() or
+     *  rescue(); pure hint. */
+    void prefetch(Pfn pfn) const { liveOrder_.prefetch(pfn); }
+
     /** A frame was (re)mapped: append as most recently used. */
     void recordLive(Pfn pfn) { liveOrder_.pushBack(pfn); }
 

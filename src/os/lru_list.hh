@@ -41,6 +41,14 @@ class LruList
         return n.linked;
     }
 
+    /** Prefetch a frame's list node ahead of a touch(); pure hint. */
+    void
+    prefetch(Pfn pfn) const
+    {
+        if (pfn < nodes_.size())
+            __builtin_prefetch(&nodes_[pfn]);
+    }
+
     /** Insert a frame as most-recently-used. */
     void
     pushBack(Pfn pfn)

@@ -1,6 +1,7 @@
 #include "os/mosaic_vm.hh"
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 namespace mosaic
@@ -180,9 +181,7 @@ MosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
         const MosaicWalkResult walk = pt.walk(v);
         if (!walk.present)
             continue;
-        const CandidateSet cand =
-            allocator_.mapper().candidates(*key);
-        const Pfn pfn = allocator_.mapper().toPfn(cand, walk.cpfn);
+        const Pfn pfn = allocator_.mapper().pfnOf(*key, walk.cpfn);
         // Unlike eviction, releasing a range writes nothing back:
         // the contents are dead. Clear every mapping of the frame
         // (shared ToCs release for all sharers at once).
@@ -230,9 +229,8 @@ MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
             const MosaicWalkResult walk = src_pt.walk(sv);
             if (walk.present) {
                 dst_pt.setCpfn(dv, walk.cpfn);
-                const CandidateSet cand = allocator_.mapper().candidates(
-                    hashInputFor(src_asid, sv));
-                const Pfn pfn = allocator_.mapper().toPfn(cand, walk.cpfn);
+                const Pfn pfn = allocator_.mapper().pfnOf(
+                    hashInputFor(src_asid, sv), walk.cpfn);
                 sharers_[pfn].emplace_back(dst_asid, dv);
             }
         }
@@ -242,50 +240,48 @@ MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
 Pfn
 MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
-    const std::uint64_t hash_input = hashInputFor(asid, vpn);
-    const CandidateSet cand = allocator_.mapper().candidates(hash_input);
-    return touchPrepared(asid, vpn, write, hash_input, cand, nullptr,
-                         nullptr);
+    ++clock_;
+    // Walk before hashing: a resident page's CPFN names the one hash
+    // output its PFN needs, so only a fault computes the full
+    // candidate set. An unbound LocationId ToC has nothing mapped,
+    // and binding it (which draws the RNG) is the fault path's job.
+    if (const std::optional<std::uint64_t> bound =
+            hashInputIfBound(asid, vpn)) {
+        const MosaicWalkResult walk = pageTable(asid).walk(vpn);
+        if (walk.present) {
+            return touchResident(
+                allocator_.mapper().pfnOf(*bound, walk.cpfn), write);
+        }
+        return touchAbsent(asid, vpn, write, *bound);
+    }
+    return touchAbsent(asid, vpn, write, hashInputFor(asid, vpn));
 }
 
 Pfn
-MosaicVm::touchPrepared(Asid asid, Vpn vpn, bool write,
-                        std::uint64_t hash_input,
-                        const CandidateSet &cand, const WalkHint *hint,
-                        bool *mutated)
+MosaicVm::touchResident(Pfn pfn, bool write)
 {
-    ++clock_;
-    MosaicPageTable &pt = pageTable(asid);
-
-    WalkHint walk;
-    if (hint) {
-        walk = *hint;
+    if (frames_.frame(pfn).lastAccess < horizon_) {
+        // A resident ghost was referenced again: a strict global
+        // LRU would have evicted it; Horizon LRU rescues it. It
+        // rejoins the live order as most recently used.
+        ++stats_.ghostRescues;
+        ghosts_.rescue(pfn);
     } else {
-        const MosaicWalkResult walked = pt.walk(vpn);
-        walk = WalkHint{walked.cpfn, walked.present};
+        ghosts_.touchLive(pfn);
     }
+    frames_.touch(pfn, clock_, write);
+    if (config_.policy == EvictionPolicy::ShrunkenCache)
+        globalLru_.touch(pfn);
+    return pfn;
+}
 
-    if (walk.present) {
-        const Pfn pfn = allocator_.mapper().toPfn(cand, walk.cpfn);
-        if (frames_.frame(pfn).lastAccess < horizon_) {
-            // A resident ghost was referenced again: a strict global
-            // LRU would have evicted it; Horizon LRU rescues it. It
-            // rejoins the live order as most recently used.
-            ++stats_.ghostRescues;
-            ghosts_.rescue(pfn);
-        } else {
-            ghosts_.touchLive(pfn);
-        }
-        frames_.touch(pfn, clock_, write);
-        if (config_.policy == EvictionPolicy::ShrunkenCache)
-            globalLru_.touch(pfn);
-        return pfn;
-    }
-
+Pfn
+MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
+                      std::uint64_t hash_input)
+{
     // Page fault. Every path below changes a page->frame mapping, so
-    // batch walk hints captured before this op are no longer current.
-    if (mutated)
-        *mutated = true;
+    // batch walks gathered before this op are no longer current.
+    MosaicPageTable &pt = pageTable(asid);
     const bool major = swap_.contains(hash_input);
 
     if (config_.sharing == SharingMode::LocationId) {
@@ -301,25 +297,21 @@ MosaicVm::touchPrepared(Asid asid, Vpn vpn, bool write,
                 (user.mvpn << ceilLog2(config_.arity)) | offset;
             const MosaicWalkResult peer = peer_pt.walk(peer_vpn);
             if (peer.present) {
-                const Pfn pfn = allocator_.mapper().toPfn(cand, peer.cpfn);
+                // The peer's ToC shares this location ID, so its CPFN
+                // decodes against the same hash input. Adopting a
+                // ghost frame rescues it exactly like a direct hit.
+                const Pfn pfn =
+                    allocator_.mapper().pfnOf(hash_input, peer.cpfn);
                 pt.setCpfn(vpn, peer.cpfn);
                 sharers_[pfn].emplace_back(asid, vpn);
-                if (frames_.frame(pfn).lastAccess < horizon_) {
-                    // Adopting a ghost frame rescues it exactly like a
-                    // direct hit on one would.
-                    ++stats_.ghostRescues;
-                    ghosts_.rescue(pfn);
-                } else {
-                    ghosts_.touchLive(pfn);
-                }
-                frames_.touch(pfn, clock_, write);
-                if (config_.policy == EvictionPolicy::ShrunkenCache)
-                    globalLru_.touch(pfn);
+                touchResident(pfn, write);
                 ++stats_.minorFaults;
                 return pfn;
             }
         }
     }
+
+    const CandidateSet cand = allocator_.mapper().candidates(hash_input);
 
     // ShrunkenCache holds live pages below (1 - delta)p by evicting
     // the global LRU page first, so placement usually finds room.
@@ -404,66 +396,81 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
         return;
     }
 
+    // Ops walked ahead of the apply point, and leaves prefetched
+    // ahead of the walk: each stage's lines land before the next
+    // stage reads them.
+    constexpr std::size_t walkAhead = 8;
+    constexpr std::size_t leafAhead = 8;
     const std::size_t n = block.size();
-    batchInputs_.resize(n);
-    batchCands_.resize(n);
-    batchOrder_.resize(n);
-    batchHints_.assign(n, WalkHint{});
-
-    // Stage 1: batched hashing. packPageId is exactly hashInputFor in
-    // PageIdHash mode, and candidatesMany charges the same per-key
-    // probe reads as the scalar candidates() calls it replaces.
-    for (std::size_t i = 0; i < n; ++i) {
-        batchInputs_[i] =
-            packPageId(PageId{block[i].asid, block[i].vpn});
-        batchOrder_[i] = static_cast<std::uint32_t>(i);
-    }
     const MosaicMapper &mapper = allocator_.mapper();
-    mapper.candidatesMany(batchInputs_, batchCands_.data());
 
-    // Stage 2: warm pass, visiting the block sorted by frame-table
-    // region so each candidate bucket's metadata is pulled in once,
-    // with the lines prefetched a fixed lookahead ahead of the page
-    // walks that consume them. Walks here are read-only.
-    std::stable_sort(batchOrder_.begin(), batchOrder_.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                         return batchCands_[a].frontBucket <
-                                batchCands_[b].frontBucket;
-                     });
-    constexpr std::size_t lookahead = 8;
-    const unsigned slots_per_bucket =
-        mapper.geometry().slotsPerBucket();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + lookahead < n) {
-            const CandidateSet &c = batchCands_[batchOrder_[i + lookahead]];
-            frames_.prefetchRange(mapper.frontBase(c),
-                                  slots_per_bucket);
-        }
-        const std::uint32_t idx = batchOrder_[i];
-        // find(), not pageTable(): the warm pass must not create
-        // address spaces — a missing table just means "not present",
-        // which the zero-initialized hint already says.
-        if (auto *table = tables_.find(block[idx].asid)) {
-            const MosaicWalkResult walked =
-                (*table)->walk(block[idx].vpn);
-            batchHints_[idx] = WalkHint{walked.cpfn, walked.present};
-        }
-    }
+    // Walk results of the ops in flight (at most walkAhead + 1),
+    // slotted by op index: the resident page's PFN, or invalidPfn.
+    std::array<Pfn, walkAhead + 1> walks;
+    const auto walk_of = [&](std::size_t j) -> Pfn & {
+        return walks[j % walks.size()];
+    };
 
-    // Stage 3: apply in the caller's original order — the determinism
-    // contract. Hints are trusted only until the first mapping
-    // mutation in the block; afterwards the remaining touches re-walk
-    // (a fault may have mapped a page a later hint says is absent).
-    bool hints_valid = true;
+    // Page tables are read with find(), not pageTable(): the walks
+    // must not create address spaces, and a missing table just means
+    // "absent". Tables are never destroyed, so the last one found
+    // stays valid for the whole block.
+    Asid last_asid = 0;
+    const MosaicPageTable *last_table = nullptr;
+    const auto table_of = [&](Asid asid) -> const MosaicPageTable * {
+        if (last_table && last_asid == asid)
+            return last_table;
+        const auto *table = tables_.find(asid);
+        if (!table)
+            return nullptr;
+        last_asid = asid;
+        last_table = table->get();
+        return last_table;
+    };
+
+    // Walk op j; a resident page's frame record and live-order node
+    // are prefetched for its apply.
+    const auto walk_op = [&](std::size_t j) {
+        if (j + leafAhead < n) {
+            const PageTouch &ahead = block[j + leafAhead];
+            if (const MosaicPageTable *table = table_of(ahead.asid))
+                table->prefetch(ahead.vpn);
+        }
+        const PageTouch &t = block[j];
+        walk_of(j) = invalidPfn;
+        const MosaicPageTable *table = table_of(t.asid);
+        if (!table)
+            return;
+        const MosaicWalkResult walk = table->walk(t.vpn);
+        if (!walk.present)
+            return;
+        const Pfn pfn =
+            mapper.pfnOf(packPageId(PageId{t.asid, t.vpn}), walk.cpfn);
+        walk_of(j) = pfn;
+        frames_.prefetchRange(pfn, 1);
+        ghosts_.prefetch(pfn);
+        if (config_.policy == EvictionPolicy::ShrunkenCache)
+            globalLru_.prefetch(pfn);
+    };
+
+    // Apply in the caller's order — the determinism contract. A walk
+    // is current until the next mapping mutation, and only a fault
+    // mutates: it discards every walk gathered past it, and those ops
+    // are walked again (a fault may have mapped or evicted them).
+    std::size_t walked = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        bool op_mutated = false;
-        out[i] = touchPrepared(block[i].asid, block[i].vpn,
-                               block[i].write, batchInputs_[i],
-                               batchCands_[i],
-                               hints_valid ? &batchHints_[i] : nullptr,
-                               &op_mutated);
-        if (op_mutated)
-            hints_valid = false;
+        for (const std::size_t end = std::min(n, i + 1 + walkAhead);
+             walked < end; ++walked)
+            walk_op(walked);
+        const PageTouch &t = block[i];
+        ++clock_;
+        if (const Pfn pfn = walk_of(i); pfn != invalidPfn) {
+            out[i] = touchResident(pfn, t.write);
+        } else {
+            out[i] = touchAbsent(t.asid, t.vpn, t.write,
+                                 packPageId(PageId{t.asid, t.vpn}));
+            walked = i + 1;
+        }
     }
 }
 

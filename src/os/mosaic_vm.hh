@@ -112,18 +112,19 @@ class MosaicVm : public VirtualMemory
     Pfn touch(Asid asid, Vpn vpn, bool write) override;
 
     /**
-     * Batched touch (ROADMAP item 2): stages the block as (1) batched
-     * tabulation hashing of every page's candidate set, (2) a warm
-     * pass visiting the block sorted by frame-table region with the
-     * candidate buckets' metadata prefetched a fixed lookahead ahead
-     * of the page walks that consume them, then (3) applies every
-     * touch in the caller's original order so results, stats, and
-     * placements are bit-identical to a scalar touch() loop. Walk
-     * hints gathered by the warm pass are trusted only until the
-     * first mapping mutation (fault/eviction) in the block; later
-     * touches re-walk. LocationId sharing derives hash inputs
-     * statefully (binding creation draws the RNG), so that mode —
-     * and trivial blocks — run the scalar loop directly.
+     * Batched touch (ROADMAP item 2): a walk-first pipeline. A fixed
+     * lookahead ahead of the apply point it prefetches each op's
+     * page-table leaf, walks the op, and for a resident page decodes
+     * the one bucket its CPFN names (MosaicMapper::pfnOf) and
+     * prefetches that frame's record and live-order node. Touches are
+     * then applied in the caller's order, so results, stats and
+     * placements are bit-identical to a scalar touch() loop; faults
+     * take the scalar fault path. A walk is trusted only until the
+     * next mapping mutation: a fault discards the walks gathered
+     * past it, and those ops are walked again. LocationId sharing
+     * derives hash inputs statefully (binding creation draws the
+     * RNG), so that mode — and trivial blocks — run the scalar loop
+     * directly.
      */
     void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
 
@@ -228,23 +229,20 @@ class MosaicVm : public VirtualMemory
         }
     };
 
-    /** Page-walk outcome captured by touchBatch's warm pass. */
-    struct WalkHint
-    {
-        Cpfn cpfn{};
-        bool present = false;
-    };
+    /**
+     * A touch of a page resident in @p pfn at the current clock:
+     * ghost rescue or live-order update, frame timestamp, and the
+     * ShrunkenCache LRU. Changes no mapping.
+     */
+    Pfn touchResident(Pfn pfn, bool write);
 
     /**
-     * The body of touch() after the hash input and candidate set are
-     * known. @p hint, when given, replaces the page walk (the caller
-     * guarantees it is current). @p mutated, when given, is set when
-     * the touch changed any page->frame mapping — the signal that
-     * invalidates remaining batch walk hints.
+     * A touch of a page the walk found absent, at the current clock:
+     * adopt a sharer's frame (LocationId mode) or place the page,
+     * evicting as needed. Always changes a page->frame mapping.
      */
-    Pfn touchPrepared(Asid asid, Vpn vpn, bool write,
-                      std::uint64_t hash_input, const CandidateSet &cand,
-                      const WalkHint *hint, bool *mutated);
+    Pfn touchAbsent(Asid asid, Vpn vpn, bool write,
+                    std::uint64_t hash_input);
 
     /** Placement-hash input for one base page. */
     std::uint64_t hashInputFor(Asid asid, Vpn vpn);
@@ -323,13 +321,6 @@ class MosaicVm : public VirtualMemory
     /** LocationId mode: frame -> sharing mappings beyond the owner.
      *  Only frames referenced by shared ToCs appear here. */
     FlatMap<Pfn, std::vector<std::pair<Asid, Vpn>>> sharers_;
-
-    /** touchBatch scratch, kept across calls so steady-state batches
-     *  allocate nothing. MosaicVm is single-threaded by contract. */
-    std::vector<std::uint64_t> batchInputs_;
-    std::vector<CandidateSet> batchCands_;
-    std::vector<std::uint32_t> batchOrder_;
-    std::vector<WalkHint> batchHints_;
 };
 
 } // namespace mosaic

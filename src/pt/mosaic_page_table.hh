@@ -71,6 +71,9 @@ class MosaicPageTable
     /** Walk for a VPN; also yields the whole ToC for TLB fill. */
     MosaicWalkResult walk(Vpn vpn) const;
 
+    /** Prefetch the ToC a walk of @p vpn will read; creates nothing. */
+    void prefetch(Vpn vpn) const { tree_.prefetch(mvpnOf(vpn)); }
+
     /** Number of base pages currently mapped. */
     std::uint64_t mappedPages() const { return mapped_; }
 

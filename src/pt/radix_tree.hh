@@ -103,6 +103,26 @@ class RadixTree
         return const_cast<RadixTree *>(this)->find(key, refs);
     }
 
+    /**
+     * Hint the cache hierarchy that the leaf for a key is about to be
+     * read: descends the interior nodes (never creating one) and
+     * prefetches the leaf's first and last byte. Pure performance
+     * hint; a missing path is a no-op.
+     */
+    void
+    prefetch(std::uint64_t key) const
+    {
+        const Node *node = root_.get();
+        for (unsigned level = levels_; level-- > 1;) {
+            node = node->children[indexAt(key, level)].get();
+            if (!node)
+                return;
+        }
+        const Leaf *leaf = &(*node->leaves)[indexAt(key, 0)];
+        __builtin_prefetch(leaf);
+        __builtin_prefetch(reinterpret_cast<const char *>(leaf + 1) - 1);
+    }
+
     /** Visit every instantiated leaf as (key, leaf). */
     template <typename Visitor>
     void

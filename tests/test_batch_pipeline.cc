@@ -8,7 +8,9 @@
  * same stats, same resident/ghost/horizon state, same TLB counters.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -148,21 +150,51 @@ mosaicConfig(std::uint64_t seed, EvictionPolicy policy,
     return config;
 }
 
-VmOutcome
-mosaicOutcome(std::uint64_t seed, EvictionPolicy policy,
-              SharingMode sharing, unsigned block)
+/** Append the Mosaic-specific state the generic metrics don't
+ *  cover. */
+void
+addMosaicState(const MosaicVm &vm, VmOutcome &out)
 {
-    MosaicVm vm(mosaicConfig(seed, policy, sharing));
-    // Pressure past capacity: ~1.5x frames, two address spaces.
-    const auto stream = makeStream(seed, 6007, 3072, 2);
-    VmOutcome out = runStream(vm, stream, block);
-    // Mosaic-specific state the generic metrics don't cover.
     out.metrics.emplace_back("ghostPages",
                              static_cast<double>(vm.ghostPages()));
     out.metrics.emplace_back("horizon",
                              static_cast<double>(vm.horizon()));
     out.metrics.emplace_back("now", static_cast<double>(vm.now()));
+}
+
+VmOutcome
+mosaicRun(const MosaicVmConfig &config, std::span<const PageTouch> stream,
+          unsigned block)
+{
+    MosaicVm vm(config);
+    VmOutcome out = runStream(vm, stream, block);
+    addMosaicState(vm, out);
     return out;
+}
+
+VmOutcome
+mosaicOutcome(std::uint64_t seed, EvictionPolicy policy,
+              SharingMode sharing, unsigned block)
+{
+    // Pressure past capacity: ~1.5x frames, two address spaces.
+    const auto stream = makeStream(seed, 6007, 3072, 2);
+    return mosaicRun(mosaicConfig(seed, policy, sharing), stream, block);
+}
+
+/** One digest of an outcome's PFNs and every metric, bit for bit. */
+std::uint64_t
+digestOf(const VmOutcome &outcome)
+{
+    std::uint64_t d = outcome.pfnDigest;
+    for (const auto &[name, value] : outcome.metrics) {
+        for (const char c : name)
+            d = fnv1a(d, static_cast<unsigned char>(c));
+        std::uint64_t bits;
+        static_assert(sizeof(bits) == sizeof(value));
+        __builtin_memcpy(&bits, &value, sizeof(bits));
+        d = fnv1a(d, bits);
+    }
+    return fnv1a(d, outcome.resident);
 }
 
 TEST(BatchPipeline, MosaicBitIdenticalAcrossPoliciesAndBlocks)
@@ -197,6 +229,208 @@ TEST(BatchPipeline, LocationIdModeFallsBackToScalarResults)
                 seed, EvictionPolicy::HorizonLru,
                 SharingMode::LocationId, block);
             ASSERT_EQ(scalar, batched)
+                << "seed=" << seed << " block=" << block;
+        }
+    }
+}
+
+/** Block sizes of the walk-hint tests: the smallest batch, a
+ *  non-power of two, and both perf-gated depths. */
+constexpr unsigned kHintBlocks[] = {2, 7, 64, 128};
+
+/**
+ * How often a stream defeats the walks a batch gathers, measured on a
+ * scalar run at @p block: ops whose page was absent when their block
+ * began but resident when touched (an earlier op in the block mapped
+ * it), and ops whose page was resident when the block began but
+ * faulted when touched (an earlier op in the block evicted it).
+ */
+struct StaleWalks
+{
+    std::size_t absentThenMapped = 0;
+    std::size_t residentThenEvicted = 0;
+};
+
+StaleWalks
+staleWalks(const MosaicVmConfig &config, std::span<const PageTouch> stream,
+           unsigned block)
+{
+    MosaicVm vm(config);
+    StaleWalks out;
+    std::vector<bool> present(block);
+    for (std::size_t base = 0; base < stream.size(); base += block) {
+        const std::size_t n =
+            std::min<std::size_t>(block, stream.size() - base);
+        for (std::size_t k = 0; k < n; ++k) {
+            const PageTouch &t = stream[base + k];
+            present[k] = vm.pageTable(t.asid).walk(t.vpn).present;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+            const PageTouch &t = stream[base + k];
+            const std::uint64_t faults = vm.stats().faults();
+            vm.touch(t.asid, t.vpn, t.write);
+            const bool faulted = vm.stats().faults() != faults;
+            out.absentThenMapped += !present[k] && !faulted;
+            out.residentThenEvicted += present[k] && faulted;
+        }
+    }
+    return out;
+}
+
+/** Like makeStream, but 40 % of ops re-touch a page one of the last
+ *  four ops touched — usually one a fault in the same block just
+ *  mapped. */
+std::vector<PageTouch>
+makeRetouchStream(std::uint64_t seed, std::size_t ops,
+                  std::uint64_t pages)
+{
+    std::vector<PageTouch> stream = makeStream(seed, ops, pages, 2);
+    Rng rng(seed ^ 0x5EED);
+    for (std::size_t i = 4; i < stream.size(); ++i) {
+        if (rng.chance(0.4)) {
+            const PageTouch &prev = stream[i - 1 - rng.below(4)];
+            stream[i].asid = prev.asid;
+            stream[i].vpn = prev.vpn;
+        }
+    }
+    return stream;
+}
+
+TEST(BatchPipeline, FaultMapsPageALaterOpInTheBlockTouches)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const MosaicVmConfig config =
+            mosaicConfig(seed, EvictionPolicy::HorizonLru);
+        const auto stream = makeRetouchStream(seed, 6007, 3072);
+        const VmOutcome scalar = mosaicRun(config, stream, 1);
+        for (const unsigned block : kHintBlocks) {
+            ASSERT_GT(staleWalks(config, stream, block).absentThenMapped,
+                      0u)
+                << "seed=" << seed << " block=" << block;
+            ASSERT_EQ(scalar, mosaicRun(config, stream, block))
+                << "seed=" << seed << " block=" << block;
+        }
+    }
+}
+
+TEST(BatchPipeline, ConflictEvictsPageALaterOpInTheBlockTouches)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        // Eight candidate frames per page in 48 frames, and a working
+        // set a third larger: most faults are Horizon LRU conflicts,
+        // and their victims are soon touched again.
+        MosaicVmConfig config =
+            mosaicConfig(seed, EvictionPolicy::HorizonLru);
+        config.geometry.frontSlots = 4;
+        config.geometry.backSlots = 2;
+        config.geometry.backChoices = 2;
+        config.geometry.numFrames = 8 * config.geometry.slotsPerBucket();
+        const auto stream = makeRetouchStream(seed, 20011, 64);
+        const VmOutcome scalar = mosaicRun(config, stream, 1);
+        {
+            MosaicVm vm(config);
+            runStream(vm, stream, 1);
+            ASSERT_GT(vm.stats().conflicts, 0u) << "seed=" << seed;
+        }
+        for (const unsigned block : kHintBlocks) {
+            ASSERT_GT(
+                staleWalks(config, stream, block).residentThenEvicted, 0u)
+                << "seed=" << seed << " block=" << block;
+            ASSERT_EQ(scalar, mosaicRun(config, stream, block))
+                << "seed=" << seed << " block=" << block;
+        }
+    }
+}
+
+/**
+ * A LocationId run that interleaves shareRange with touches: ASIDs 1
+ * and 2 touch private pages, and now and then one mosaic page of
+ * either is shared into a fresh range of ASID 3, whose pages join the
+ * stream. Touches between shares go through touchBatch in @p block
+ * blocks (scalar touch() when block <= 1). @p shared_hits, when
+ * given, counts touches of ASID 3 that found their page resident.
+ */
+VmOutcome
+sharedLocationIdRun(std::uint64_t seed, unsigned block,
+                    std::size_t *shared_hits = nullptr)
+{
+    MosaicVm vm(mosaicConfig(seed, EvictionPolicy::HorizonLru,
+                             SharingMode::LocationId));
+    constexpr unsigned arity = 4; // MosaicVmConfig's default
+    Rng rng(seed * 7919 + 3);
+    std::vector<PageTouch> shared;
+    std::vector<PageTouch> pending;
+    std::vector<Pfn> pfns(std::max(block, 1u));
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    const auto flush = [&] {
+        if (block > 1) {
+            vm.touchBatch(pending, pfns.data());
+        } else {
+            for (std::size_t k = 0; k < pending.size(); ++k) {
+                const PageTouch &t = pending[k];
+                const std::uint64_t faults = vm.stats().faults();
+                pfns[k] = vm.touch(t.asid, t.vpn, t.write);
+                if (shared_hits && t.asid == 3 &&
+                        vm.stats().faults() == faults)
+                    ++*shared_hits;
+            }
+        }
+        for (std::size_t k = 0; k < pending.size(); ++k)
+            digest = fnv1a(digest, pfns[k]);
+        pending.clear();
+    };
+    Vpn next_dst = 0;
+    for (std::size_t i = 0; i < 6007; ++i) {
+        if (rng.chance(0.01)) {
+            flush();
+            const Asid src = static_cast<Asid>(1 + rng.below(2));
+            const Vpn src_vpn = rng.below(3072 / arity) * arity;
+            vm.shareRange(src, src_vpn, 3, next_dst, arity);
+            for (unsigned sub = 0; sub < arity; ++sub)
+                shared.push_back(PageTouch{3, next_dst + sub, false});
+            next_dst += arity;
+            continue;
+        }
+        PageTouch t;
+        if (!shared.empty() && rng.chance(0.25)) {
+            t = shared[rng.below(shared.size())];
+        } else {
+            t.asid = static_cast<Asid>(1 + rng.below(2));
+            t.vpn = rng.chance(0.6) ? rng.below(384) : rng.below(3072);
+        }
+        t.write = rng.chance(0.3);
+        pending.push_back(t);
+        if (pending.size() == pfns.size())
+            flush();
+    }
+    flush();
+    VmOutcome out = captureOutcome(vm, digest);
+    addMosaicState(vm, out);
+    out.metrics.emplace_back(
+        "locationBindings", static_cast<double>(vm.locationBindings()));
+    out.metrics.emplace_back("locationUsers",
+                             static_cast<double>(vm.locationUsers()));
+    return out;
+}
+
+TEST(BatchPipeline, LocationIdSharedResidentTouchesAreUnchanged)
+{
+    // digestOf(scalar outcome) per seed, recorded before resident
+    // touches decoded one bucket instead of the full candidate set:
+    // walk-first touches must not move a single PFN or counter.
+    constexpr std::uint64_t pinned[] = {
+        1188378061536779148ull,
+        13785288545480407936ull,
+        18298093326071980436ull,
+    };
+    for (std::uint64_t seed = 1; seed <= std::size(pinned); ++seed) {
+        std::size_t shared_hits = 0;
+        const VmOutcome scalar =
+            sharedLocationIdRun(seed, 1, &shared_hits);
+        EXPECT_GT(shared_hits, 100u) << "seed=" << seed;
+        EXPECT_EQ(digestOf(scalar), pinned[seed - 1]) << "seed=" << seed;
+        for (const unsigned block : kHintBlocks) {
+            ASSERT_EQ(scalar, sharedLocationIdRun(seed, block))
                 << "seed=" << seed << " block=" << block;
         }
     }
@@ -302,19 +536,9 @@ TEST(BatchPipeline, DifferentialDigestsAreThreadCountInvariant)
         ThreadPool pool(workers);
         std::vector<std::uint64_t> out(8);
         parallelFor(pool, out.size(), [&](std::size_t i) {
-            const auto outcome =
+            out[i] = digestOf(
                 mosaicOutcome(i + 1, EvictionPolicy::HorizonLru,
-                              SharingMode::PageIdHash, 64);
-            std::uint64_t d = outcome.pfnDigest;
-            for (const auto &[name, value] : outcome.metrics) {
-                for (const char c : name)
-                    d = fnv1a(d, static_cast<unsigned char>(c));
-                std::uint64_t bits;
-                static_assert(sizeof(bits) == sizeof(value));
-                __builtin_memcpy(&bits, &value, sizeof(bits));
-                d = fnv1a(d, bits);
-            }
-            out[i] = d;
+                              SharingMode::PageIdHash, 64));
         });
         return out;
     };

@@ -8,7 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <utility>
+
 #include "core/experiments.hh"
+#include "core/vm_touch_sink.hh"
+#include "os/linux_vm.hh"
+#include "os/mosaic_vm.hh"
 
 namespace mosaic
 {
@@ -147,6 +154,63 @@ TEST(Table4, MosaicCompetitiveOnCyclicWorkload)
     const Table4Row row = runTable4(WorkloadKind::Graph500, o);
     EXPECT_GT(row.linuxSwapIo.mean(), 0.0);
     EXPECT_LT(row.mosaicSwapIo.mean(), row.linuxSwapIo.mean() * 1.5);
+}
+
+/** Table 4 swap I/O of run 0 with each VM fed by its own pass of
+ *  the workload: what runTable4's single tee'd pass must reproduce. */
+std::pair<double, double>
+separateVmSwapIo(WorkloadKind kind, const Table4Options &o)
+{
+    const std::uint64_t seed = experimentCellSeed(o.seed, 0);
+    const auto footprint = static_cast<std::uint64_t>(
+        static_cast<double>(std::uint64_t{o.memFrames} * pageSize) *
+        o.footprintFactor);
+    const auto workload = makeFootprintWorkload(kind, footprint, seed);
+
+    LinuxVmConfig linux_config;
+    linux_config.numFrames = o.memFrames;
+    LinuxVm linux_vm(linux_config);
+    VmTouchSink linux_sink(linux_vm, 1);
+    workload->run(linux_sink);
+
+    MosaicVmConfig mosaic_config;
+    mosaic_config.geometry.numFrames = o.memFrames;
+    mosaic_config.geometry.hashSeed = seed ^ 0xA110C;
+    mosaic_config.seed = seed;
+    MosaicVm mosaic_vm(mosaic_config);
+    VmTouchSink mosaic_sink(mosaic_vm, 1);
+    workload->run(mosaic_sink);
+
+    return {static_cast<double>(linux_vm.stats().swapIo()),
+            static_cast<double>(mosaic_vm.stats().swapIo())};
+}
+
+TEST(Table4, SinglePassMatchesSeparateVmRuns)
+{
+    const char *saved = std::getenv("MOSAIC_BATCH");
+    const std::string saved_copy = saved ? saved : "";
+    for (const WorkloadKind kind :
+         {WorkloadKind::Gups, WorkloadKind::BTree}) {
+        Table4Options o;
+        o.memFrames = 2048;
+        o.footprintFactor = kind == WorkloadKind::Gups ? 1.10 : 1.30;
+        o.runs = 1;
+        const auto [linux_io, mosaic_io] = separateVmSwapIo(kind, o);
+        EXPECT_GT(linux_io, 0.0);
+        EXPECT_GT(mosaic_io, 0.0);
+        for (const char *batch : {"0", "64"}) {
+            ::setenv("MOSAIC_BATCH", batch, 1);
+            const Table4Row row = runTable4(kind, o);
+            EXPECT_EQ(row.linuxSwapIo.mean(), linux_io)
+                << "kind=" << static_cast<int>(kind) << " batch=" << batch;
+            EXPECT_EQ(row.mosaicSwapIo.mean(), mosaic_io)
+                << "kind=" << static_cast<int>(kind) << " batch=" << batch;
+        }
+    }
+    if (saved)
+        ::setenv("MOSAIC_BATCH", saved_copy.c_str(), 1);
+    else
+        ::unsetenv("MOSAIC_BATCH");
 }
 
 } // namespace

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mem/mosaic_mapper.hh"
+#include "util/random.hh"
 
 namespace mosaic
 {
@@ -157,7 +159,73 @@ TEST(Mapper, DifferentHashSeedDifferentMapping)
     EXPECT_LT(same, 20u);
 }
 
+/** Every valid CPFN of the mapper's geometry. */
+std::vector<Cpfn>
+allCpfns(const MosaicMapper &m)
+{
+    const MemoryGeometry &g = m.geometry();
+    std::vector<Cpfn> out;
+    for (unsigned off = 0; off < g.frontSlots; ++off)
+        out.push_back(m.codec().encodeFront(off));
+    for (unsigned k = 0; k < g.backChoices; ++k)
+        for (unsigned off = 0; off < g.backSlots; ++off)
+            out.push_back(m.codec().encodeBack(k, off));
+    return out;
+}
+
+/** pfnOf (one hash output) must agree with toPfn over the full
+ *  candidate set for every valid CPFN of random hash inputs. */
+void
+expectPfnOfMatchesToPfn(const MemoryGeometry &g)
+{
+    const MosaicMapper m(g);
+    const std::vector<Cpfn> cpfns = allCpfns(m);
+    ASSERT_EQ(cpfns.size(), g.associativity());
+    Rng rng(g.hashSeed * 31 + g.backChoices);
+    for (unsigned i = 0; i < 10000; ++i) {
+        const std::uint64_t input = rng();
+        const CandidateSet c = m.candidates(input);
+        for (const Cpfn cpfn : cpfns) {
+            ASSERT_EQ(m.pfnOf(input, cpfn), m.toPfn(c, cpfn))
+                << "input=" << input << " cpfn=" << unsigned{cpfn};
+        }
+    }
+}
+
+TEST(Mapper, PfnOfMatchesToPfnPaperGeometry)
+{
+    expectPfnOfMatchesToPfn(geometry());
+}
+
+TEST(Mapper, PfnOfMatchesToPfnSmallGeometry)
+{
+    MemoryGeometry g;
+    g.frontSlots = 3;
+    g.backSlots = 2;
+    g.backChoices = 2;
+    g.numFrames = 7 * g.slotsPerBucket();
+    g.hashSeed = 77;
+    expectPfnOfMatchesToPfn(g);
+}
+
+TEST(Mapper, PfnOfMatchesToPfnWideChoices)
+{
+    // 1 + d outputs exceed the batched probe window, so candidates()
+    // takes the hashMany path; pfnOf must still match it.
+    MemoryGeometry g = geometry(64);
+    g.backChoices = 9;
+    ASSERT_GT(g.backChoices + 1, TabulationHash::maxProbes);
+    expectPfnOfMatchesToPfn(g);
+}
+
 using MapperDeathTest = ::testing::Test;
+
+TEST(MapperDeathTest, PfnOfRejectsUnmappedSentinel)
+{
+    const MosaicMapper m(geometry());
+    EXPECT_DEATH((void)m.pfnOf(12345, m.codec().invalid()),
+                 "unmapped sentinel");
+}
 
 TEST(MapperDeathTest, NonCandidatePfnPanics)
 {
