@@ -79,8 +79,10 @@ runBakeoffCell(WorkloadKind kind, const BakeoffOptions &options,
     TranslationSimConfig config;
     config.memory = ampleGeometry(workload->info().footprintBytes);
     config.tlbEntries = options.tlbEntries;
-    config.waysList = {options.ways};
-    config.arities = {arity};
+    // The specs include their own vanilla and mosaic designs; no
+    // grid TLB would be read.
+    config.waysList = {};
+    config.arities = {};
     config.kernel.accessEvery = 0;
     config.designWays = options.ways;
     config.designSpecs = bakeoffSpecs(options, arity);

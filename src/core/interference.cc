@@ -167,8 +167,10 @@ runInterferenceCell(const InterferenceOptions &options,
     TranslationSimConfig config;
     config.memory = ampleGeometry(total_footprint);
     config.tlbEntries = options.tlbEntries;
-    config.waysList = {options.ways};
-    config.arities = {options.arity};
+    // The specs include their own vanilla and mosaic designs; no
+    // grid TLB would be read.
+    config.waysList = {};
+    config.arities = {};
     config.kernel.accessEvery = 0;
     config.designWays = options.ways;
     config.designSpecs = interferenceSpecs(options);

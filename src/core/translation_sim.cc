@@ -1,5 +1,7 @@
 #include "core/translation_sim.hh"
 
+#include <algorithm>
+
 #include "tlb/design_registry.hh"
 #include "util/log.hh"
 
@@ -13,6 +15,16 @@ namespace
  *  pages, shared by every process. */
 constexpr Asid kernelAsid = 0;
 
+std::unique_ptr<TranslationDesign>
+buildDesign(const std::string &spec, const DesignParams &defaults)
+{
+    Result<std::unique_ptr<TranslationDesign>> design =
+        makeTranslationDesign(spec, defaults);
+    if (!design.ok())
+        fatal("translation_sim: " + design.status().toString());
+    return std::move(design.value());
+}
+
 } // namespace
 
 TranslationSim::TranslationSim(const TranslationSimConfig &config)
@@ -23,33 +35,20 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
       kernelRng_(config.seed ^ 0x4B45524Eull),
       activeAsid_(config.asid)
 {
-    ensure(!config_.waysList.empty(), "sim: need at least one ways value");
-    ensure(!config_.arities.empty(), "sim: need at least one arity");
-
     for (const unsigned ways : config_.waysList) {
-        const TlbGeometry g{config_.tlbEntries, ways};
-        vanillaTlbs_.push_back(std::make_unique<VanillaTlb>(g));
-        auto &row = mosaicTlbs_.emplace_back();
-        for (const unsigned arity : config_.arities)
-            row.push_back(std::make_unique<MosaicTlb>(g, arity));
-        if (config_.instr.enabled) {
-            itlbVanilla_.push_back(std::make_unique<VanillaTlb>(g));
-            auto &irow = itlbMosaic_.emplace_back();
-            for (const unsigned arity : config_.arities)
-                irow.push_back(std::make_unique<MosaicTlb>(g, arity));
+        const DesignParams params{TlbGeometry{config_.tlbEntries, ways}};
+        designs_.push_back(buildDesign("vanilla", params));
+        for (const unsigned arity : config_.arities) {
+            designs_.push_back(buildDesign(
+                "mosaic:arity=" + std::to_string(arity), params));
         }
     }
+    gridSize_ = designs_.size();
 
-    DesignParams defaults;
-    defaults.geometry =
-        TlbGeometry{config_.tlbEntries, config_.designWays};
-    for (const std::string &spec : config_.designSpecs) {
-        Result<std::unique_ptr<TranslationDesign>> design =
-            makeTranslationDesign(spec, defaults);
-        if (!design.ok())
-            fatal("translation_sim: " + design.status().toString());
-        designs_.push_back(std::move(design.value()));
-    }
+    const DesignParams defaults{
+        TlbGeometry{config_.tlbEntries, config_.designWays}};
+    for (const std::string &spec : config_.designSpecs)
+        designs_.push_back(buildDesign(spec, defaults));
 }
 
 std::optional<Pfn>
@@ -65,13 +64,13 @@ void
 TranslationSim::DesignWalker::tocOf(Asid asid, Vpn vpn, unsigned arity,
                                     std::span<Cpfn> out)
 {
-    const Cpfn unmapped = unmappedCode();
-    const Vpn first = vpn & ~Vpn{arity - 1};
-    for (unsigned i = 0; i < arity; ++i) {
-        const Cpfn *cpfn =
-            sim_.designCpfns_.find(packPageId(PageId{asid, first + i}));
-        out[i] = cpfn != nullptr ? *cpfn : unmapped;
+    const MosaicWalkResult walk = sim_.mosaicPtFor(asid).walk(vpn);
+    if (walk.toc.empty()) {
+        std::fill(out.begin(), out.end(), unmappedCode());
+        return;
     }
+    const std::size_t first = (vpn % maxArity) & ~std::size_t{arity - 1};
+    std::copy_n(walk.toc.begin() + first, arity, out.begin());
 }
 
 Cpfn
@@ -89,44 +88,36 @@ TranslationSim::vanillaPtFor(Asid asid)
     return *pt;
 }
 
-TranslationSim::MosaicPtSet &
-TranslationSim::mosaicPtsFor(Asid asid)
+MosaicPageTable &
+TranslationSim::mosaicPtFor(Asid asid)
 {
-    auto [set, inserted] = mosaicPts_.emplace(asid);
+    auto [pt, inserted] = mosaicPts_.emplace(asid);
     if (inserted) {
-        const Cpfn unmapped = allocator_.mapper().codec().invalid();
-        for (const unsigned arity : config_.arities) {
-            set.push_back(
-                std::make_unique<MosaicPageTable>(arity, unmapped));
-        }
+        pt = std::make_unique<MosaicPageTable>(
+            maxArity, allocator_.mapper().codec().invalid());
     }
-    return set;
+    return *pt;
+}
+
+std::size_t
+TranslationSim::gridIndex(std::size_t ways_idx, std::size_t slot) const
+{
+    ensure(ways_idx < numWays() && slot <= numArities(),
+           "translation_sim: grid index out of range");
+    return ways_idx * (1 + numArities()) + slot;
 }
 
 const TlbStats &
 TranslationSim::vanillaStats(std::size_t ways_idx) const
 {
-    return vanillaTlbs_.at(ways_idx)->stats();
+    return designs_[gridIndex(ways_idx, 0)]->stats();
 }
 
 const TlbStats &
 TranslationSim::mosaicStats(std::size_t ways_idx,
                             std::size_t arity_idx) const
 {
-    return mosaicTlbs_.at(ways_idx).at(arity_idx)->stats();
-}
-
-const TlbStats &
-TranslationSim::itlbVanillaStats(std::size_t ways_idx) const
-{
-    return itlbVanilla_.at(ways_idx)->stats();
-}
-
-const TlbStats &
-TranslationSim::itlbMosaicStats(std::size_t ways_idx,
-                                std::size_t arity_idx) const
-{
-    return itlbMosaic_.at(ways_idx).at(arity_idx)->stats();
+    return designs_[gridIndex(ways_idx, 1 + arity_idx)]->stats();
 }
 
 Pfn
@@ -142,8 +133,7 @@ Pfn
 TranslationSim::mosaicPfnOf(Vpn vpn) const
 {
     auto *self = const_cast<TranslationSim *>(this);
-    const MosaicWalkResult walk =
-        self->mosaicPtsFor(activeAsid_).front()->walk(vpn);
+    const MosaicWalkResult walk = self->mosaicPtFor(activeAsid_).walk(vpn);
     if (!walk.present)
         return invalidPfn;
     const CandidateSet cand = allocator_.mapper().candidates(
@@ -174,107 +164,8 @@ TranslationSim::ensureMapped(Vpn vpn)
               "(associativity conflict during demand mapping)");
     }
     frames_.map(placement->pfn, PageId{activeAsid_, vpn}, clock_);
-    for (auto &pt : mosaicPtsFor(activeAsid_))
-        pt->setCpfn(vpn, placement->cpfn);
-    if (!designs_.empty()) {
-        auto [cpfn, inserted] =
-            designCpfns_.emplace(packPageId(PageId{activeAsid_, vpn}));
-        cpfn = placement->cpfn;
-        (void)inserted;
-    }
+    mosaicPtFor(activeAsid_).setCpfn(vpn, placement->cpfn);
     ++mappedPages_;
-}
-
-void
-TranslationSim::translate(Vpn vpn, bool kernel)
-{
-    if (kernel) {
-        // Vanilla maps the kernel with 2 MiB pages; each mosaic TLB
-        // caches kernel pages as conventional full entries. Kernel
-        // mappings are global: one ASID tag shared by everyone.
-        VanillaPageTable &kernel_pt = vanillaPtFor(kernelAsid);
-        VanillaWalkResult walk = kernel_pt.walk(vpn);
-        if (!walk.present) {
-            // Allocate a 512-frame-aligned huge region lazily.
-            vanillaNextPfn_ = (vanillaNextPfn_ + 511) & ~Pfn{511};
-            kernel_pt.mapHuge(vpn, vanillaNextPfn_);
-            vanillaNextPfn_ += 512;
-            walk = kernel_pt.walk(vpn);
-        }
-        for (auto &tlb : vanillaTlbs_) {
-            if (!tlb->lookup(kernelAsid, vpn))
-                tlb->fillHuge(kernelAsid, vpn, walk.pfn - (vpn & 0x1FF));
-        }
-        for (auto &row : mosaicTlbs_) {
-            for (auto &tlb : row) {
-                if (!tlb->lookupConventional(kernelAsid, vpn))
-                    tlb->fillConventional(kernelAsid, vpn, walk.pfn);
-            }
-        }
-        return;
-    }
-
-    const Asid asid = activeAsid_;
-    ensureMapped(vpn);
-
-    for (auto &tlb : vanillaTlbs_) {
-        if (!tlb->lookup(asid, vpn)) {
-            const VanillaWalkResult walk = vanillaPtFor(asid).walk(vpn);
-            tlb->fill(asid, vpn, walk.pfn);
-        }
-    }
-
-    const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = mosaicPtsFor(asid);
-    for (std::size_t a = 0; a < pts.size(); ++a) {
-        bool walked = false;
-        MosaicWalkResult walk;
-        for (auto &row : mosaicTlbs_) {
-            MosaicTlb &tlb = *row[a];
-            if (!tlb.lookup(asid, vpn)) {
-                if (!walked) {
-                    walk = pts[a]->walk(vpn);
-                    walked = true;
-                }
-                tlb.fill(asid, vpn, walk.toc, unmapped);
-            }
-        }
-    }
-
-    for (auto &design : designs_)
-        design->access(asid, vpn, designWalker_);
-}
-
-void
-TranslationSim::instructionFetch()
-{
-    const InstrConfig &i = config_.instr;
-    std::uint64_t offset;
-    if (instrRng_.chance(i.hotFraction))
-        offset = instrRng_.below(i.hotBytes);
-    else
-        offset = instrRng_.below(i.codeBytes);
-    const Vpn vpn = vpnOf(codeBase_ + offset);
-    const Asid asid = activeAsid_;
-    ensureMapped(vpn);
-
-    for (auto &tlb : itlbVanilla_) {
-        if (!tlb->lookup(asid, vpn)) {
-            const VanillaWalkResult walk = vanillaPtFor(asid).walk(vpn);
-            tlb->fill(asid, vpn, walk.pfn);
-        }
-    }
-    const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = mosaicPtsFor(asid);
-    for (std::size_t a = 0; a < pts.size(); ++a) {
-        for (auto &row : itlbMosaic_) {
-            MosaicTlb &tlb = *row[a];
-            if (!tlb.lookup(asid, vpn)) {
-                const MosaicWalkResult walk = pts[a]->walk(vpn);
-                tlb.fill(asid, vpn, walk.toc, unmapped);
-            }
-        }
-    }
 }
 
 void
@@ -287,26 +178,34 @@ TranslationSim::kernelAccess()
     else
         offset = kernelRng_.below(k.regionBytes);
     ++accesses_;
-    translate(vpnOf(kernelBase_ + offset), true);
+    const Vpn vpn = vpnOf(kernelBase_ + offset);
+
+    // The kernel is mapped with 2 MiB pages under a global ASID tag
+    // shared by every process.
+    VanillaPageTable &kernel_pt = vanillaPtFor(kernelAsid);
+    VanillaWalkResult walk = kernel_pt.walk(vpn);
+    if (!walk.present) {
+        // Allocate a 512-frame-aligned huge region lazily.
+        vanillaNextPfn_ = (vanillaNextPfn_ + 511) & ~Pfn{511};
+        kernel_pt.mapHuge(vpn, vanillaNextPfn_);
+        vanillaNextPfn_ += 512;
+        walk = kernel_pt.walk(vpn);
+    }
+    for (auto &design : designs_)
+        design->accessHuge(kernelAsid, vpn, walk.pfn);
 }
 
 void
 TranslationSim::accessBatch(std::span<const MemRef> block)
 {
-    // The whole TLB grid probes the same VPN per reference, so one
-    // lookahead reference's sets are warmed across every instance
+    // Every design probes the same VPN per reference, so one
+    // lookahead reference's sets are warmed across every design
     // while the current reference translates. The apply loop is the
     // scalar path itself: equivalence is by identical call sequence.
     constexpr std::size_t lookahead = 4;
     for (std::size_t i = 0; i < block.size(); ++i) {
         if (i + lookahead < block.size()) {
             const Vpn vpn = vpnOf(block[i + lookahead].vaddr);
-            for (const auto &tlb : vanillaTlbs_)
-                tlb->prefetchSets(vpn);
-            for (const auto &row : mosaicTlbs_) {
-                for (const auto &tlb : row)
-                    tlb->prefetchSets(vpn);
-            }
             for (const auto &design : designs_)
                 design->prefetchSets(vpn);
         }
@@ -318,10 +217,10 @@ void
 TranslationSim::access(Addr vaddr, bool /*write*/)
 {
     ++accesses_;
-    translate(vpnOf(vaddr), false);
-
-    if (config_.instr.enabled)
-        instructionFetch();
+    const Vpn vpn = vpnOf(vaddr);
+    ensureMapped(vpn);
+    for (auto &design : designs_)
+        design->access(activeAsid_, vpn, designWalker_);
 
     if (config_.kernel.accessEvery != 0 &&
             ++sinceKernel_ >= config_.kernel.accessEvery) {

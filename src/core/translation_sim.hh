@@ -5,13 +5,15 @@
  * mosaic TLBs of several arities — and, across the other sweep axis,
  * to instances of every associativity — mirroring the paper's gem5
  * model, which runs a vanilla and a mosaic TLB side by side on one
- * execution (§3.1).
+ * execution (§3.1). Every TLB is a registry design (DESIGN.md §14):
+ * the vanilla x mosaic grid is simply the first part of one design
+ * list, and any extra designSpecs follow it.
  *
  * Memory is ample in this experiment (no swapping); the simulator
  * performs demand mapping: the first touch of a page allocates a
  * frame on the vanilla side (bump allocation) and a mosaic placement
  * via the iceberg allocator, then installs page-table entries in
- * every page table.
+ * both page tables.
  *
  * A configurable background "kernel" access stream models the
  * artifact the paper documents: the vanilla kernel is mapped with
@@ -24,17 +26,14 @@
 
 #include <memory>
 #include <span>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "mem/frame_table.hh"
 #include "mem/mosaic_allocator.hh"
 #include "pt/mosaic_page_table.hh"
 #include "pt/vanilla_page_table.hh"
-#include "tlb/mosaic_tlb.hh"
 #include "tlb/translation_design.hh"
-#include "tlb/vanilla_tlb.hh"
 #include "util/flat_map.hh"
 #include "util/random.hh"
 #include "workloads/access_sink.hh"
@@ -58,28 +57,6 @@ struct KernelConfig
     std::uint64_t hotBytes = std::uint64_t{1} << 20;
 };
 
-/**
- * Synthetic instruction-fetch stream for the ITLB (Table 1a models
- * a unified 1024-entry L1 ITLB). Fetches loop over a hot code
- * region with occasional excursions into cold library text; with
- * realistic code sizes the ITLB contribution is tiny, which is why
- * it is off by default and Figure 6 reports the data side.
- */
-struct InstrConfig
-{
-    /** Emit one fetch translation per data access when true. */
-    bool enabled = false;
-
-    /** Total text segment modeled. */
-    std::uint64_t codeBytes = std::uint64_t{2} << 20;
-
-    /** Fraction of fetches staying in the hot loop region. */
-    double hotFraction = 0.95;
-
-    /** Size of the hot region. */
-    std::uint64_t hotBytes = std::uint64_t{64} << 10;
-};
-
 /** Configuration of the dual-TLB sweep simulator. */
 struct TranslationSimConfig
 {
@@ -98,15 +75,14 @@ struct TranslationSimConfig
     std::vector<unsigned> arities{4, 8, 16, 32, 64};
 
     KernelConfig kernel{};
-    InstrConfig instr{};
 
     /**
-     * Registry specs (DESIGN.md §14) of pluggable translation designs
-     * driven alongside the builtin grid: every *data* reference is fed
-     * to each design after the grid TLBs (the kernel and instruction
-     * streams stay grid-only, so design stats compare workloads, not
-     * the huge-page artifact). A bad spec is a configuration error
-     * (fatal). Empty = no designs, zero overhead.
+     * Registry specs (DESIGN.md §14) of extra translation designs,
+     * driven after the waysList x arities grid. Every reference
+     * reaches every design; the kernel stream arrives through
+     * TranslationDesign::accessHuge, which only vanilla and mosaic
+     * implement, so other kinds need kernel.accessEvery = 0. A bad
+     * spec is a configuration error (fatal).
      */
     std::vector<std::string> designSpecs;
 
@@ -147,22 +123,19 @@ class TranslationSim : public AccessSink
     std::size_t numWays() const { return config_.waysList.size(); }
     std::size_t numArities() const { return config_.arities.size(); }
 
-    /** Pluggable designs built from config.designSpecs, in order. */
-    std::size_t numDesigns() const { return designs_.size(); }
+    /** Designs built from config.designSpecs, in order (the grid
+     *  designs are reached through vanillaStats/mosaicStats). */
+    std::size_t numDesigns() const { return designs_.size() - gridSize_; }
     const TranslationDesign &
     design(std::size_t i) const
     {
-        return *designs_.at(i);
+        return *designs_.at(gridSize_ + i);
     }
 
+    /** Grid design counters, indexed into waysList and arities. */
     const TlbStats &vanillaStats(std::size_t ways_idx) const;
     const TlbStats &mosaicStats(std::size_t ways_idx,
                                 std::size_t arity_idx) const;
-
-    /** ITLB counters (meaningful only with instr.enabled). */
-    const TlbStats &itlbVanillaStats(std::size_t ways_idx) const;
-    const TlbStats &itlbMosaicStats(std::size_t ways_idx,
-                                    std::size_t arity_idx) const;
 
     /** Total references processed (workload + kernel). */
     std::uint64_t totalAccesses() const { return accesses_; }
@@ -184,16 +157,18 @@ class TranslationSim : public AccessSink
   private:
     void ensureMapped(Vpn vpn);
     void kernelAccess();
-    void instructionFetch();
-    void translate(Vpn vpn, bool kernel);
+
+    /** Index into designs_ of grid cell (ways_idx, slot); slot 0 is
+     *  vanilla, slot 1 + a is mosaic arity a. */
+    std::size_t gridIndex(std::size_t ways_idx, std::size_t slot) const;
 
     /**
      * The designs' window onto this simulator's page tables
      * (DESIGN.md §14): full PFNs come from the vanilla page table
      * (whose bump allocation is the contiguity designs' best case),
-     * mosaic ToCs from the per-page CPFN record ensureMapped keeps —
-     * one CPFN per page, valid for every arity, so designs may use
-     * arities the mosaic grid does not instantiate.
+     * mosaic ToCs from one maxArity-wide mosaic page table per
+     * address space. A page's CPFN does not depend on the arity, so
+     * the ToC under arity A is the aligned A-slot slice of that leaf.
      */
     class DesignWalker final : public TranslationWalker
     {
@@ -211,41 +186,28 @@ class TranslationSim : public AccessSink
 
     TranslationSimConfig config_;
 
-    // Vanilla side (one page table per address space).
-    std::vector<std::unique_ptr<VanillaTlb>> vanillaTlbs_;
+    // The grid (numWays x (1 + numArities), ways-major), then the
+    // designSpecs designs.
+    std::vector<std::unique_ptr<TranslationDesign>> designs_;
+    std::size_t gridSize_ = 0;
+    DesignWalker designWalker_{*this};
+
+    MosaicPageTable &mosaicPtFor(Asid asid);
+    VanillaPageTable &vanillaPtFor(Asid asid);
+
+    // Vanilla side: one page table per address space.
     FlatMap<Asid, std::unique_ptr<VanillaPageTable>> vanillaPts_;
     Pfn vanillaNextPfn_ = 0;
 
-    /** Mosaic page tables of one address space, one per arity. */
-    using MosaicPtSet = std::vector<std::unique_ptr<MosaicPageTable>>;
-
-    MosaicPtSet &mosaicPtsFor(Asid asid);
-    VanillaPageTable &vanillaPtFor(Asid asid);
-
-    // Mosaic side: per-ASID page tables, TLB grid [ways][arity].
+    // Mosaic side: one page table per address space.
     MosaicAllocator allocator_;
     FrameTable frames_;
-    FlatMap<Asid, MosaicPtSet> mosaicPts_;
-    std::vector<std::vector<std::unique_ptr<MosaicTlb>>> mosaicTlbs_;
-
-    // Instruction TLBs (same grid shape, fed by synthetic fetches).
-    std::vector<std::unique_ptr<VanillaTlb>> itlbVanilla_;
-    std::vector<std::vector<std::unique_ptr<MosaicTlb>>> itlbMosaic_;
-
-    // Pluggable designs (data stream only) and their walker state:
-    // CPFN by packPageId(asid, vpn), recorded only when designs exist.
-    std::vector<std::unique_ptr<TranslationDesign>> designs_;
-    FlatMap<std::uint64_t, Cpfn> designCpfns_;
-    DesignWalker designWalker_{*this};
+    FlatMap<Asid, std::unique_ptr<MosaicPageTable>> mosaicPts_;
 
     // Kernel stream state.
     Addr kernelBase_;
     Rng kernelRng_;
     unsigned sinceKernel_ = 0;
-
-    // Instruction stream state.
-    Addr codeBase_ = Addr{0x400000};
-    Rng instrRng_{0xF37C4};
 
     Asid activeAsid_;
     std::uint64_t accesses_ = 0;

@@ -51,10 +51,9 @@ sessionSimConfig(const ServeConfig &config, std::uint64_t session_id,
     sc.tlbEntries = config.tlbEntries;
     sc.waysList = {config.ways};
     sc.arities = {config.arity};
-    // Purely request-driven: no background kernel or instruction
-    // stream, so replaying the request log alone rebuilds the state.
+    // Purely request-driven: no background kernel stream, so
+    // replaying the request log alone rebuilds the state.
     sc.kernel.accessEvery = 0;
-    sc.instr.enabled = false;
     sc.asid = asid;
     sc.seed = experimentCellSeed(config.seed, session_id);
     return sc;

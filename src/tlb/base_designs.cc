@@ -31,6 +31,15 @@ VanillaDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
 }
 
 bool
+VanillaDesign::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
+{
+    if (tlb_.lookup(asid, vpn))
+        return true;
+    tlb_.fillHuge(asid, vpn, pfn - vpn % pagesPerHugePage);
+    return false;
+}
+
+bool
 VanillaDesign::contains(Asid asid, Vpn vpn) const
 {
     return tlb_.contains(asid, vpn);
@@ -87,6 +96,17 @@ MosaicDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     if (tlb_.lookup(asid, vpn))
         return true;
     fillFromWalk(asid, vpn, walker);
+    return false;
+}
+
+bool
+MosaicDesign::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
+{
+    // Mosaic TLBs cache huge-mapped pages as conventional entries,
+    // one full entry per 4 KiB page.
+    if (tlb_.lookupConventional(asid, vpn))
+        return true;
+    tlb_.fillConventional(asid, vpn, pfn);
     return false;
 }
 

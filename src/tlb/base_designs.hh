@@ -37,6 +37,7 @@ class VanillaDesign : public TranslationDesign
     }
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+    bool accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
     bool contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
@@ -66,6 +67,7 @@ class MosaicDesign : public TranslationDesign
     }
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+    bool accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
     bool contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;

@@ -31,6 +31,7 @@
 #include <string>
 
 #include "tlb/tlb_stats.hh"
+#include "util/log.hh"
 #include "util/types.hh"
 
 namespace mosaic
@@ -124,6 +125,21 @@ class TranslationDesign
      * Returns true on a TLB hit.
      */
     virtual bool access(Asid asid, Vpn vpn, TranslationWalker &walker) = 0;
+
+    /**
+     * Translate one reference to a page the OS maps with a 2 MiB huge
+     * page (the kernel stream, DESIGN.md §14.3); @p pfn is the 4 KiB
+     * frame backing @p vpn. Only designs that model the huge-page
+     * artifact accept this; the rest die naming themselves, so a
+     * kernel stream is never silently dropped. Returns true on a hit.
+     */
+    virtual bool
+    accessHuge(Asid /*asid*/, Vpn /*vpn*/, Pfn /*pfn*/)
+    {
+        fatal("design '" + name_ +
+              "' has no huge-page policy; run it with the kernel "
+              "stream off (kernel.accessEvery = 0)");
+    }
 
     /** Would access() hit right now? No stats, no recency effects. */
     virtual bool contains(Asid asid, Vpn vpn) const = 0;

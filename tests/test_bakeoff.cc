@@ -1,14 +1,15 @@
 /**
  * @file
  * The design bake-off and the TranslationSim design wiring: spec
- * coverage, tiny-run shape, the free differential check that a
- * registry-built vanilla/mosaic design reproduces the builtin grid's
- * stats exactly, and scalar-vs-batched equivalence of the design
- * path (DESIGN.md §13/§14).
+ * coverage, tiny-run shape, the check that a designSpecs
+ * vanilla/mosaic design reproduces the same-geometry grid instance
+ * exactly, the mosaic ToC slice, and scalar-vs-batched equivalence of
+ * the design path (DESIGN.md §13/§14).
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "hash/mix.hh"
 #include "telemetry/report.hh"
 #include "tlb/design_registry.hh"
+#include "util/random.hh"
 #include "workloads/access_sink.hh"
 #include "workloads/warp.hh"
 
@@ -27,8 +29,8 @@ using namespace mosaic;
 namespace
 {
 
-/** A small sim with a registry vanilla + mosaic design next to an
- *  identical-geometry builtin grid. */
+/** A small sim with designSpecs vanilla + mosaic designs next to an
+ *  identical-geometry grid. */
 TranslationSimConfig
 gridMirrorConfig()
 {
@@ -188,9 +190,8 @@ TEST(Bakeoff, StridePrefetcherBeatsMosaicAcrossGroupBoundaries)
     EXPECT_LT(stride_misses * 10, mosaic_misses * 9);
 }
 
-// The free differential test the wiring is designed around: a
-// registry-built "vanilla"/"mosaic" design fed by TranslationSim's
-// walker must reproduce the identically-shaped builtin grid instance
+// A designSpecs "vanilla"/"mosaic" design, shaped by designWays, must
+// reproduce the identically-shaped grid instance, shaped by waysList,
 // stat for stat (same lookups, same walks, same fills).
 TEST(Bakeoff, RegistryDesignsMatchBuiltinGrid)
 {
@@ -236,5 +237,53 @@ TEST(Bakeoff, BatchedDesignPathMatchesScalar)
                   batched.design(d).validEntries());
         EXPECT_EQ(scalar.design(d).reachPages(),
                   batched.design(d).reachPages());
+    }
+}
+
+// Mosaic designs read their ToC as the aligned A-slot slice of one
+// 64-wide leaf per address space, whatever arity the grid runs. A
+// never-evicting design over pages that straddle 64-page leaf
+// boundaries must cache every touched page (a wrong slice offset
+// leaves slots absent or aliased), and must match a grid instance of
+// its own arity stat for stat.
+TEST(Bakeoff, MosaicTocIsTheAlignedSliceOfTheLeaf)
+{
+    Rng rng(11);
+    std::vector<Vpn> stream(6000);
+    std::set<Vpn> distinct;
+    for (Vpn &vpn : stream) {
+        // Pages 56..71 around the boundary of one of 128 leaves.
+        vpn = rng.below(128) * 64 + 56 + rng.below(16);
+        distinct.insert(vpn);
+    }
+
+    for (const unsigned arity : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+        const std::string a = std::to_string(arity);
+        TranslationSimConfig config;
+        config.memory = ampleGeometry(std::uint64_t{64} << 20);
+        config.tlbEntries = 64;
+        config.waysList = {8};
+        config.arities = {4};
+        config.kernel.accessEvery = 0;
+        config.designSpecs = {"mosaic:arity=" + a +
+                              ",entries=4096,ways=4096"};
+        TranslationSim sim(config);
+
+        TranslationSimConfig grid_config = config;
+        grid_config.tlbEntries = 4096;
+        grid_config.waysList = {4096};
+        grid_config.arities = {arity};
+        grid_config.designSpecs = {};
+        TranslationSim grid(grid_config);
+
+        for (const Vpn vpn : stream) {
+            sim.access(addrOf(vpn), false);
+            grid.access(addrOf(vpn), false);
+        }
+        const TranslationDesign &design = sim.design(0);
+        EXPECT_EQ(design.stats().evictions, 0u) << "arity " << a;
+        EXPECT_EQ(design.reachPages(), distinct.size()) << "arity " << a;
+        expectStatsEq(design.stats(), grid.mosaicStats(0, 0),
+                      ("arity " + a).c_str());
     }
 }

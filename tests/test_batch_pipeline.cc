@@ -469,8 +469,8 @@ TEST(BatchPipeline, VmTouchSinkFactoryMatchesScalarSink)
     }
 }
 
-/** All TLB counters of a full sim grid (every ways x arity cell,
- *  data and instruction sides), flattened for comparison. */
+/** All TLB counters of a full sim grid (every ways x arity cell),
+ *  flattened for comparison. */
 std::vector<double>
 simGridStats(const TranslationSim &sim)
 {
@@ -482,11 +482,8 @@ simGridStats(const TranslationSim &sim)
     };
     for (std::size_t w = 0; w < sim.numWays(); ++w) {
         take(sim.vanillaStats(w));
-        take(sim.itlbVanillaStats(w));
-        for (std::size_t a = 0; a < sim.numArities(); ++a) {
+        for (std::size_t a = 0; a < sim.numArities(); ++a)
             take(sim.mosaicStats(w, a));
-            take(sim.itlbMosaicStats(w, a));
-        }
     }
     flat.push_back(static_cast<double>(sim.totalAccesses()));
     return flat;
@@ -498,7 +495,6 @@ TEST(BatchPipeline, TranslationSimAllTlbVariantsBitIdentical)
         TranslationSimConfig config;
         // Ample: demand mapping must never hit a conflict.
         config.memory.numFrames = 64 * 256;
-        config.instr.enabled = true; // exercise the ITLB grid too
         config.seed = seed;
 
         Rng rng(seed);

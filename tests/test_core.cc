@@ -163,31 +163,6 @@ TEST(TranslationSim, VanillaAndMosaicFramesAreIndependentSpaces)
         EXPECT_LT(sim.vanillaPfnOf(vpn), 100u);
 }
 
-TEST(TranslationSim, InstructionStreamFeedsItlbs)
-{
-    TranslationSimConfig c = smallConfig();
-    c.instr.enabled = true;
-    TranslationSim sim(c);
-    for (Vpn vpn = 0; vpn < 2000; ++vpn)
-        sim.access(addrOf(vpn), false);
-    // One fetch per access.
-    EXPECT_EQ(sim.itlbVanillaStats(0).accesses, 2000u);
-    EXPECT_EQ(sim.itlbMosaicStats(0, 0).accesses, 2000u);
-    // Code is small and hot: the ITLB contribution is tiny compared
-    // to the data side — the reason the paper's figures are about
-    // data misses.
-    EXPECT_LT(sim.itlbVanillaStats(2).misses,
-              sim.vanillaStats(2).misses / 3);
-    EXPECT_GT(sim.itlbVanillaStats(2).hits, 1900u);
-}
-
-TEST(TranslationSim, ItlbDisabledByDefault)
-{
-    TranslationSim sim(smallConfig());
-    sim.access(addrOf(1), false);
-    EXPECT_EQ(sim.totalAccesses(), 1u);
-}
-
 TEST(TranslationSim, ContextSwitchKeepsBothAddressSpaces)
 {
     TranslationSim sim(smallConfig());
@@ -225,14 +200,31 @@ TEST(TranslationSim, KernelEntriesAreGlobalAcrossProcesses)
 
     sim.access(addrOf(0), false); // process 1 + kernel access
     const auto kernel_misses = sim.vanillaStats(2).misses;
+    const auto mosaic_kernel_misses = sim.mosaicStats(2, 0).misses;
     sim.setActiveAsid(2);
     sim.access(addrOf(1), false); // process 2 + kernel access
     // The kernel page was already cached under the global tag: the
-    // second kernel access adds no miss (only the new user page).
+    // second kernel access adds no miss (only the new user page), on
+    // the vanilla side (huge entry) and the mosaic side alike
+    // (conventional entry).
     EXPECT_EQ(sim.vanillaStats(2).misses, kernel_misses + 1);
+    EXPECT_EQ(sim.mosaicStats(2, 0).misses, mosaic_kernel_misses + 1);
 }
 
 using TranslationSimDeathTest = ::testing::Test;
+
+TEST(TranslationSimDeathTest, KernelStreamNeedsHugePagePolicy)
+{
+    // Only vanilla and mosaic model the kernel's huge mappings; any
+    // other design under a live kernel stream must die naming itself
+    // rather than silently skip kernel references.
+    TranslationSimConfig c = smallConfig();
+    c.kernel.accessEvery = 1;
+    c.designSpecs = {"range"};
+    TranslationSim sim(c);
+    EXPECT_EXIT(sim.access(addrOf(0), false),
+                ::testing::ExitedWithCode(1), "design 'range");
+}
 
 TEST(TranslationSimDeathTest, TooSmallMemoryDies)
 {
