@@ -3,8 +3,8 @@
  * Microbenchmarks for the batched translation pipeline (DESIGN.md
  * §13): scalar/batched pairs over working sets sized well past the
  * cache hierarchy, where the pipeline's wins live — batched
- * tabulation sweeps, prefetch-ahead of bucket and frame-table lines,
- * and multi-key SWAR fingerprint compares. Each pair is gated in CI
+ * tabulation sweeps and prefetch-ahead of page-table and frame-table
+ * lines. Each pair is gated in CI
  * by tools/perf_gate --max-ratio so the batched series must stay
  * decisively faster than its scalar twin.
  */
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/batch_pipeline.hh"
-#include "iceberg/iceberg_table.hh"
 #include "os/mosaic_vm.hh"
 #include "util/random.hh"
 
@@ -27,80 +26,6 @@ namespace
 using namespace mosaic;
 
 constexpr unsigned kBlock = 64;
-
-// ------------------------------------------------------- iceberg
-
-/** A table far larger than the last-level cache (8M slots: well over
- *  100 MB of keys, values, fingerprints) at 0.85 load, queried with a
- *  70/30 hit/miss mix in random order so every probe is a DRAM miss —
- *  the regime the prefetch-ahead pipeline is built for. */
-struct BigIceberg
-{
-    IcebergTable<std::uint64_t> table;
-    std::vector<std::uint64_t> queries;
-
-    BigIceberg()
-        : table([] {
-              IcebergConfig c;
-              c.buckets = std::size_t{1} << 17;
-              return c;
-          }())
-    {
-        Rng rng(99);
-        std::vector<std::uint64_t> live;
-        const auto target = static_cast<std::size_t>(
-            0.85 * static_cast<double>(table.capacity()));
-        live.reserve(target);
-        while (table.size() < target) {
-            const std::uint64_t k = rng();
-            if (table.insert(k, k))
-                live.push_back(k);
-        }
-        queries.resize(std::size_t{1} << 20);
-        for (std::uint64_t &q : queries) {
-            q = rng.chance(0.7) ? live[rng.below(live.size())]
-                                : (rng() | (1ull << 63));
-        }
-    }
-};
-
-BigIceberg &
-bigIceberg()
-{
-    static BigIceberg fixture;
-    return fixture;
-}
-
-void
-BM_BatchIcebergFindScalar(benchmark::State &state)
-{
-    BigIceberg &f = bigIceberg();
-    std::size_t pos = 0;
-    for (auto _ : state) {
-        for (unsigned i = 0; i < kBlock; ++i) {
-            benchmark::DoNotOptimize(f.table.find(f.queries[pos]));
-            pos = (pos + 1) % f.queries.size();
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * kBlock);
-}
-BENCHMARK(BM_BatchIcebergFindScalar);
-
-void
-BM_BatchIcebergFindBatched(benchmark::State &state)
-{
-    BigIceberg &f = bigIceberg();
-    std::vector<std::uint64_t *> out(kBlock);
-    std::size_t pos = 0;
-    for (auto _ : state) {
-        // The query buffer length is a multiple of kBlock.
-        f.table.findMany({&f.queries[pos], kBlock}, out.data());
-        benchmark::DoNotOptimize(out.data());
-        pos = (pos + kBlock) % f.queries.size();
-    }
-    state.SetItemsProcessed(state.iterations() * kBlock);
-}
-BENCHMARK(BM_BatchIcebergFindBatched);
 
 // ------------------------------------------------------------ vm
 

@@ -3,7 +3,7 @@
  * Deterministic fault injection (DESIGN.md §11).
  *
  * A FaultPlan names *injection sites* — fixed strings compiled into
- * the hot layers ("swap.write", "vm.place", "iceberg.insert", ...) —
+ * the hot layers ("swap.write", "vm.place", ...) —
  * and for each site a firing rule. Components consult a FaultInjector
  * at their site; the injector decides from (plan, its seed, the
  * site's hit count) alone, never from ambient randomness or wall
@@ -17,7 +17,7 @@
  *
  *     site:key=value[,key=value][;site:key=value...]
  *
- * e.g.  MOSAIC_FAULTS="swap.write:every=1000;iceberg.insert:p=1e-4"
+ * e.g.  MOSAIC_FAULTS="swap.write:every=1000;vm.place:p=1e-4"
  *
  * Keys per site:
  *     every=N   fire on every Nth hit (N >= 1)

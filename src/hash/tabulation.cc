@@ -139,22 +139,6 @@ TabulationHash::probeAllMany(std::span<const std::uint64_t> keys,
     probeTableReads_ += std::uint64_t{numTables} * keys.size();
 }
 
-void
-TabulationHash::hashKeys(std::span<const std::uint64_t> keys, unsigned k,
-                         std::uint32_t *out) const
-{
-    for (std::size_t j = 0; j < keys.size(); ++j)
-        out[j] = 0;
-    for (unsigned i = 0; i < numTables; ++i) {
-        const auto &table = tables_[i];
-        for (std::size_t j = 0; j < keys.size(); ++j) {
-            const auto byte =
-                static_cast<unsigned>((keys[j] >> (8 * i)) & 0xFF);
-            out[j] ^= table[(byte + k) & 0xFF];
-        }
-    }
-}
-
 std::uint32_t
 TabulationHash::tableEntry(unsigned table, unsigned index) const
 {

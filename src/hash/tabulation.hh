@@ -85,15 +85,6 @@ class TabulationHash
     void probeAllMany(std::span<const std::uint64_t> keys, unsigned width,
                       std::uint32_t *out) const;
 
-    /**
-     * Batched single-output hash: out[i] = hash(keys[i], k) for every
-     * key, swept table by table like probeAllMany(). Matches the
-     * scalar hash() accounting (none — hash() models the dedicated
-     * single-port lookup, not the probe port).
-     */
-    void hashKeys(std::span<const std::uint64_t> keys, unsigned k,
-                  std::uint32_t *out) const;
-
     /** Raw table entry, exposed for the Verilog generator. */
     std::uint32_t tableEntry(unsigned table, unsigned index) const;
 

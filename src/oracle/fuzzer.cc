@@ -12,10 +12,8 @@
 #include <vector>
 
 #include "fault/fault.hh"
-#include "iceberg/iceberg_table.hh"
 #include "mem/geometry.hh"
 #include "oracle/oracle_designs.hh"
-#include "oracle/oracle_iceberg.hh"
 #include "oracle/oracle_tlb.hh"
 #include "oracle/oracle_vm.hh"
 #include "oracle/shard_oracle.hh"
@@ -100,196 +98,6 @@ pageStr(Asid asid, Vpn vpn)
 {
     return "(" + std::to_string(asid) + "," + std::to_string(vpn) + ")";
 }
-
-// ---------------------------------------------------- iceberg harness
-
-class IcebergHarness
-{
-  public:
-    explicit IcebergHarness(const Trace &t,
-                            fault::FaultInjector *faults = nullptr)
-        : config_{t.cfgUint("buckets", 8),
-                  static_cast<unsigned>(t.cfgUint("front", 4)),
-                  static_cast<unsigned>(t.cfgUint("back", 2)),
-                  static_cast<unsigned>(t.cfgUint("d", 2)),
-                  t.cfgUint("seed", 1)},
-          real_(config_), oracle_(config_),
-          pseed_(t.cfgUint("pseed", 7)), deep_(t.cfgUint("deep", 256))
-    {
-        if (faults != nullptr) {
-            real_.setFaultHook([this, faults] {
-                if (faults->shouldFail("iceberg.insert")) {
-                    injected_ = true;
-                    return true;
-                }
-                return false;
-            });
-        }
-    }
-
-    MaybeDivergence
-    apply(const TraceOp &op, std::size_t idx, bool *applied, Digest &dg)
-    {
-        *applied = true;
-        const std::uint64_t key = op.arg(0);
-        switch (op.kind) {
-        case 'i': {
-            const std::uint64_t value = mix(pseed_, key, 0x1CEBE26);
-            injected_ = false;
-            const bool ok = real_.insert(key, value);
-            if (injected_) {
-                // The injector forced this fresh insert to fail and
-                // the table is unchanged; the oracle must not see the
-                // op at all. The digest marks the injection (value 2,
-                // distinct from success/conflict) — unreachable when
-                // no plan is active, so clean digests are unchanged.
-                dg.mix('i');
-                dg.mix(key);
-                dg.mix(2);
-                break;
-            }
-            const OracleIceberg::Prediction pred =
-                oracle_.insert(key, value);
-            dg.mix('i');
-            dg.mix(key);
-            dg.mix(ok ? 1 : 0);
-            if (ok != pred.ok) {
-                return diverge(idx, "iceberg insert of " +
-                    std::to_string(key) + ": real " +
-                    (ok ? "succeeded" : "failed") + ", oracle predicted " +
-                    (pred.ok ? "success" : "conflict"));
-            }
-            if (ok) {
-                const auto ref = real_.locate(key);
-                if (!ref) {
-                    return diverge(idx, "iceberg: inserted key " +
-                        std::to_string(key) + " not locatable");
-                }
-                if (ref->yard != pred.yard || ref->bucket != pred.bucket) {
-                    return diverge(idx, "iceberg: key " +
-                        std::to_string(key) + " landed in bucket " +
-                        std::to_string(ref->bucket) +
-                        ", oracle predicted " +
-                        std::to_string(pred.bucket));
-                }
-                const auto placed = placed_.find(key);
-                if (placed == placed_.end()) {
-                    placed_.emplace(key, *ref);
-                } else if (!(placed->second == *ref)) {
-                    return diverge(idx, "iceberg: key " +
-                        std::to_string(key) +
-                        " moved slots on reinsert (stability violated)");
-                }
-            }
-            break;
-        }
-        case 'e': {
-            const bool oe = oracle_.erase(key);
-            const bool re = real_.erase(key);
-            dg.mix('e');
-            dg.mix(key);
-            dg.mix(re ? 1 : 0);
-            if (oe != re) {
-                return diverge(idx, "iceberg erase of " +
-                    std::to_string(key) + ": real=" +
-                    std::to_string(re) + " oracle=" + std::to_string(oe));
-            }
-            placed_.erase(key);
-            break;
-        }
-        case 'f': {
-            const auto ov = oracle_.find(key);
-            const std::uint64_t *rv = real_.find(key);
-            dg.mix('f');
-            dg.mix(key);
-            dg.mix(rv ? *rv + 1 : 0);
-            if (ov.has_value() != (rv != nullptr)) {
-                return diverge(idx, "iceberg find of " +
-                    std::to_string(key) + ": presence mismatch");
-            }
-            if (rv && *rv != *ov) {
-                return diverge(idx, "iceberg find of " +
-                    std::to_string(key) + ": value mismatch");
-            }
-            if (rv) {
-                const auto ref = real_.locate(key);
-                if (!ref || !(*ref == placed_.at(key))) {
-                    return diverge(idx, "iceberg: key " +
-                        std::to_string(key) +
-                        " moved slots since insertion");
-                }
-            }
-            break;
-        }
-        default:
-            *applied = false;
-            return std::nullopt;
-        }
-
-        if (real_.size() != oracle_.size()) {
-            return diverge(idx, "iceberg size: real=" +
-                std::to_string(real_.size()) + " oracle=" +
-                std::to_string(oracle_.size()));
-        }
-        if (real_.backyardSize() != oracle_.backyardSize()) {
-            return diverge(idx, "iceberg backyardSize: real=" +
-                std::to_string(real_.backyardSize()) + " oracle=" +
-                std::to_string(oracle_.backyardSize()));
-        }
-        if (deep_ > 0 && (idx + 1) % deep_ == 0)
-            return deepCheck(idx);
-        return std::nullopt;
-    }
-
-  private:
-    MaybeDivergence
-    deepCheck(std::size_t idx)
-    {
-        for (std::size_t b = 0; b < config_.buckets; ++b) {
-            if (real_.frontOccupancy(b) != oracle_.frontOccupancy(b) ||
-                    real_.backOccupancy(b) != oracle_.backOccupancy(b)) {
-                return diverge(idx, "iceberg occupancy of bucket " +
-                    std::to_string(b) + " disagrees with oracle");
-            }
-        }
-        std::size_t swept = 0;
-        MaybeDivergence bad;
-        real_.forEachSlot([&](SlotRef ref, std::uint64_t key,
-                              std::uint64_t value) {
-            ++swept;
-            if (bad)
-                return;
-            const auto ov = oracle_.find(key);
-            if (!ov || *ov != value) {
-                bad = diverge(idx, "iceberg sweep: stray key " +
-                    std::to_string(key));
-                return;
-            }
-            const auto placed = placed_.find(key);
-            if (placed == placed_.end() || !(placed->second == ref))
-                bad = diverge(idx, "iceberg sweep: key " +
-                    std::to_string(key) + " in unexpected slot");
-        });
-        if (bad)
-            return bad;
-        if (swept != oracle_.size()) {
-            return diverge(idx, "iceberg sweep: " + std::to_string(swept) +
-                " used slots but oracle holds " +
-                std::to_string(oracle_.size()));
-        }
-        return std::nullopt;
-    }
-
-    IcebergConfig config_;
-    IcebergTable<std::uint64_t> real_;
-    OracleIceberg oracle_;
-    std::uint64_t pseed_;
-    std::uint64_t deep_;
-    std::map<std::uint64_t, SlotRef> placed_;
-
-    /** Set by the fault hook while an injected insert is in flight. */
-    bool injected_ = false;
-};
 
 // -------------------------------------------------------- tlb harness
 
@@ -1957,98 +1765,6 @@ class VmBatchShadow
     std::vector<Pfn> got_;
 };
 
-/**
- * Shadow replica for iceberg traces: finds buffer into blocks served
- * by findMany, which must agree pointer-for-pointer — and in probe
- * accounting — with scalar find() on the same table. Mutations flush
- * the pipeline first, exactly like the VM shadow.
- */
-class IcebergBatchShadow
-{
-  public:
-    IcebergBatchShadow(const Trace &t, unsigned batch)
-        : config_{t.cfgUint("buckets", 8),
-                  static_cast<unsigned>(t.cfgUint("front", 4)),
-                  static_cast<unsigned>(t.cfgUint("back", 2)),
-                  static_cast<unsigned>(t.cfgUint("d", 2)),
-                  t.cfgUint("seed", 1)},
-          table_(config_), pseed_(t.cfgUint("pseed", 7)),
-          batch_(std::max(batch, 2u))
-    {
-        pending_.reserve(batch_);
-    }
-
-    MaybeDivergence
-    mirror(const TraceOp &op, std::size_t idx)
-    {
-        const std::uint64_t key = op.arg(0);
-        switch (op.kind) {
-        case 'f':
-            pending_.push_back(key);
-            if (pending_.size() >= batch_)
-                return drain(idx);
-            return std::nullopt;
-        case 'i':
-            if (MaybeDivergence bad = drain(idx))
-                return bad;
-            table_.insert(key, mix(pseed_, key, 0x1CEBE26));
-            return std::nullopt;
-        case 'e':
-            if (MaybeDivergence bad = drain(idx))
-                return bad;
-            table_.erase(key);
-            return std::nullopt;
-        default:
-            return std::nullopt;
-        }
-    }
-
-    MaybeDivergence finish(std::size_t idx) { return drain(idx); }
-
-  private:
-    MaybeDivergence
-    drain(std::size_t idx)
-    {
-        if (pending_.empty())
-            return std::nullopt;
-        const auto &table = std::as_const(table_);
-        table_.resetProbeCounters();
-        std::vector<const std::uint64_t *> scalar(pending_.size());
-        for (std::size_t k = 0; k < pending_.size(); ++k)
-            scalar[k] = table.find(pending_[k]);
-        const auto want = table_.probeCounters();
-        table_.resetProbeCounters();
-        std::vector<const std::uint64_t *> batched(pending_.size());
-        table.findMany(pending_, batched.data());
-        const auto got = table_.probeCounters();
-        for (std::size_t k = 0; k < pending_.size(); ++k) {
-            if (scalar[k] != batched[k]) {
-                return diverge(idx, "batched pipeline: iceberg "
-                    "findMany of key " +
-                    std::to_string(pending_[k]) +
-                    " disagrees with find");
-            }
-        }
-        if (got.wordReads != want.wordReads ||
-                got.keyCompares != want.keyCompares) {
-            return diverge(idx, "batched pipeline: iceberg findMany "
-                "probe accounting diverges from scalar find: words " +
-                std::to_string(got.wordReads) + " vs " +
-                std::to_string(want.wordReads) + ", compares " +
-                std::to_string(got.keyCompares) + " vs " +
-                std::to_string(want.keyCompares));
-        }
-        pending_.clear();
-        return std::nullopt;
-    }
-
-    IcebergConfig config_;
-    IcebergTable<std::uint64_t> table_;
-    std::uint64_t pseed_;
-    std::size_t batch_;
-    std::vector<std::uint64_t> pending_;
-};
-
 // ---------------------------------------------- sharded VM harness
 
 /**
@@ -2450,13 +2166,7 @@ runTrace(const Trace &trace, unsigned batch)
         }
     };
 
-    if (trace.component == "iceberg") {
-        IcebergHarness h(trace, faults);
-        std::unique_ptr<IcebergBatchShadow> shadow;
-        if (batch > 1)
-            shadow = std::make_unique<IcebergBatchShadow>(trace, batch);
-        drive(h, shadow.get());
-    } else if (trace.component == "tlb") {
+    if (trace.component == "tlb") {
         // accessBatch's apply loop is the scalar access path itself;
         // there is no separate TLB engine to shadow.
         if (designKind(trace.cfgValue("kind", "vanilla"))) {
@@ -2546,39 +2256,6 @@ shrinkTrace(const Trace &trace, std::size_t maxRuns)
 
 namespace
 {
-
-Trace
-generateIceberg(Rng &rng, std::size_t numOps)
-{
-    Trace t;
-    t.component = "iceberg";
-    struct Shape
-    {
-        unsigned f, b, d;
-    };
-    static constexpr Shape shapes[] = {{4, 2, 2}, {8, 3, 3}, {56, 8, 6}};
-    const Shape shape = shapes[rng.pickWeighted({0.4, 0.4, 0.2})];
-    const std::uint64_t buckets = shape.d + 1 + rng.below(6);
-    t.setCfgUint("buckets", buckets);
-    t.setCfgUint("front", shape.f);
-    t.setCfgUint("back", shape.b);
-    t.setCfgUint("d", shape.d);
-    t.setCfgUint("seed", rng());
-    t.setCfgUint("pseed", rng());
-    t.setCfgUint("deep", 256);
-    const std::uint64_t capacity = buckets * (shape.f + shape.b);
-    const std::uint64_t universe =
-        std::max<std::uint64_t>(8, capacity * 13 / 10);
-    for (std::size_t i = 0; i < numOps; ++i) {
-        TraceOp op;
-        static constexpr char kinds[] = {'i', 'e', 'f'};
-        op.kind = kinds[rng.pickWeighted({0.55, 0.30, 0.15})];
-        op.nargs = 1;
-        op.args[0] = rng.below(universe);
-        t.ops.push_back(op);
-    }
-    return t;
-}
 
 Trace
 generateTlb(Rng &rng, std::size_t numOps)
@@ -3065,8 +2742,6 @@ generateTrace(const std::string &component, std::uint64_t seed,
               std::size_t numOps)
 {
     Rng rng(mix(seed, 0xF0220000 + numOps));
-    if (component == "iceberg")
-        return generateIceberg(rng, numOps);
     if (component == "tlb")
         return generateTlb(rng, numOps);
     if (component == "tlb-stride")

@@ -1,7 +1,7 @@
 /**
  * @file
- * The differential fuzzer: drives a real component (a VM, a TLB
- * variant, or the iceberg table) in lockstep with its oracle model
+ * The differential fuzzer: drives a real component (a VM, the sharded
+ * VM engine, or a TLB variant) in lockstep with its oracle model
  * through a deterministic operation sequence, cross-checking state
  * after every operation.
  *
@@ -34,10 +34,7 @@
  *    models — every
  *    lookup result, every stats counter, valid-entry counts, and the
  *    variant extras (sub-entry fills, coalesced coverage, hole
- *    lookups);
- *  - iceberg: predicted insert placement (yard + bucket), slot
- *    stability, size/backyard accounting, per-bucket occupancy, and
- *    full-table sweeps for stray or leaked keys.
+ *    lookups).
  */
 
 #ifndef MOSAIC_ORACLE_FUZZER_HH_
@@ -47,11 +44,44 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "oracle/trace.hh"
 
 namespace mosaic
 {
+
+/**
+ * One fuzz component: the name generateTrace() and `mosaic_fuzz
+ * --component` accept, and the component line of the traces it
+ * generates — the name runTrace() dispatches on.
+ */
+struct FuzzComponent
+{
+    std::string_view name;
+    std::string_view traceComponent;
+};
+
+/** Every fuzz component, in `mosaic_fuzz --component all` order. */
+inline constexpr FuzzComponent fuzzComponents[] = {
+    {"vm", "vm"},         {"vm-shard", "vm-shard"},
+    {"tlb", "tlb"},       {"tlb-stride", "tlb"},
+    {"tlb-pwc", "tlb"},   {"tlb-range", "tlb"},
+    {"wl-warp", "vm"},    {"wl-kv", "vm"},
+    {"wl-session", "vm"}, {"wl-scan", "vm"},
+};
+
+/** True when runTrace() executes traces of @p component: some fuzz
+ *  component generates them. */
+inline bool
+isTraceComponent(std::string_view component)
+{
+    for (const FuzzComponent &c : fuzzComponents) {
+        if (c.traceComponent == component)
+            return true;
+    }
+    return false;
+}
 
 /** A disagreement between the real component and its oracle. */
 struct FuzzDivergence
@@ -88,14 +118,12 @@ struct FuzzResult
  * When $MOSAIC_FAULTS is set, the run wires a per-trace
  * FaultInjector (seeded from the trace, so thread-count invariant)
  * into the component under test: swap I/O errors and latency spikes,
- * "vm.place" placement failures (recovered by the VM's conflict-
- * recovery hook), and "iceberg.insert" failures (coordinated with
- * the oracle, which then expects the insert to fail). The oracles
- * stay in lockstep under every supported plan — any divergence under
- * injection is a real robustness bug, which is the point of the
- * chaos tests. The digest additionally folds in the injected-fault
- * count when (and only when) a plan is active, so fault-free digests
- * are unchanged.
+ * and "vm.place" placement failures (recovered by the VM's conflict-
+ * recovery hook). The oracles stay in lockstep under every supported
+ * plan — any divergence under injection is a real robustness bug,
+ * which is the point of the chaos tests. The digest additionally
+ * folds in the injected-fault count when (and only when) a plan is
+ * active, so fault-free digests are unchanged.
  */
 FuzzResult runTrace(const Trace &trace);
 
@@ -104,20 +132,20 @@ FuzzResult runTrace(const Trace &trace);
  * The primary component/oracle/digest path runs exactly as
  * runTrace(trace) — digests and fault counts are unchanged by
  * construction — while every applied vm op is additionally mirrored
- * into a scalar-driven and a touchBatch-driven VM pair (and iceberg
- * finds through findMany) whose per-op results and full observable
- * state are compared at every flush boundary: block full, any
- * mutating non-touch op, and end of trace. Any mismatch surfaces as
- * a divergence. @p batch <= 1 is the plain scalar run; tlb traces
- * ignore the knob (the batched TLB apply loop is the scalar path
- * itself).
+ * into a scalar-driven and a touchBatch-driven VM pair whose per-op
+ * results and full observable state are compared at every flush
+ * boundary: block full, any mutating non-touch op, and end of trace.
+ * Any mismatch surfaces as a divergence. @p batch <= 1 is the plain
+ * scalar run; tlb traces ignore the knob (the batched TLB apply loop
+ * is the scalar path itself).
  */
 FuzzResult runTrace(const Trace &trace, unsigned batch);
 
 /**
  * Build a deterministic random trace.
  *
- * @param component "vm", "tlb", or "iceberg"; the pseudo-components
+ * @param component a fuzzComponents name: "vm", "vm-shard", or
+ *                  "tlb"; the pseudo-components
  *                  "tlb-stride", "tlb-pwc", and "tlb-range" generate
  *                  "tlb" traces pinned to the registry-built designs
  *                  (strided access patterns, design-specific cfg),

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "oracle/fuzzer.hh"
 #include "util/log.hh"
 
 namespace mosaic
@@ -183,7 +184,12 @@ tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
         const std::size_t nl = text.rfind('\n');
         text.resize(nl == std::string::npos ? 0 : nl + 1);
     }
-    return tryParseTrace(text);
+    Result<Trace> parsed = tryParseTrace(text);
+    if (parsed.ok() && !isTraceComponent(parsed.value().component))
+        return Status::invalidArgument(
+            "trace: unknown component '" + parsed.value().component +
+            "' in '" + path + "'");
+    return parsed;
 }
 
 Trace

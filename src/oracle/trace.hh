@@ -24,7 +24,6 @@
  *   vm:       t asid vpn write | u asid vpn npages | s sa sv da dv n
  *   tlb:      l asid vpn       | i asid vpn        | e asid vpn
  *             f asid           (flush the asid)
- *   iceberg:  i key | e key | f key
  * Harnesses may skip an op that is invalid in the current state
  * (e.g. a share into an ever-bound ToC); skipping is deterministic,
  * which keeps every subsequence of a trace itself a valid trace —
@@ -69,7 +68,8 @@ struct Trace
 {
     static constexpr const char *magic = "mosaic-fuzz-trace v1";
 
-    /** "vm", "tlb", or "iceberg". */
+    /** "vm", "vm-shard", or "tlb" (a fuzzComponents trace
+     *  component). */
     std::string component;
 
     /** Ordered configuration; order is part of the byte format. */
@@ -102,10 +102,12 @@ Result<Trace> tryParseTrace(const std::string &text);
 
 /**
  * Read and parse a trace file: NotFound / IoError for file-system
- * failures plus everything tryParseTrace reports. When @p faults is
- * non-null, the "trace.read" site injects an IoError and the
- * "trace.corrupt" site truncates the text mid-file before parsing
- * (surfacing as DataLoss) — both deliberate, for chaos testing.
+ * failures, everything tryParseTrace reports, and InvalidArgument for
+ * a component no fuzz harness runs (fuzzer.hh's fuzzComponents
+ * list). When @p faults is non-null, the "trace.read" site injects
+ * an IoError and the "trace.corrupt" site truncates the text
+ * mid-file before parsing (surfacing as DataLoss) — both
+ * deliberate, for chaos testing.
  */
 Result<Trace> tryReadTraceFile(const std::string &path,
                                fault::FaultInjector *faults = nullptr);

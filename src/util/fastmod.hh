@@ -2,8 +2,8 @@
  * @file
  * Exact division-free modulo by a runtime constant (Lemire's fastmod).
  *
- * The Iceberg front/back bucket maps and the mosaic mapper reduce
- * every hash output modulo the bucket count. The divisor is fixed at
+ * The mosaic mapper reduces every hash output modulo the bucket
+ * count. The divisor is fixed at
  * construction, so the `div` instruction can be replaced by two
  * multiplies — and unlike the "fast range" trick (`(x * n) >> 64`),
  * this computes the *same value* as `%`, which keeps every digest

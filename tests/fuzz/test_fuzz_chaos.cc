@@ -2,10 +2,10 @@
  * @file
  * Chaos replay: the fuzz corpus, re-run under a fixed fault plan
  * (DESIGN.md §11). Every degradation contract — swap I/O retries,
- * vm.place ghost-reclaim recovery, iceberg insert-failure skipping —
- * keeps the real component and its oracle in lockstep, so injected
- * faults must produce zero divergences: any divergence under
- * injection is silent corruption the clean suite cannot see.
+ * vm.place ghost-reclaim recovery — keeps the real component and
+ * its oracle in lockstep, so injected faults must produce zero
+ * divergences: any divergence under injection is silent corruption
+ * the clean suite cannot see.
  *
  * Also pins the determinism story under faults: same trace + same
  * plan = same digest and fault count, run after run (the serial vs
@@ -34,7 +34,7 @@ namespace
 // via every= rules; p= rules stay seed-stable per trace.
 constexpr const char *chaosPlan =
     "swap.write:every=50;swap.read:every=70;swap.latency:every=97;"
-    "vm.place:every=40;iceberg.insert:every=30,p=0.001";
+    "vm.place:every=40";
 
 std::vector<fs::path>
 corpusTraces()
@@ -134,7 +134,7 @@ TEST(FuzzChaos, InjectionChangesVmDigestsButNotCorrectness)
 TEST(FuzzChaos, GeneratedTracesSurviveInjection)
 {
     const ChaosEnv chaos;
-    for (const char *component : {"vm", "tlb", "iceberg"}) {
+    for (const char *component : {"vm", "tlb"}) {
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             const Trace trace = generateTrace(component, seed, 2000);
             const FuzzResult result = runTrace(trace);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pinned-digest equivalence tests: the observable behaviour of the
- * VM, TLB, and iceberg stacks is frozen as FNV digests over every
+ * VM and TLB stacks is frozen as FNV digests over every
  * corpus trace and a sweep of freshly generated traces. Any change
  * to placement, eviction, probing, or accounting that alters a
  * single observable outcome flips a digest and fails here — this is
@@ -45,10 +45,6 @@ struct CorpusGolden
 constexpr CorpusGolden corpusGoldens[] = {
     {"ghost_rescue_adoption.trace", 14674125878381882746ull, 126},
     {"ghost_rescue_adoption_long.trace", 7267721577211409804ull, 577},
-    {"iceberg_seed1.trace", 12277679911411772586ull, 2000},
-    {"iceberg_seed2.trace", 7512556313804452664ull, 2000},
-    {"iceberg_seed3.trace", 6005173454122881517ull, 2000},
-    {"iceberg_seed4.trace", 18112135876158637805ull, 2000},
     {"tlb_seed1.trace", 17475615509327730047ull, 2000},
     {"tlb_seed13.trace", 14888094062101289659ull, 2000},
     {"tlb_seed2.trace", 5536836242472044596ull, 2000},
@@ -106,14 +102,6 @@ constexpr FreshGolden freshGoldens[] = {
     {"tlb", 6ull, 4000u, 805798702827141589ull, 4000u},
     {"tlb", 7ull, 4000u, 8100107992367519399ull, 4000u},
     {"tlb", 8ull, 4000u, 561405217994852731ull, 4000u},
-    {"iceberg", 1ull, 4000u, 547119812015094395ull, 4000u},
-    {"iceberg", 2ull, 4000u, 3782647931651319743ull, 4000u},
-    {"iceberg", 3ull, 4000u, 11630142198054358496ull, 4000u},
-    {"iceberg", 4ull, 4000u, 7199739747051881367ull, 4000u},
-    {"iceberg", 5ull, 4000u, 11314040835214654015ull, 4000u},
-    {"iceberg", 6ull, 4000u, 8667884994603256409ull, 4000u},
-    {"iceberg", 7ull, 4000u, 8462934272405122689ull, 4000u},
-    {"iceberg", 8ull, 4000u, 17430946894940796643ull, 4000u},
 };
 
 std::string
@@ -171,7 +159,7 @@ TEST(FuzzEquivalence, FreshTraceDigestsMatchGoldens)
 TEST(FuzzEquivalence, BatchedCorpusReproducesScalarGoldens)
 {
     // The batched-pipeline leg (DESIGN.md §13): replaying the whole
-    // corpus with the touchBatch / findMany shadow engaged must (a)
+    // corpus with the touchBatch shadow engaged must (a)
     // never diverge — the shadow cross-checks every block against
     // the scalar path — and (b) reproduce the pinned scalar digests
     // bit for bit, because batching cannot change observable

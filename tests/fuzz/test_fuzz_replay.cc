@@ -85,7 +85,7 @@ TEST(FuzzReplay, SerializationRoundTripsByteExact)
 
 TEST(FuzzReplay, GeneratedTracesRoundTripAndMatchDigests)
 {
-    for (const char *component : {"vm", "tlb", "iceberg"}) {
+    for (const char *component : {"vm", "tlb"}) {
         const Trace trace = generateTrace(component, 5, 300);
         const Trace again = parseTrace(serializeTrace(trace));
         ASSERT_EQ(again.ops.size(), trace.ops.size()) << component;

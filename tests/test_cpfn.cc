@@ -10,6 +10,7 @@
 #include <set>
 
 #include "mem/cpfn.hh"
+#include "mem/mosaic_mapper.hh"
 
 namespace mosaic
 {
@@ -187,6 +188,36 @@ TEST(GeometryDeathTest, ChecksRejectBadShapes)
     MemoryGeometry g;
     g.numFrames = 100; // not a bucket multiple
     EXPECT_DEATH(g.check(), "bucket multiple");
+
+    g = MemoryGeometry{};
+    g.frontSlots = 0;
+    EXPECT_DEATH(g.check(), "front yard must be nonempty");
+
+    g = MemoryGeometry{};
+    g.backSlots = 0;
+    EXPECT_DEATH(g.check(), "backyard must be nonempty");
+
+    g = MemoryGeometry{};
+    g.backChoices = 0;
+    EXPECT_DEATH(g.check(), "need at least one choice");
+
+    // d = 6 needs 7 buckets to choose from; 6 cannot host them.
+    g = MemoryGeometry{};
+    g.numFrames = 6 * g.slotsPerBucket();
+    EXPECT_DEATH(g.check(), "fewer buckets than hash choices");
+}
+
+TEST(GeometryDeathTest, MapperRejectsChoicesAboveMax)
+{
+    // A valid geometry whose d overflows the fixed CandidateSet;
+    // one-slot yards keep its CPFNs within the codec's 8 bits.
+    MemoryGeometry g;
+    g.frontSlots = 1;
+    g.backSlots = 1;
+    g.backChoices = maxBackChoices + 1;
+    g.numFrames = 64 * g.slotsPerBucket();
+    g.check();
+    EXPECT_DEATH(MosaicMapper{g}, "d exceeds maxBackChoices");
 }
 
 } // namespace

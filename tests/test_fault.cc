@@ -3,7 +3,7 @@
  * Tests for the robustness layer (DESIGN.md §11): the Status/Result
  * error taxonomy, deterministic fault injection (plan parsing and
  * firing rules), the per-component degradation contracts (swap I/O
- * retries, vm.place ghost-reclaim recovery, iceberg insert hook),
+ * retries, vm.place ghost-reclaim recovery),
  * negative tests for the Status-returning trace parser, and death
  * tests confirming internal-invariant panics still abort.
  */
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "fault/fault.hh"
-#include "iceberg/iceberg_table.hh"
 #include "oracle/trace.hh"
 #include "os/mosaic_vm.hh"
 #include "os/swap_device.hh"
@@ -77,17 +76,17 @@ TEST(StatusDeathTest, ValueOnErrorResultPanics)
 TEST(FaultPlan, ParsesMultiSitePlans)
 {
     const auto r = fault::FaultPlan::parse(
-        "swap.write:every=1000;iceberg.insert:p=1e-4,after=10,limit=3");
+        "swap.write:every=1000;swap.latency:p=1e-4,after=10,limit=3");
     ASSERT_TRUE(r.ok()) << r.status().toString();
     const fault::FaultPlan &plan = r.value();
     EXPECT_FALSE(plan.empty());
     ASSERT_NE(plan.spec("swap.write"), nullptr);
     EXPECT_EQ(plan.spec("swap.write")->every, 1000u);
-    const fault::FaultSpec *ins = plan.spec("iceberg.insert");
-    ASSERT_NE(ins, nullptr);
-    EXPECT_DOUBLE_EQ(ins->p, 1e-4);
-    EXPECT_EQ(ins->after, 10u);
-    EXPECT_EQ(ins->limit, 3u);
+    const fault::FaultSpec *lat = plan.spec("swap.latency");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_DOUBLE_EQ(lat->p, 1e-4);
+    EXPECT_EQ(lat->after, 10u);
+    EXPECT_EQ(lat->limit, 3u);
     EXPECT_EQ(plan.spec("vm.place"), nullptr);
 }
 
@@ -217,7 +216,7 @@ TEST(TraceErrors, BadMagicIsInvalidArgument)
 TEST(TraceErrors, TruncatedTraceIsDataLoss)
 {
     Trace trace;
-    trace.component = "iceberg";
+    trace.component = "vm";
     trace.setCfgUint("pseed", 7);
     TraceOp op;
     op.kind = 'i';
@@ -253,7 +252,7 @@ TEST(TraceErrors, UnwritablePathIsIoError)
 TEST(TraceErrors, InjectedReadAndCorruptionSurfaceAsStatus)
 {
     Trace trace;
-    trace.component = "iceberg";
+    trace.component = "vm";
     trace.setCfgUint("pseed", 7);
     const fs::path path =
         fs::temp_directory_path() / "mosaic_fault_inject.trace";
@@ -393,42 +392,15 @@ TEST(VmRecovery, RecoveryDisabledEscalatesToConflict)
     EXPECT_EQ(vm.stats().conflicts, 200u);
 }
 
-// -------------------------------------------- iceberg insert hook
-
-TEST(IcebergFaults, HookFailsInsertLeavingTableUnchanged)
-{
-    IcebergConfig cfg;
-    cfg.buckets = 8;
-    IcebergTable<int> table(cfg);
-    ASSERT_TRUE(table.insert(1, 10));
-
-    bool arm = true;
-    table.setFaultHook([&arm] {
-        const bool fire = arm;
-        arm = false;
-        return fire;
-    });
-    const std::size_t before = table.size();
-    EXPECT_FALSE(table.insert(2, 20)); // injected failure
-    EXPECT_EQ(table.size(), before);
-    EXPECT_FALSE(table.contains(2));
-    EXPECT_TRUE(table.insert(2, 20)); // hook disarmed: succeeds
-    EXPECT_TRUE(table.contains(2));
-
-    // Overwrites bypass the hook (only fresh inserts are gated).
-    arm = true;
-    EXPECT_TRUE(table.insert(1, 11));
-    EXPECT_EQ(*table.find(1), 11);
-}
-
 // -------------------------------- internal-invariant death tests
 
 TEST(InvariantDeathTest, IcebergImpossibleGeometryPanics)
 {
-    IcebergConfig cfg;
-    cfg.buckets = 0;
-    EXPECT_DEATH(IcebergTable<int>{cfg},
-                 "iceberg: need at least one bucket");
+    // An iceberg memory with no buckets cannot host a page's
+    // candidate set; building its mapper must panic, not misplace.
+    MemoryGeometry g;
+    g.numFrames = 0;
+    EXPECT_DEATH(MosaicMapper{g}, "fewer buckets than hash choices");
 }
 
 TEST(InvariantDeathTest, MapperNonCandidatePfnPanics)

@@ -293,28 +293,6 @@ TEST(Tabulation, ProbeAllManyZeroWidthReadsNothing)
     EXPECT_EQ(h.probeTableReads(), 0u);
 }
 
-TEST(Tabulation, HashKeysMatchesScalarHashAndChargesNothing)
-{
-    // hashKeys batches the single-output hash; like scalar hash()
-    // it is not a probe and must not touch the probe-read counter.
-    TabulationHash h(23);
-    const std::uint64_t keys[] = {
-        0ull, 42ull, ~0ull, 0xF9FAFBFCFDFEFF00ull,
-        0xCAFEBABE12345678ull,
-    };
-    constexpr std::size_t n = std::size(keys);
-    for (unsigned k : {0u, 1u, 5u, TabulationHash::maxProbes - 1}) {
-        std::array<std::uint32_t, n> out;
-        h.resetProbeTableReads();
-        h.hashKeys(keys, k, out.data());
-        EXPECT_EQ(h.probeTableReads(), 0u) << "k " << k;
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(out[i], h.hash(keys[i], k))
-                << "k " << k << " key " << keys[i];
-        }
-    }
-}
-
 TEST(Tabulation, TableEntryExposesRom)
 {
     TabulationHash h(11);

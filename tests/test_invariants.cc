@@ -12,7 +12,6 @@
 #include <set>
 
 #include "core/translation_sim.hh"
-#include "iceberg/iceberg_table.hh"
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
 #include "util/random.hh"
@@ -129,47 +128,6 @@ TEST(Invariants, LinuxVmAgainstReferenceModel)
     }
     // Residency never exceeds physical frames.
     EXPECT_LE(vm.residentPages(), 512u);
-}
-
-TEST(Invariants, IcebergAgainstStdMap)
-{
-    IcebergConfig config;
-    config.buckets = 64;
-    IcebergTable<std::uint64_t> table(config);
-    std::map<std::uint64_t, std::uint64_t> model;
-    Rng rng(99);
-
-    for (int step = 0; step < 50000; ++step) {
-        const std::uint64_t key = rng.below(3000) * 7919;
-        switch (rng.below(3)) {
-          case 0:
-            if (table.insert(key, step))
-                model[key] = static_cast<std::uint64_t>(step);
-            break;
-          case 1: {
-            const bool erased_t = table.erase(key);
-            const bool erased_m = model.erase(key) > 0;
-            ASSERT_EQ(erased_t, erased_m) << "key " << key;
-            break;
-          }
-          case 2: {
-            const auto *v = table.find(key);
-            const auto it = model.find(key);
-            ASSERT_EQ(v != nullptr, it != model.end()) << key;
-            if (v) {
-                ASSERT_EQ(*v, it->second);
-            }
-            break;
-          }
-        }
-        ASSERT_EQ(table.size(), model.size());
-    }
-    // Final full sweep.
-    for (const auto &[key, value] : model) {
-        const auto *v = table.find(key);
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(*v, value);
-    }
 }
 
 TEST(Invariants, TranslationSimTlbNeverLies)

@@ -10,6 +10,9 @@
  *  - utilization never exceeds capacity;
  *  - freeing pages and re-allocating the same pages restores the
  *    frame-table counts exactly;
+ *  - the first conflict comes at a high load for every geometry, the
+ *    backyard stays small and balanced, and churn at 90 % load
+ *    rarely fails an insert;
  *
  * plus the Horizon-LRU equivalence property (paper §2.4), checked
  * against the unbounded OracleVm recency model: the live (non-ghost)
@@ -19,7 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.hh"
@@ -216,6 +223,160 @@ TEST(IcebergProperties, OccupiedSlotsAlwaysOwnedByAHashChoice)
         }
         ASSERT_EQ(frames.usedFrames(), live.size());
     }
+}
+
+/**
+ * The allocator as a bare iceberg table: 64-bit keys placed into a
+ * frame table with no ghosts and no evictions, the setting of the
+ * paper's §2.3 load analysis.
+ */
+struct IcebergFill
+{
+    explicit IcebergFill(const MemoryGeometry &g)
+        : alloc(g), frames(g.numFrames)
+    {
+    }
+
+    /** Place a key; its frame, or nullopt on a conflict. */
+    std::optional<Pfn>
+    insert(std::uint64_t key)
+    {
+        const auto placed =
+            alloc.place(alloc.mapper().candidates(key), frames);
+        if (!placed)
+            return std::nullopt;
+        frames.map(placed->pfn, PageId{1, key}, ++now);
+        return placed->pfn;
+    }
+
+    MosaicAllocator alloc;
+    FrameTable frames;
+    Tick now = 0;
+};
+
+/**
+ * Load sweep: with paper-like geometry the allocator must reach a
+ * high load before the first conflict. The achievable load depends
+ * on f, b, d; each tuple carries its expected minimum.
+ */
+struct GeometryCase
+{
+    unsigned front;
+    unsigned back;
+    unsigned choices;
+    std::size_t buckets;
+    double minLoadBeforeConflict;
+};
+
+class IcebergLoadTest : public ::testing::TestWithParam<GeometryCase>
+{
+};
+
+TEST_P(IcebergLoadTest, HighUtilizationBeforeFirstConflict)
+{
+    const GeometryCase &c = GetParam();
+    MemoryGeometry g;
+    g.frontSlots = c.front;
+    g.backSlots = c.back;
+    g.backChoices = c.choices;
+    g.numFrames = c.buckets * g.slotsPerBucket();
+    g.hashSeed = 42;
+    IcebergFill t(g);
+
+    Rng rng(99);
+    while (t.insert(rng())) {
+    }
+    EXPECT_GE(t.frames.utilization(), c.minLoadBeforeConflict)
+        << "f=" << c.front << " b=" << c.back << " d=" << c.choices;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, IcebergLoadTest,
+    ::testing::Values(
+        // The paper's geometry: conflicts appear near 98 % (§4.2).
+        GeometryCase{56, 8, 6, 256, 0.97},
+        GeometryCase{56, 8, 6, 1024, 0.97},
+        // Fewer choices still do well, but less so.
+        GeometryCase{56, 8, 2, 256, 0.90},
+        // Bigger backyards push utilization higher.
+        GeometryCase{48, 16, 6, 256, 0.97},
+        // A small-front geometry leans on the backyard heavily.
+        GeometryCase{24, 8, 6, 256, 0.95}));
+
+/** §2.3 theory: the backyard stays small (the front yard absorbs
+ *  what it can) and power-of-d keeps backyard buckets balanced. */
+TEST(Iceberg, BackyardSmallAndBalanced)
+{
+    MemoryGeometry g;
+    g.numFrames = 1024 * g.slotsPerBucket();
+    IcebergFill t(g);
+    Rng rng(31337);
+    std::size_t in_backyard = 0;
+    while (t.frames.utilization() < 0.95) {
+        const std::optional<Pfn> pfn = t.insert(rng());
+        if (!pfn)
+            break;
+        if (*pfn % g.slotsPerBucket() >= g.frontSlots)
+            ++in_backyard;
+    }
+    ASSERT_GE(t.frames.utilization(), 0.95);
+
+    // Backyard fraction: bounded by its share of slots, and close
+    // to the overflow the front yard cannot hold (95 % of 64 slots
+    // = 60.8/bucket; front holds 56; ~4.8/bucket overflow = ~7.9 %).
+    const double back_fraction =
+        static_cast<double>(in_backyard) /
+        static_cast<double>(t.frames.usedFrames());
+    EXPECT_LT(back_fraction, 0.125); // never above its slot share
+    EXPECT_GT(back_fraction, 0.04);
+
+    // Power-of-6-choices balance: no backyard bucket maxed while
+    // others are near-empty. At ~61 % mean backyard occupancy the
+    // spread stays tight: min occupancy within 5 of max everywhere.
+    unsigned min_occ = g.backSlots, max_occ = 0;
+    for (std::size_t b = 0; b < g.numBuckets(); ++b) {
+        const unsigned occ = static_cast<unsigned>(
+            std::popcount(t.frames.usedWindow(
+                b * g.slotsPerBucket() + g.frontSlots, g.backSlots)));
+        min_occ = std::min(min_occ, occ);
+        max_occ = std::max(max_occ, occ);
+    }
+    EXPECT_LE(max_occ - min_occ, 5u);
+}
+
+/** Deletion mixed with insertion must sustain the same load. */
+TEST(Iceberg, ChurnSustainsHighLoad)
+{
+    MemoryGeometry g;
+    g.numFrames = 256 * g.slotsPerBucket();
+    IcebergFill t(g);
+    Rng rng(123);
+
+    // Live keys and their frames. Fill to 90 %.
+    std::vector<std::pair<std::uint64_t, Pfn>> live;
+    while (t.frames.utilization() < 0.90) {
+        const std::uint64_t k = rng();
+        if (const std::optional<Pfn> pfn = t.insert(k))
+            live.emplace_back(k, *pfn);
+    }
+    // Churn 10k times at 90 % occupancy: delete random, insert new.
+    std::size_t failures = 0;
+    for (int i = 0; i < 10000; ++i) {
+        const std::size_t victim = rng.below(live.size());
+        t.frames.unmap(live[victim].second);
+        const std::uint64_t k = rng();
+        if (const std::optional<Pfn> pfn = t.insert(k)) {
+            live[victim] = {k, *pfn};
+        } else {
+            ++failures;
+            // Re-insert the erased key (guaranteed to fit: its old
+            // slot is free).
+            const std::optional<Pfn> back = t.insert(live[victim].first);
+            ASSERT_TRUE(back.has_value());
+            live[victim].second = *back;
+        }
+    }
+    EXPECT_LT(failures, 100u);
 }
 
 /** Live (non-ghost) resident pages of a Mosaic VM, as a set. */

@@ -80,6 +80,19 @@ TEST(ToolsCli, ReplayMissingFileExitsThree)
               3);
 }
 
+TEST(ToolsCli, ReplayUnknownComponentExitsThree)
+{
+    // A well-formed trace naming no fuzz component is unreadable
+    // input, not a crash.
+    const TempDir dir("tools_cli_replay_bogus");
+    const std::string bogus = dir.str() + "/bogus.trace";
+    Trace trace;
+    trace.component = "bogus";
+    writeTraceFile(bogus, trace);
+    EXPECT_EQ(exitCodeOf(std::string(MOSAIC_REPLAY_BIN) + " " + bogus),
+              3);
+}
+
 TEST(ToolsCli, ReplayUsageErrorsExitTwo)
 {
     EXPECT_EQ(exitCodeOf(MOSAIC_REPLAY_BIN), 2);

@@ -7,15 +7,16 @@
  * can re-execute.
  *
  * Usage:
- *   mosaic_fuzz [--component vm|tlb|iceberg|tlb-stride|tlb-pwc|
- *                tlb-range|wl-warp|wl-kv|wl-session|wl-scan|all]
- *               [--seeds N] [--first-seed S] [--ops N]
- *               [--out DIR] [--emit] [--batch N]
+ *   mosaic_fuzz [--component NAME|all] [--seeds N] [--first-seed S]
+ *               [--ops N] [--out DIR] [--emit] [--batch N]
+ *
+ * NAME is any fuzzComponents entry (oracle/fuzzer.hh); `all` runs
+ * each of them.
  *
  * --batch N (default $MOSAIC_BATCH) engages the batched-pipeline
  * shadow (DESIGN.md §13): every applied vm op also drives a
- * touchBatch-driven VM pair, and iceberg finds go through findMany,
- * with scalar/batched state compared at every flush boundary.
+ * touchBatch-driven VM pair, with scalar/batched state compared at
+ * every flush boundary.
  * Digests are identical to scalar runs by construction.
  *
  * --emit also writes every PASSING trace to the out dir (named
@@ -58,24 +59,22 @@ struct Options
 int
 usage()
 {
-    std::cerr <<
-        "usage: mosaic_fuzz [--component vm|vm-shard|tlb|iceberg|\n"
-        "                    tlb-stride|tlb-pwc|tlb-range|wl-warp|\n"
-        "                    wl-kv|wl-session|wl-scan|all]\n"
+    std::cerr << "usage: mosaic_fuzz [--component ";
+    for (const FuzzComponent &c : fuzzComponents)
+        std::cerr << c.name << "|";
+    std::cerr << "all]\n"
         "                   [--seeds N] [--first-seed S] [--ops N]\n"
-        "                   [--out DIR] [--batch N]\n";
+        "                   [--out DIR] [--emit] [--batch N]\n";
     return 2;
 }
 
 bool
 componentKnown(const std::string &c)
 {
-    static const char *known[] = {
-        "all",     "vm",         "vm-shard", "tlb",     "iceberg",
-        "tlb-stride", "tlb-pwc", "tlb-range",
-        "wl-warp", "wl-kv",      "wl-session", "wl-scan"};
-    for (const char *k : known) {
-        if (c == k)
+    if (c == "all")
+        return true;
+    for (const FuzzComponent &k : fuzzComponents) {
+        if (c == k.name)
             return true;
     }
     return false;
@@ -165,13 +164,12 @@ main(int argc, char **argv)
         return usage();
 
     std::vector<std::string> components;
-    if (opts.component == "all")
-        components = {"vm",         "vm-shard", "tlb",     "iceberg",
-                      "tlb-stride", "tlb-pwc",  "tlb-range",
-                      "wl-warp",    "wl-kv",    "wl-session",
-                      "wl-scan"};
-    else
+    if (opts.component == "all") {
+        for (const FuzzComponent &c : fuzzComponents)
+            components.emplace_back(c.name);
+    } else {
         components = {opts.component};
+    }
 
     struct Job
     {
