@@ -54,6 +54,25 @@ BM_VanillaLookupMiss(benchmark::State &state)
 BENCHMARK(BM_VanillaLookupMiss);
 
 void
+BM_VanillaFillEvict(benchmark::State &state)
+{
+    // Always-miss fills into a full 1024-entry array: each one picks
+    // and evicts the LRU way. The 1024-way run must stay O(1), within
+    // a small factor of the 4-way scan (a perf-gate ratio).
+    const auto ways = static_cast<unsigned>(state.range(0));
+    VanillaTlb tlb(TlbGeometry{1024, ways});
+    Vpn v = 0;
+    for (; v < 1024; ++v)
+        tlb.fill(1, v, v);
+    for (auto _ : state) {
+        tlb.fill(1, v, v);
+        ++v; // never resident: every fill evicts
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VanillaFillEvict)->Arg(4)->Arg(1024);
+
+void
 BM_MosaicLookupHit(benchmark::State &state)
 {
     const auto ways = static_cast<unsigned>(state.range(0));

@@ -60,6 +60,18 @@ BM_Graph500Stream(benchmark::State &state)
 BENCHMARK(BM_Graph500Stream)->Unit(benchmark::kMillisecond);
 
 void
+BM_Graph500Build(benchmark::State &state)
+{
+    // Construction only: R-MAT generation, relabeling and the CSR.
+    for (auto _ : state) {
+        const auto workload =
+            makeFig6Workload(WorkloadKind::Graph500, 1.0 / 64, 5);
+        benchmark::DoNotOptimize(workload->info().footprintBytes);
+    }
+}
+BENCHMARK(BM_Graph500Build)->Unit(benchmark::kMillisecond);
+
+void
 BM_BTreeStream(benchmark::State &state)
 {
     runKind(state, WorkloadKind::BTree);

@@ -42,7 +42,11 @@ namespace mosaic
 {
 
 /**
- * The naive reference array: per-set recency lists.
+ * The naive reference array: per-set recency lists. Each entry also
+ * records the way it occupies, so the reference fixes the same slots
+ * as the real array: a fill takes the lowest free way, else the LRU
+ * entry's way, and a tag held by several entries resolves to the one
+ * in the lowest way.
  *
  * @tparam Payload the per-entry payload, as in SetAssocArray.
  */
@@ -53,6 +57,7 @@ class OracleSetAssoc
     struct Entry
     {
         std::uint64_t tag = 0;
+        unsigned way = 0;
         Payload payload{};
     };
 
@@ -72,25 +77,35 @@ class OracleSetAssoc
     find(std::uint64_t index_key, std::uint64_t tag)
     {
         auto &set = sets_[setOf(index_key)];
-        for (auto it = set.begin(); it != set.end(); ++it) {
-            if (it->tag == tag) {
-                set.splice(set.begin(), set, it);
-                return &set.front().payload;
-            }
-        }
-        return nullptr;
+        const auto it = lowestMatch(set, tag);
+        if (it == set.end())
+            return nullptr;
+        set.splice(set.begin(), set, it);
+        return &set.front().payload;
     }
 
     /** Claim an entry for the tag; sets *evicted when a valid entry
-     *  was displaced. Callers invoke this only after find() missed. */
+     *  was displaced, and *way (when given) to the way claimed. */
     Payload &
-    allocate(std::uint64_t index_key, std::uint64_t tag, bool *evicted)
+    allocate(std::uint64_t index_key, std::uint64_t tag, bool *evicted,
+             unsigned *way = nullptr)
     {
         auto &set = sets_[setOf(index_key)];
         *evicted = set.size() >= ways_;
-        if (set.size() >= ways_)
-            set.pop_back(); // the least recently used entry
-        set.push_front(Entry{tag, Payload{}});
+        unsigned claimed = 0;
+        if (*evicted) {
+            claimed = set.back().way; // the least recently used entry
+            set.pop_back();
+        } else {
+            std::vector<bool> used(ways_, false);
+            for (const auto &entry : set)
+                used[entry.way] = true;
+            while (used[claimed])
+                ++claimed;
+        }
+        if (way)
+            *way = claimed;
+        set.push_front(Entry{tag, claimed, Payload{}});
         return set.front().payload;
     }
 
@@ -99,24 +114,19 @@ class OracleSetAssoc
     peek(std::uint64_t index_key, std::uint64_t tag) const
     {
         const auto &set = sets_[setOf(index_key)];
-        for (const auto &entry : set) {
-            if (entry.tag == tag)
-                return &entry.payload;
-        }
-        return nullptr;
+        const auto it = lowestMatch(set, tag);
+        return it == set.end() ? nullptr : &it->payload;
     }
 
     bool
     invalidate(std::uint64_t index_key, std::uint64_t tag)
     {
         auto &set = sets_[setOf(index_key)];
-        for (auto it = set.begin(); it != set.end(); ++it) {
-            if (it->tag == tag) {
-                set.erase(it);
-                return true;
-            }
-        }
-        return false;
+        const auto it = lowestMatch(set, tag);
+        if (it == set.end())
+            return false;
+        set.erase(it);
+        return true;
     }
 
     template <typename Pred>
@@ -158,6 +168,19 @@ class OracleSetAssoc
     }
 
   private:
+    /** The entry holding the tag in the lowest way, or end(). */
+    template <typename S>
+    static auto
+    lowestMatch(S &set, std::uint64_t tag) -> decltype(set.begin())
+    {
+        auto best = set.end();
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->tag == tag && (best == set.end() || it->way < best->way))
+                best = it;
+        }
+        return best;
+    }
+
     unsigned ways_;
     std::vector<std::list<Entry>> sets_;
 };

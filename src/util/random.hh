@@ -34,8 +34,23 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
-    /** Next raw 64-bit value. */
-    std::uint64_t operator()();
+    /** Next raw 64-bit value. Inline: the workload generators draw
+     *  millions per build. */
+    std::uint64_t
+    operator()()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound). bound must be nonzero. */
     std::uint64_t below(std::uint64_t bound);
@@ -65,6 +80,12 @@ class Rng
     Rng fork();
 
   private:
+    static constexpr std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> s_;
 };
 

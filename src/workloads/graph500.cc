@@ -1,6 +1,7 @@
 #include "workloads/graph500.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "mem/geometry.hh"
@@ -24,6 +25,12 @@ scanLines(AccessSink &sink, const ArenaRegion &region,
 }
 
 } // namespace
+
+std::uint64_t
+rmatThreshold(double x)
+{
+    return static_cast<std::uint64_t>(std::ceil(x * 0x1.0p53));
+}
 
 Graph500::Graph500(const Graph500Config &config)
     : config_(config)
@@ -79,8 +86,13 @@ Graph500::generateAndBuild()
     const std::uint64_t m = n * config_.edgeFactor;
     const unsigned levels = ceilLog2(n);
 
-    // R-MAT quadrant probabilities from the Graph500 specification.
+    // R-MAT quadrant probabilities from the Graph500 specification,
+    // as cut points of a 53-bit draw. Counting the cut points a draw
+    // reaches picks the quadrant without a data-dependent branch.
     constexpr double a = 0.57, b = 0.19, c = 0.19;
+    const std::uint64_t cut_a = rmatThreshold(a);
+    const std::uint64_t cut_ab = rmatThreshold(a + b);
+    const std::uint64_t cut_abc = rmatThreshold(a + b + c);
 
     Rng rng(config_.seed);
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
@@ -88,16 +100,10 @@ Graph500::generateAndBuild()
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint64_t src = 0, dst = 0;
         for (unsigned level = 0; level < levels; ++level) {
-            const double r = rng.uniform();
-            unsigned quad;
-            if (r < a)
-                quad = 0;
-            else if (r < a + b)
-                quad = 1;
-            else if (r < a + b + c)
-                quad = 2;
-            else
-                quad = 3;
+            const std::uint64_t k = rng() >> 11;
+            const unsigned quad = unsigned{k >= cut_a} +
+                                  unsigned{k >= cut_ab} +
+                                  unsigned{k >= cut_abc};
             src = (src << 1) | (quad >> 1);
             dst = (dst << 1) | (quad & 1);
         }

@@ -39,6 +39,15 @@ struct Graph500Config
     std::uint64_t seed = 1;
 };
 
+/**
+ * The integer cut point of a 53-bit draw against probability x: with
+ * k = rng() >> 11, so that rng.uniform() is exactly k * 2^-53,
+ * k >= rmatThreshold(x) holds exactly when rng.uniform() < x fails.
+ * x * 2^53 is exact in double, and k < x * 2^53 iff k < ceil(x * 2^53)
+ * for integral k.
+ */
+std::uint64_t rmatThreshold(double x);
+
 /** R-MAT generation + CSR + BFS. */
 class Graph500 : public Workload
 {

@@ -370,8 +370,9 @@ TEST_P(SetAssocModeTest, FlushResetsVictimSelection)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SetAssocModeTest,
-                         ::testing::Values(4u,   // way scan
-                                           16u)); // tag index
+                         ::testing::Values(4u,     // way scan
+                                           16u,    // tag index
+                                           1024u)); // Fig 6 full assoc
 
 } // namespace
 } // namespace mosaic

@@ -3,13 +3,15 @@
  * Exit-code contract tests for the command-line tools, run as real
  * subprocesses. mosaic_replay: 0 clean, 1 divergence, 2 usage, 3
  * unreadable input — CI scripts branch on these, so they are API.
- * mosaicd: 0 success, 1 runtime failure, 2 usage.
+ * mosaicd: 0 success, 1 runtime failure, 2 usage. perf_gate: 0
+ * pass, 1 regression or failed ratio, 2 usage.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -125,4 +127,78 @@ TEST(ToolsCli, MosaicdSmallRunExitsZeroAndRecoveryRefusalIsOne)
     EXPECT_EQ(exitCodeOf(std::string(MOSAICD_BIN) + " --dir=" +
                          dir.str() + "/ghost --recover"),
               1);
+}
+
+namespace
+{
+
+/**
+ * A stand-in google-benchmark binary for perf_gate: it writes fixed
+ * CPU times for BM_X/1024 (300 ns), BM_X/4 (200 ns), BM_A (300 ns)
+ * and BM_B (200 ns) to the --benchmark_out file, with a matching
+ * baseline beside it.
+ */
+class FakeBench
+{
+  public:
+    explicit FakeBench(const TempDir &dir)
+        : binary_(dir.str() + "/micro_fake"), dir_(dir.str())
+    {
+        const char *names[] = {"BM_X/1024", "BM_X/4", "BM_A", "BM_B"};
+        const int ns[] = {300, 200, 300, 200};
+        std::string runs, baseline;
+        for (int i = 0; i < 4; ++i) {
+            const std::string sep = i ? "," : "";
+            runs += sep + "{\"name\":\"" + names[i] +
+                    "\",\"run_type\":\"iteration\",\"cpu_time\":" +
+                    std::to_string(ns[i]) + ",\"time_unit\":\"ns\"}";
+            baseline += sep + "\"" + names[i] + "\":" +
+                        std::to_string(ns[i]);
+        }
+        std::ofstream(binary_)
+            << "#!/bin/sh\n"
+               "for a in \"$@\"; do case \"$a\" in\n"
+               "  --benchmark_out=*) out=\"${a#--benchmark_out=}\";;\n"
+               "esac; done\n"
+               "cat > \"$out\" <<'EOF'\n"
+               "{\"benchmarks\":["
+            << runs << "]}\nEOF\n";
+        fs::permissions(binary_, fs::perms::owner_all);
+        std::ofstream(dir_ + "/micro_fake.json")
+            << "{\"bench\":\"micro_fake\",\"benchmarks\":{"
+            << baseline << "}}\n";
+    }
+
+    /** perf_gate's exit code with one --max-ratio spec. */
+    int
+    gate(const std::string &spec) const
+    {
+        return exitCodeOf(std::string(PERF_GATE_BIN) +
+                          " --runs 1 --baseline-dir " + dir_ +
+                          " --max-ratio '" + spec + "' " + binary_);
+    }
+
+  private:
+    std::string binary_;
+    std::string dir_;
+};
+
+} // namespace
+
+TEST(ToolsCli, PerfGateRatioSpecsSplitAtTheDenominator)
+{
+    const TempDir dir("tools_cli_perf_gate");
+    const FakeBench bench(dir);
+    // Plain names: 300/200 = 1.5.
+    EXPECT_EQ(bench.gate("BM_A/BM_B:2.0"), 0);
+    EXPECT_EQ(bench.gate("BM_A/BM_B:1.2"), 1);
+    // Parameterised on both sides; a split at the first '/' would
+    // look for "BM_X" and "1024/BM_X/4" and match nothing.
+    EXPECT_EQ(bench.gate("BM_X/1024/BM_X/4:2.0"), 0);
+    EXPECT_EQ(bench.gate("BM_X/1024/BM_X/4:1.2"), 1);
+    EXPECT_EQ(bench.gate("BM_B/BM_X/1024:0.7"), 0);
+    // Malformed specs are usage errors.
+    EXPECT_EQ(bench.gate("BM_A:2.0"), 2);
+    EXPECT_EQ(bench.gate("BM_A/BM_B"), 2);
+    EXPECT_EQ(bench.gate("BM_A/BM_B:0"), 2);
 }

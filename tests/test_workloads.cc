@@ -176,6 +176,93 @@ TEST(Graph500, SeedChangesGraph)
     EXPECT_NE(sa.accesses(), sb.accesses());
 }
 
+/** FNV-1a over every emitted (vaddr, write) pair. */
+class FnvSink : public AccessSink
+{
+  public:
+    void
+    access(Addr vaddr, bool write) override
+    {
+        mix(vaddr);
+        mix(write ? 1 : 0);
+        ++count_;
+    }
+
+    std::uint64_t digest() const { return h_; }
+    std::uint64_t count() const { return count_; }
+
+  private:
+    void
+    mix(std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xFF;
+            h_ *= 1099511628211ull;
+        }
+    }
+
+    std::uint64_t h_ = 1469598103934665603ull;
+    std::uint64_t count_ = 0;
+};
+
+struct Graph500Golden
+{
+    std::uint64_t digest;
+    std::uint64_t refs;
+    std::uint64_t footprint;
+};
+
+Graph500Golden
+goldenOf(Workload &w)
+{
+    FnvSink sink;
+    w.run(sink);
+    return {sink.digest(), sink.count(), w.info().footprintBytes};
+}
+
+// The R-MAT generator draws its quadrant from integer thresholds;
+// the emitted stream must equal the one the original floating-point
+// comparisons (`rng.uniform() < x`) produced, pinned here.
+TEST(Graph500, StreamMatchesPinnedDigest)
+{
+    const struct
+    {
+        std::uint64_t seed;
+        Graph500Golden want;
+    } cases[] = {
+        {1, {0x563fbb4446581ccaull, 1268609, 5033128}},
+        {7, {0xe756dacb7447f242ull, 1269068, 5033128}},
+    };
+    for (const auto &c : cases) {
+        const auto w =
+            makeFig6Workload(WorkloadKind::Graph500, 0.06, c.seed);
+        const Graph500Golden got = goldenOf(*w);
+        EXPECT_EQ(got.digest, c.want.digest) << "seed " << c.seed;
+        EXPECT_EQ(got.refs, c.want.refs) << "seed " << c.seed;
+        EXPECT_EQ(got.footprint, c.want.footprint) << "seed " << c.seed;
+    }
+
+    Graph500 tiny(tinyGraph());
+    const Graph500Golden got = goldenOf(tiny);
+    EXPECT_EQ(got.digest, 0x26aa7cfbd8ead83full);
+    EXPECT_EQ(got.refs, 169300u);
+    EXPECT_EQ(got.footprint, 327688u);
+}
+
+// k >= T agrees with the floating-point test !(k * 2^-53 < x) on both
+// sides of each R-MAT cut point, computed as the generator does.
+TEST(Graph500, RmatThresholdsMatchUniformComparison)
+{
+    constexpr double a = 0.57, b = 0.19, c = 0.19;
+    for (const double x : {a, a + b, a + b + c}) {
+        const std::uint64_t t = rmatThreshold(x);
+        for (const std::uint64_t k : {t - 1, t, t + 1}) {
+            const double r = static_cast<double>(k) * 0x1.0p-53;
+            EXPECT_EQ(k >= t, !(r < x)) << "x " << x << " k " << k;
+        }
+    }
+}
+
 BTreeConfig
 tinyTree()
 {

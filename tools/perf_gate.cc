@@ -42,10 +42,11 @@
  *                                     A spec whose series never
  *                                     appear fails the gate (stale
  *                                     config). Names are split at the
- *                                     first '/', so arg'd benchmark
- *                                     names (BM_X/50) can only be the
- *                                     denominator. Checked in compare
- *                                     mode only, not under --update.
+ *                                     '/' that starts the denominator's
+ *                                     "BM_", so either side may carry
+ *                                     arguments (BM_X/1024/BM_X/4).
+ *                                     Checked in compare mode only,
+ *                                     not under --update.
  *
  * Baseline format (written by --update, deterministic key order):
  *   { "bench": "micro_vm",
@@ -436,12 +437,14 @@ struct RatioSpec
     bool checked = false;
 };
 
-/** Parse "BM_a/BM_b:F" (names split at the first '/'). */
+/** Parse "BM_a/BM_b:F". The names split at the '/' that starts the
+ *  denominator's "BM_", so "BM_X/1024/BM_X/4:2" compares BM_X/1024
+ *  with BM_X/4. */
 std::optional<RatioSpec>
 parseRatioSpec(const std::string &spec)
 {
     const std::size_t colon = spec.rfind(':');
-    const std::size_t slash = spec.find('/');
+    const std::size_t slash = spec.find("/BM_");
     if (colon == std::string::npos || slash == std::string::npos ||
             slash == 0 || slash + 1 >= colon)
         return std::nullopt;
@@ -476,7 +479,9 @@ usage()
     std::cerr << "usage: perf_gate [--baseline-dir DIR]"
                  " [--tolerance F] [--runs N] [--filter RE]"
                  " [--min-time S] [--max-ratio BM_a/BM_b:F]..."
-                 " [--update] <bench_binary>...\n";
+                 " [--update] <bench_binary>...\n"
+                 "  --max-ratio names may carry arguments:"
+                 " BM_X/1024/BM_X/4:2.0\n";
     return 2;
 }
 
@@ -515,7 +520,8 @@ main(int argc, char **argv)
             const auto parsed = parseRatioSpec(spec);
             if (!parsed) {
                 std::cerr << "perf_gate: bad --max-ratio '" << spec
-                          << "' (want BM_a/BM_b:F)\n";
+                          << "' (want BM_a/BM_b:F, names may carry "
+                             "/args)\n";
                 return 2;
             }
             opt.ratios.push_back(*parsed);
