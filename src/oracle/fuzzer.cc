@@ -14,18 +14,13 @@
 #include "fault/fault.hh"
 #include "mem/geometry.hh"
 #include "oracle/oracle_designs.hh"
-#include "oracle/oracle_tlb.hh"
 #include "oracle/oracle_vm.hh"
 #include "oracle/shard_oracle.hh"
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
 #include "os/sharded_vm.hh"
-#include "tlb/coalesced_tlb.hh"
 #include "tlb/design_registry.hh"
-#include "tlb/mosaic_tlb.hh"
-#include "tlb/perforated_tlb.hh"
 #include "tlb/translation_design.hh"
-#include "tlb/vanilla_tlb.hh"
 #include "util/log.hh"
 #include "util/random.hh"
 #include "workloads/access_sink.hh"
@@ -99,386 +94,25 @@ pageStr(Asid asid, Vpn vpn)
     return "(" + std::to_string(asid) + "," + std::to_string(vpn) + ")";
 }
 
-// -------------------------------------------------------- tlb harness
-
-class TlbHarness
-{
-  public:
-    explicit TlbHarness(const Trace &t)
-        : kind_(t.cfgValue("kind", "vanilla")),
-          geometry_{static_cast<unsigned>(t.cfgUint("entries", 16)),
-                    static_cast<unsigned>(t.cfgUint("ways", 2))},
-          arity_(static_cast<unsigned>(t.cfgUint("arity", 4))),
-          pseed_(t.cfgUint("pseed", 7))
-    {
-        if (kind_ == "vanilla") {
-            vReal_ = std::make_unique<VanillaTlb>(geometry_);
-            vOracle_ = std::make_unique<OracleVanillaTlb>(geometry_);
-        } else if (kind_ == "mosaic") {
-            mReal_ = std::make_unique<MosaicTlb>(geometry_, arity_);
-            mOracle_ = std::make_unique<OracleMosaicTlb>(geometry_, arity_);
-        } else if (kind_ == "coalesced") {
-            cReal_ = std::make_unique<CoalescedTlb>(geometry_);
-            cOracle_ = std::make_unique<OracleCoalescedTlb>(geometry_);
-        } else if (kind_ == "perforated") {
-            pReal_ = std::make_unique<PerforatedTlb>(geometry_);
-            pOracle_ = std::make_unique<OraclePerforatedTlb>(geometry_);
-        } else {
-            panic("fuzzer: unknown tlb kind '" + kind_ + "'");
-        }
-    }
-
-    MaybeDivergence
-    apply(const TraceOp &op, std::size_t idx, bool *applied, Digest &dg)
-    {
-        *applied = true;
-        const Asid asid = static_cast<Asid>(op.arg(0));
-        const Vpn vpn = op.arg(1);
-        MaybeDivergence bad;
-        if (kind_ == "vanilla")
-            bad = applyVanilla(op, idx, asid, vpn, applied, dg);
-        else if (kind_ == "mosaic")
-            bad = applyMosaic(op, idx, asid, vpn, applied, dg);
-        else if (kind_ == "coalesced")
-            bad = applyCoalesced(op, idx, asid, vpn, applied, dg);
-        else
-            bad = applyPerforated(op, idx, asid, vpn, applied, dg);
-        if (bad || !*applied)
-            return bad;
-        return compareCounters(idx);
-    }
-
-  private:
-    // Derived fill payloads: pure functions of (pseed, asid, address),
-    // so the real TLB and the oracle are always fed identical data and
-    // traces need no payload fields.
-    bool
-    vanillaHuge(Asid asid, Vpn vpn) const
-    {
-        return mix(pseed_, 0x11, asid, vpn >> 9) % 8 == 0;
-    }
-
-    Pfn
-    vanillaHugeBase(Asid asid, Vpn vpn) const
-    {
-        return (mix(pseed_, 0x12, asid, vpn >> 9) & 0xFFFFF) << 9;
-    }
-
-    Pfn
-    vanilla4k(Asid asid, Vpn vpn) const
-    {
-        return mix(pseed_, 0x13, asid, vpn) & 0xFFFFFFF;
-    }
-
-    static constexpr Cpfn tocUnmapped = 0x7F;
-
-    Cpfn
-    tocEntry(Asid asid, Mvpn mvpn, unsigned sub) const
-    {
-        const std::uint64_t m =
-            mix(pseed_, 0x21, asid, (mvpn << 8) | sub);
-        if (m % 4 == 0)
-            return tocUnmapped;
-        return static_cast<Cpfn>((m >> 8) % 0x7F);
-    }
-
-    std::optional<Pfn>
-    coalescedFrameOf(Asid asid, Vpn v) const
-    {
-        if (mix(pseed_, 0x31, asid, v) % 8 == 0)
-            return std::nullopt; // unmapped neighbour
-        const Vpn group = v / CoalescedTlb::coalesceFactor;
-        const unsigned off =
-            static_cast<unsigned>(v % CoalescedTlb::coalesceFactor);
-        if (mix(pseed_, 0x33, asid, v) % 4 != 0) {
-            // Physically contiguous with the group's base run.
-            const Pfn base =
-                ((mix(pseed_, 0x32, asid, group) & 0xFFFFF) + 1) *
-                CoalescedTlb::coalesceFactor;
-            return base + off;
-        }
-        // Scattered; occasionally tiny, to exercise the pfn < off
-        // underflow guard in the mask builder.
-        const std::uint64_t m = mix(pseed_, 0x34, asid, v);
-        if (m % 32 == 0)
-            return m & 0x7;
-        return m & 0xFFFFF;
-    }
-
-    bool
-    perforatedHole(Asid asid, Vpn v) const
-    {
-        return mix(pseed_, 0x41, asid, v) % 8 == 0;
-    }
-
-    Pfn
-    perforatedBase(Asid asid, Vpn region) const
-    {
-        return (mix(pseed_, 0x42, asid, region) & 0xFFFFF) << 9;
-    }
-
-    Pfn
-    perforated4k(Asid asid, Vpn v) const
-    {
-        return mix(pseed_, 0x43, asid, v) & 0xFFFFFFF;
-    }
-
-    template <typename A, typename B>
-    MaybeDivergence
-    compareLookup(std::size_t idx, const A &r, const B &o, Digest &dg)
-    {
-        dg.mix('l');
-        dg.mix(r ? static_cast<std::uint64_t>(*r) + 1 : 0);
-        if (r.has_value() != o.has_value() || (r && *r != *o)) {
-            return diverge(idx, kind_ + " tlb lookup result mismatch "
-                "(real vs oracle)");
-        }
-        return std::nullopt;
-    }
-
-    MaybeDivergence
-    applyVanilla(const TraceOp &op, std::size_t idx, Asid asid, Vpn vpn,
-                 bool *applied, Digest &dg)
-    {
-        switch (op.kind) {
-        case 'l': {
-            const auto r = vReal_->lookup(asid, vpn);
-            const auto o = vOracle_->lookup(asid, vpn);
-            if (auto bad = compareLookup(idx, r, o, dg))
-                return bad;
-            if (!r) {
-                if (vanillaHuge(asid, vpn)) {
-                    const Pfn base = vanillaHugeBase(asid, vpn);
-                    vReal_->fillHuge(asid, vpn, base);
-                    vOracle_->fillHuge(asid, vpn, base);
-                } else {
-                    const Pfn pfn = vanilla4k(asid, vpn);
-                    vReal_->fill(asid, vpn, pfn);
-                    vOracle_->fill(asid, vpn, pfn);
-                }
-            }
-            break;
-        }
-        case 'i':
-            vReal_->invalidate(asid, vpn);
-            vOracle_->invalidate(asid, vpn);
-            dg.mix('i');
-            break;
-        case 'f':
-            vReal_->flushAsid(asid);
-            vOracle_->flushAsid(asid);
-            dg.mix('f');
-            break;
-        default:
-            *applied = false;
-        }
-        return std::nullopt;
-    }
-
-    MaybeDivergence
-    applyMosaic(const TraceOp &op, std::size_t idx, Asid asid, Vpn vpn,
-                bool *applied, Digest &dg)
-    {
-        switch (op.kind) {
-        case 'l': {
-            const auto r = mReal_->lookup(asid, vpn);
-            const auto o = mOracle_->lookup(asid, vpn);
-            if (auto bad = compareLookup(idx, r, o, dg))
-                return bad;
-            if (!r) {
-                std::array<Cpfn, maxArity> toc{};
-                const Mvpn mvpn = mReal_->mvpnOf(vpn);
-                for (unsigned i = 0; i < arity_; ++i)
-                    toc[i] = tocEntry(asid, mvpn, i);
-                const std::span<const Cpfn> span(toc.data(), arity_);
-                mReal_->fill(asid, vpn, span, tocUnmapped);
-                mOracle_->fill(asid, vpn, span, tocUnmapped);
-            }
-            break;
-        }
-        case 'c': {
-            const auto r = mReal_->lookupConventional(asid, vpn);
-            const auto o = mOracle_->lookupConventional(asid, vpn);
-            if (auto bad = compareLookup(idx, r, o, dg))
-                return bad;
-            if (!r) {
-                const Pfn pfn = mix(pseed_, 0x22, asid, vpn) & 0xFFFFFFF;
-                mReal_->fillConventional(asid, vpn, pfn);
-                mOracle_->fillConventional(asid, vpn, pfn);
-            }
-            break;
-        }
-        case 'i':
-            mReal_->invalidateSub(asid, vpn);
-            mOracle_->invalidateSub(asid, vpn);
-            dg.mix('i');
-            break;
-        case 'e':
-            mReal_->invalidateEntry(asid, vpn);
-            mOracle_->invalidateEntry(asid, vpn);
-            dg.mix('e');
-            break;
-        case 'f':
-            mReal_->flushAsid(asid);
-            mOracle_->flushAsid(asid);
-            dg.mix('f');
-            break;
-        default:
-            *applied = false;
-        }
-        return std::nullopt;
-    }
-
-    MaybeDivergence
-    applyCoalesced(const TraceOp &op, std::size_t idx, Asid asid, Vpn vpn,
-                   bool *applied, Digest &dg)
-    {
-        switch (op.kind) {
-        case 'l': {
-            const auto r = cReal_->lookup(asid, vpn);
-            const auto o = cOracle_->lookup(asid, vpn);
-            if (auto bad = compareLookup(idx, r, o, dg))
-                return bad;
-            if (!r) {
-                const std::optional<Pfn> self = coalescedFrameOf(asid, vpn);
-                if (self) {
-                    const auto pfn_of = [&](Vpn v) {
-                        return coalescedFrameOf(asid, v);
-                    };
-                    cReal_->fill(asid, vpn, *self, pfn_of);
-                    cOracle_->fill(asid, vpn, *self, pfn_of);
-                }
-            }
-            break;
-        }
-        case 'i':
-            cReal_->invalidate(asid, vpn);
-            cOracle_->invalidate(asid, vpn);
-            dg.mix('i');
-            break;
-        default:
-            *applied = false;
-        }
-        return std::nullopt;
-    }
-
-    MaybeDivergence
-    applyPerforated(const TraceOp &op, std::size_t idx, Asid asid,
-                    Vpn vpn, bool *applied, Digest &dg)
-    {
-        if (op.kind != 'l') {
-            *applied = false;
-            return std::nullopt;
-        }
-        const auto r = pReal_->lookup(asid, vpn);
-        const auto o = pOracle_->lookup(asid, vpn);
-        if (auto bad = compareLookup(idx, r, o, dg))
-            return bad;
-        if (!r) {
-            if (pOracle_->hasPerforatedEntry(asid, vpn)) {
-                // The region entry is cached, so this miss was a hole:
-                // cache the hole page's own 4 KiB translation.
-                const Pfn pfn = perforated4k(asid, vpn);
-                pReal_->fill4k(asid, vpn, pfn);
-                pOracle_->fill4k(asid, vpn, pfn);
-            } else {
-                const Vpn region = vpn >> 9;
-                HoleBitmap holes{};
-                for (unsigned off = 0; off < pagesPerHugePage; ++off) {
-                    if (perforatedHole(asid, (region << 9) | off))
-                        setHole(holes, off);
-                }
-                const Pfn base = perforatedBase(asid, region);
-                pReal_->fillPerforated(asid, vpn, base, holes);
-                pOracle_->fillPerforated(asid, vpn, base, holes);
-                if (perforatedHole(asid, vpn)) {
-                    const Pfn pfn = perforated4k(asid, vpn);
-                    pReal_->fill4k(asid, vpn, pfn);
-                    pOracle_->fill4k(asid, vpn, pfn);
-                }
-            }
-        }
-        return std::nullopt;
-    }
-
-    MaybeDivergence
-    compareCounters(std::size_t idx)
-    {
-        TlbStats r, o;
-        unsigned rValid = 0, oValid = 0;
-        if (kind_ == "vanilla") {
-            r = vReal_->stats();
-            o = vOracle_->stats();
-            rValid = vReal_->validEntries();
-            oValid = vOracle_->validEntries();
-        } else if (kind_ == "mosaic") {
-            r = mReal_->stats();
-            o = mOracle_->stats();
-            rValid = mReal_->validEntries();
-            oValid = mOracle_->validEntries();
-        } else if (kind_ == "coalesced") {
-            r = cReal_->stats();
-            o = cOracle_->stats();
-            rValid = cReal_->validEntries();
-            oValid = cOracle_->validEntries();
-            if (cReal_->pagesCoveredByFills() !=
-                        cOracle_->pagesCoveredByFills() ||
-                    cReal_->coalescedFills() != cOracle_->coalescedFills())
-                return diverge(idx, "coalesced tlb coverage counters "
-                    "disagree with oracle");
-        } else {
-            r = pReal_->stats();
-            o = pOracle_->stats();
-            rValid = pReal_->validEntries();
-            oValid = pOracle_->validEntries();
-            if (pReal_->holeLookups() != pOracle_->holeLookups())
-                return diverge(idx, "perforated tlb holeLookups "
-                    "disagree with oracle");
-        }
-        if (rValid != oValid) {
-            return diverge(idx, kind_ + " tlb validEntries: real=" +
-                std::to_string(rValid) + " oracle=" +
-                std::to_string(oValid));
-        }
-        const auto neq = [](std::uint64_t a, std::uint64_t b) {
-            return a != b;
-        };
-        if (neq(r.accesses, o.accesses) || neq(r.hits, o.hits) ||
-                neq(r.misses, o.misses) ||
-                neq(r.subEntryFills, o.subEntryFills) ||
-                neq(r.evictions, o.evictions) ||
-                neq(r.invalidations, o.invalidations)) {
-            return diverge(idx, kind_ + " tlb stats counter "
-                "disagrees with oracle");
-        }
-        return std::nullopt;
-    }
-
-    std::string kind_;
-    TlbGeometry geometry_;
-    unsigned arity_;
-    std::uint64_t pseed_;
-
-    std::unique_ptr<VanillaTlb> vReal_;
-    std::unique_ptr<OracleVanillaTlb> vOracle_;
-    std::unique_ptr<MosaicTlb> mReal_;
-    std::unique_ptr<OracleMosaicTlb> mOracle_;
-    std::unique_ptr<CoalescedTlb> cReal_;
-    std::unique_ptr<OracleCoalescedTlb> cOracle_;
-    std::unique_ptr<PerforatedTlb> pReal_;
-    std::unique_ptr<OraclePerforatedTlb> pOracle_;
-};
-
 // ----------------------------------------------- design harness (§14)
 
 /**
- * Deterministic page tables for the pluggable-design harness: one
+ * Deterministic page tables for the design harness: one
  * TranslationWalker whose answers are pure functions of (pseed, asid,
  * page), shared by the real design and its oracle so both always see
- * identical walk results. The pfn layout mixes contiguous 8-page runs
- * (3/4 of mapped blocks) with scattered frames and 1/8 unmapped pages
- * — enough structure for the range miner and the coalescer to find
- * runs, enough noise to break them.
+ * identical walk results. Each (asid, 2 MiB region) is one of two
+ * layouts, half each:
+ *  - a huge run: page i of the region maps to the region's aligned
+ *    base + i, with sparse holes (1/16 of pages scattered, besides
+ *    the unmapped ones) for the perforated design to punch;
+ *  - 8-page groups: 3/4 of groups are physically contiguous runs
+ *    (what the coalescer and the range miner harvest), the rest are
+ *    scattered frames.
+ * On top of both, 1/8 of pages are unmapped. Scattered frames are
+ * occasionally below 8 or below 512, so the coalescer's and the
+ * perforated design's underflow guards fire. Mosaic ToCs have 1/4
+ * unmapped codes. hugePfnOf gives the huge-mapped frame a `c` op
+ * passes to accessHuge.
  */
 class FuzzWalker final : public TranslationWalker
 {
@@ -490,15 +124,30 @@ class FuzzWalker final : public TranslationWalker
     {
         if (mix(pseed_, 0x61, asid, v) % 8 == 0)
             return std::nullopt;
+        const Vpn region = v / pagesPerHugePage;
+        if (mix(pseed_, 0x66, asid, region) % 2 == 0) {
+            if (mix(pseed_, 0x67, asid, v) % 16 == 0)
+                return scattered(asid, v);
+            return hugePfnOf(asid, v);
+        }
         const Vpn block = v / 8;
-        const unsigned off = static_cast<unsigned>(v % 8);
         if (mix(pseed_, 0x63, asid, block) % 4 != 0) {
             // The whole block is physically contiguous.
             const Pfn base =
                 ((mix(pseed_, 0x62, asid, block) & 0xFFFFF) + 1) * 8;
-            return base + off;
+            return base + v % 8;
         }
-        return mix(pseed_, 0x64, asid, v) & 0xFFFFF;
+        return scattered(asid, v);
+    }
+
+    /** The frame backing @p v under a 2 MiB mapping of its region. */
+    Pfn
+    hugePfnOf(Asid asid, Vpn v) const
+    {
+        const Vpn region = v / pagesPerHugePage;
+        const Pfn base = ((mix(pseed_, 0x68, asid, region) & 0xFFFFF) + 1)
+                         * pagesPerHugePage;
+        return base + v % pagesPerHugePage;
     }
 
     void
@@ -518,17 +167,32 @@ class FuzzWalker final : public TranslationWalker
     Cpfn unmappedCode() const override { return 0x7F; }
 
   private:
+    Pfn
+    scattered(Asid asid, Vpn v) const
+    {
+        const std::uint64_t m = mix(pseed_, 0x64, asid, v);
+        if (m % 32 == 0)
+            return m & 0x7;
+        if (m % 32 == 1)
+            return m & 0x1FF;
+        return m & 0xFFFFF;
+    }
+
     std::uint64_t pseed_;
 };
 
 /**
- * Differential harness for the registry-built designs (stride, pwc,
- * range): the real side is constructed THROUGH makeTranslationDesign
- * — so every fuzz run also exercises the registry's spec round trip —
- * and compared against the recency-list oracle design after every op:
- * hit/miss result, all TlbStats counters, valid entries, measured
- * reach, and every DesignCounters field (walk cost, PWC hits,
- * prefetch accounting, region fills).
+ * Differential harness for every registry design kind. One registry
+ * spec is assembled from the trace cfg (the cfg keys are the
+ * registry's keys; entries/ways/arity are the defaults) and parsed
+ * once; the real design (makeTranslationDesign) and its reference
+ * model (makeOracleDesign) are both built from that DesignSpec.
+ *
+ * Before every access both sides' cached translation of the page
+ * (contains) must agree; after every op, every metric
+ * forEachDesignMetric emits must agree name by name. A `c` op reaches
+ * accessHuge on the kinds with a huge-page policy and is skipped on
+ * the rest, like every op the vocabulary does not know.
  */
 class DesignHarness
 {
@@ -536,45 +200,28 @@ class DesignHarness
     explicit DesignHarness(const Trace &t)
         : walker_(t.cfgUint("pseed", 7))
     {
-        OracleDesignSpec spec;
-        spec.kind = t.cfgValue("kind", "stride");
-        spec.base = t.cfgValue("base", "vanilla");
-        spec.geometry = {static_cast<unsigned>(t.cfgUint("entries", 16)),
-                         static_cast<unsigned>(t.cfgUint("ways", 2))};
-        spec.arity = static_cast<unsigned>(t.cfgUint("arity", 4));
-        spec.arbitrary = t.cfgValue("mode", "fixed") == "arbitrary";
-        spec.degree = static_cast<unsigned>(t.cfgUint("degree", 2));
-        spec.ranges = static_cast<unsigned>(t.cfgUint("ranges", 32));
-        spec.maxRun = t.cfgUint("maxrun", 512);
-        spec.l1 = static_cast<unsigned>(t.cfgUint("l1", 16));
-        spec.l2 = static_cast<unsigned>(t.cfgUint("l2", 8));
-        kind_ = spec.kind;
-        oracle_ = makeOracleDesign(spec);
-
-        std::string rspec;
-        if (spec.kind == "range") {
-            rspec = "range:ranges=" + std::to_string(spec.ranges) +
-                    ",maxrun=" + std::to_string(spec.maxRun);
-        } else {
-            rspec = spec.kind + ":base=" + spec.base +
-                    ",entries=" + std::to_string(spec.geometry.entries) +
-                    ",ways=" + std::to_string(spec.geometry.ways) +
-                    ",arity=" + std::to_string(spec.arity);
-            if (spec.kind == "stride") {
-                rspec += std::string(",mode=") +
-                         (spec.arbitrary ? "arbitrary" : "fixed") +
-                         ",degree=" + std::to_string(spec.degree);
-            } else {
-                rspec += ",l1=" + std::to_string(spec.l1) +
-                         ",l2=" + std::to_string(spec.l2);
-            }
+        std::string text = t.cfgValue("kind", "vanilla");
+        char sep = ':';
+        for (const char *key :
+             {"base", "mode", "degree", "ranges", "maxrun", "l1", "l2"}) {
+            const std::string value = t.cfgValue(key, "");
+            if (value.empty())
+                continue;
+            text += sep + std::string(key) + "=" + value;
+            sep = ',';
         }
-        Result<std::unique_ptr<TranslationDesign>> built =
-            makeTranslationDesign(rspec);
-        if (!built.ok())
+        const DesignParams defaults{
+            TlbGeometry{static_cast<unsigned>(t.cfgUint("entries", 16)),
+                        static_cast<unsigned>(t.cfgUint("ways", 2))},
+            static_cast<unsigned>(t.cfgUint("arity", 4))};
+        const Result<DesignSpec> spec = parseDesignSpec(text, defaults);
+        if (!spec.ok())
             panic("fuzzer: design spec rejected: " +
-                  built.status().toString());
-        real_ = std::move(built.value());
+                  spec.status().toString());
+        kind_ = spec.value().kind;
+        hugePolicy_ = kind_ == "vanilla" || kind_ == "mosaic";
+        real_ = makeTranslationDesign(spec.value());
+        oracle_ = makeOracleDesign(spec.value());
     }
 
     MaybeDivergence
@@ -584,10 +231,25 @@ class DesignHarness
         const Asid asid = static_cast<Asid>(op.arg(0));
         const Vpn vpn = op.arg(1);
         switch (op.kind) {
+        case 'c':
+            if (!hugePolicy_) {
+                *applied = false;
+                return std::nullopt;
+            }
+            [[fallthrough]];
         case 'l': {
-            const bool r = real_->access(asid, vpn, walker_);
-            const bool o = oracle_->access(asid, vpn, walker_);
-            dg.mix('l');
+            if (MaybeDivergence bad = compareTranslation(idx, asid, vpn, dg))
+                return bad;
+            bool r = false, o = false;
+            if (op.kind == 'l') {
+                r = real_->access(asid, vpn, walker_);
+                o = oracle_->access(asid, vpn, walker_);
+            } else {
+                const Pfn pfn = walker_.hugePfnOf(asid, vpn);
+                r = real_->accessHuge(asid, vpn, pfn);
+                o = oracle_->accessHuge(asid, vpn, pfn);
+            }
+            dg.mix(static_cast<std::uint64_t>(op.kind));
             dg.mix(r ? 1 : 0);
             if (r != o) {
                 return diverge(idx, kind_ + " design access" +
@@ -611,59 +273,65 @@ class DesignHarness
             *applied = false;
             return std::nullopt;
         }
-        return compareState(idx);
+        return compareMetrics(idx);
     }
 
   private:
+    using Metrics = std::vector<std::pair<const char *, double>>;
+
     MaybeDivergence
-    compareState(std::size_t idx)
+    compareTranslation(std::size_t idx, Asid asid, Vpn vpn, Digest &dg)
     {
-        const TlbStats &r = real_->stats();
-        const TlbStats &o = oracle_->stats();
-        if (r.accesses != o.accesses || r.hits != o.hits ||
-                r.misses != o.misses ||
-                r.subEntryFills != o.subEntryFills ||
-                r.evictions != o.evictions ||
-                r.invalidations != o.invalidations) {
-            return diverge(idx, kind_ + " design stats counter "
-                "disagrees with oracle");
-        }
-        if (real_->validEntries() != oracle_->validEntries()) {
-            return diverge(idx, kind_ + " design validEntries: real=" +
-                std::to_string(real_->validEntries()) + " oracle=" +
-                std::to_string(oracle_->validEntries()));
-        }
-        if (real_->reachPages() != oracle_->reachPages()) {
-            return diverge(idx, kind_ + " design reachPages: real=" +
-                std::to_string(real_->reachPages()) + " oracle=" +
-                std::to_string(oracle_->reachPages()));
-        }
-        const DesignCounters rc = real_->counters();
-        const DesignCounters oc = oracle_->counters();
-        if (rc.walkRefs != oc.walkRefs ||
-                rc.pwcLookups != oc.pwcLookups ||
-                rc.pwcHits != oc.pwcHits ||
-                rc.prefetchesIssued != oc.prefetchesIssued ||
-                rc.prefetchFills != oc.prefetchFills ||
-                rc.regionFills != oc.regionFills) {
-            return diverge(idx, kind_ + " design walk/helper counter "
-                "disagrees with oracle");
+        const std::optional<Pfn> r = real_->contains(asid, vpn);
+        const std::optional<Pfn> o = oracle_->contains(asid, vpn);
+        dg.mix(r ? *r + 1 : 0);
+        if (r == o)
+            return std::nullopt;
+        const auto str = [](const std::optional<Pfn> &v) {
+            return v ? std::to_string(*v) : std::string("none");
+        };
+        return diverge(idx, kind_ + " design translation" +
+            pageStr(asid, vpn) + ": real=" + str(r) + " oracle=" +
+            str(o));
+    }
+
+    template <typename Design>
+    static void
+    collect(const Design &design, Metrics &out)
+    {
+        out.clear();
+        forEachDesignMetric(design, [&](const char *name, auto value) {
+            out.emplace_back(name, static_cast<double>(value));
+        });
+    }
+
+    MaybeDivergence
+    compareMetrics(std::size_t idx)
+    {
+        collect(*real_, realMetrics_);
+        collect(*oracle_, oracleMetrics_);
+        ensure(realMetrics_.size() == oracleMetrics_.size(),
+               "fuzzer: design metric lists differ in length");
+        for (std::size_t i = 0; i < realMetrics_.size(); ++i) {
+            const auto &[name, r] = realMetrics_[i];
+            const double o = oracleMetrics_[i].second;
+            if (r != o) {
+                return diverge(idx, kind_ + " design " + name +
+                    ": real=" + std::to_string(r) + " oracle=" +
+                    std::to_string(o));
+            }
         }
         return std::nullopt;
     }
 
     std::string kind_;
+    bool hugePolicy_ = false;
     FuzzWalker walker_;
     std::unique_ptr<TranslationDesign> real_;
     std::unique_ptr<OracleDesign> oracle_;
+    Metrics realMetrics_;
+    Metrics oracleMetrics_;
 };
-
-/** Kinds the DesignHarness owns (the rest stay with TlbHarness). */
-bool
-designKind(const std::string &kind)
-{
-    return kind == "stride" || kind == "pwc" || kind == "range";
-}
 
 // --------------------------------------------------------- vm harness
 
@@ -2169,13 +1837,8 @@ runTrace(const Trace &trace, unsigned batch)
     if (trace.component == "tlb") {
         // accessBatch's apply loop is the scalar access path itself;
         // there is no separate TLB engine to shadow.
-        if (designKind(trace.cfgValue("kind", "vanilla"))) {
-            DesignHarness h(trace);
-            drive(h, static_cast<VmBatchShadow *>(nullptr));
-        } else {
-            TlbHarness h(trace);
-            drive(h, static_cast<VmBatchShadow *>(nullptr));
-        }
+        DesignHarness h(trace);
+        drive(h, static_cast<VmBatchShadow *>(nullptr));
     } else if (trace.component == "vm") {
         VmHarness h(trace, faults);
         std::unique_ptr<VmBatchShadow> shadow;
@@ -2257,6 +1920,13 @@ shrinkTrace(const Trace &trace, std::size_t maxRuns)
 namespace
 {
 
+/**
+ * Traces for the four paper TLB kinds, at random geometries over a
+ * universe of 8 pages per entry. Every kind gets lookups (`l`),
+ * page invalidations (`i`) and ASID flushes (`f`); the kinds with a
+ * huge-page policy (vanilla, mosaic) also get huge-mapped lookups
+ * (`c`).
+ */
 Trace
 generateTlb(Rng &rng, std::size_t numOps)
 {
@@ -2277,22 +1947,11 @@ generateTlb(Rng &rng, std::size_t numOps)
     t.setCfgUint("pseed", rng());
     const std::uint64_t numAsids = 1 + rng.below(3);
     const std::uint64_t universe = std::uint64_t{entries} * 8;
+    const bool huge = kind < 2;
     for (std::size_t i = 0; i < numOps; ++i) {
         TraceOp op;
-        switch (kind) {
-        case 0: // vanilla
-            op.kind = "lif"[rng.pickWeighted({0.85, 0.09, 0.06})];
-            break;
-        case 1: // mosaic
-            op.kind = "lcief"[rng.pickWeighted(
-                {0.70, 0.12, 0.08, 0.06, 0.04})];
-            break;
-        case 2: // coalesced
-            op.kind = "li"[rng.pickWeighted({0.9, 0.1})];
-            break;
-        default: // perforated
-            op.kind = 'l';
-        }
+        op.kind = huge ? "lcif"[rng.pickWeighted({0.74, 0.12, 0.08, 0.06})]
+                       : "lif"[rng.pickWeighted({0.86, 0.08, 0.06})];
         op.nargs = 2;
         op.args[0] = 1 + rng.below(numAsids);
         op.args[1] = rng.below(universe);
@@ -2302,10 +1961,9 @@ generateTlb(Rng &rng, std::size_t numOps)
 }
 
 /**
- * Traces for the registry-built designs ("tlb-stride" / "tlb-pwc" /
- * "tlb-range" pseudo-components). Kept out of generateTlb so the
- * existing "tlb" rng stream — and every pinned golden digest derived
- * from it — is untouched. Accesses follow a drifting strided cursor
+ * Traces for the wrapper and range designs ("tlb-stride" / "tlb-pwc"
+ * / "tlb-range" pseudo-components), with design-specific cfg.
+ * Accesses follow a drifting strided cursor
  * most of the time (the pattern a stride prefetcher and a PWC reward)
  * with random jumps mixed in to break the runs.
  */

@@ -1,9 +1,9 @@
 /**
  * @file
  * The differential fuzzer: drives a real component (a VM, the sharded
- * VM engine, or a TLB variant) in lockstep with its oracle model
- * through a deterministic operation sequence, cross-checking state
- * after every operation.
+ * VM engine, or a translation design) in lockstep with its oracle
+ * model through a deterministic operation sequence, cross-checking
+ * state after every operation.
  *
  * Three entry points:
  *  - generateTrace() builds a random but fully deterministic Trace
@@ -30,11 +30,13 @@
  *    hits, sharer adoption, ghost-rescue accounting, binding
  *    lifetimes (creation, sharing, release-on-death) and swap
  *    population;
- *  - tlb (all variants): lockstep against the recency-list oracle
- *    models — every
- *    lookup result, every stats counter, valid-entry counts, and the
- *    variant extras (sub-entry fills, coalesced coverage, hole
- *    lookups).
+ *  - tlb (every registry design kind): one harness builds the real
+ *    design and its recency-list reference model from one parsed
+ *    registry spec and checks the cached translation (PFN, or CPFN
+ *    for a Mosaic sub-entry) before every access, every hit/miss
+ *    result, and after every op every metric forEachDesignMetric
+ *    emits — all TlbStats counters, walk-cost and helper counters,
+ *    coalesced coverage, reach and valid entries.
  */
 
 #ifndef MOSAIC_ORACLE_FUZZER_HH_
@@ -145,10 +147,11 @@ FuzzResult runTrace(const Trace &trace, unsigned batch);
  * Build a deterministic random trace.
  *
  * @param component a fuzzComponents name: "vm", "vm-shard", or
- *                  "tlb"; the pseudo-components
- *                  "tlb-stride", "tlb-pwc", and "tlb-range" generate
- *                  "tlb" traces pinned to the registry-built designs
- *                  (strided access patterns, design-specific cfg),
+ *                  "tlb" (the four paper TLB kinds); the
+ *                  pseudo-components "tlb-stride", "tlb-pwc", and
+ *                  "tlb-range" generate "tlb" traces pinned to those
+ *                  designs (strided access patterns, design-specific
+ *                  cfg),
  *                  and "wl-warp"/"wl-kv"/"wl-session"/"wl-scan"
  *                  generate "vm" traces whose touch streams come
  *                  from real scenario-engine runs (DESIGN.md §15)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <list>
 #include <map>
 #include <optional>
@@ -9,142 +10,514 @@
 #include <vector>
 
 #include "mem/contiguity.hh"
-#include "oracle/oracle_tlb.hh"
+#include "tlb/coalesced_tlb.hh"
+#include "tlb/mosaic_tlb.hh"
+#include "tlb/perforated_tlb.hh"
 #include "util/log.hh"
 
 namespace mosaic
 {
 
+bool
+OracleDesign::accessHuge(Asid, Vpn, Pfn)
+{
+    panic("oracle designs: kind has no huge-page policy");
+}
+
 namespace
 {
 
+// Tag forms mirror the real TLBs exactly; they are part of the
+// modelled contract (bit 63 separates the secondary tag space: huge
+// vanilla pages, conventional mosaic entries, per-page coalesced and
+// perforated entries; ASIDs occupy bits 40+).
+
+std::uint64_t
+tagPrimary(Asid asid, std::uint64_t key)
+{
+    return (std::uint64_t{asid} << 40) | key;
+}
+
+std::uint64_t
+tagSecondary(Asid asid, std::uint64_t key)
+{
+    return (std::uint64_t{1} << 63) | tagPrimary(asid, key);
+}
+
+bool
+isSecondary(std::uint64_t tag)
+{
+    return tag >> 63;
+}
+
+bool
+tagHasAsid(std::uint64_t tag, Asid asid)
+{
+    const std::uint64_t mask = std::uint64_t{0xFFFF} << 40;
+    return (tag & mask) == (std::uint64_t{asid} << 40);
+}
+
 // ------------------------------------------------------- leaf designs
 
-/** OracleVanillaTlb behind the design contract. */
-class OracleVanillaDesign final : public OracleDesign
+/**
+ * What the four leaf models share: one OracleSetAssoc with its
+ * TlbStats, and the access shape of every leaf design — probe, count,
+ * and on a miss fill from the walk. Each model supplies the probe
+ * (which refreshes recency) and its fill policy.
+ */
+template <typename Payload>
+class OracleLeafDesign : public OracleDesign
 {
   public:
-    explicit OracleVanillaDesign(const TlbGeometry &geometry)
-        : tlb_(geometry)
+    explicit OracleLeafDesign(const TlbGeometry &geometry)
+        : array_(geometry)
     {
     }
 
     bool
     access(Asid asid, Vpn vpn, TranslationWalker &walker) override
     {
-        if (tlb_.lookup(asid, vpn))
+        if (count(lookup(asid, vpn)))
             return true;
         fillFromWalk(asid, vpn, walker);
         return false;
     }
 
     bool
-    contains(Asid asid, Vpn vpn) const override
-    {
-        return tlb_.contains(asid, vpn);
-    }
-
-    bool
     prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker) override
     {
-        if (tlb_.contains(asid, vpn))
+        if (contains(asid, vpn))
             return false;
         return fillFromWalk(asid, vpn, walker);
     }
 
     void
-    invalidatePage(Asid asid, Vpn vpn) override
+    flushAsid(Asid asid) override
     {
-        tlb_.invalidate(asid, vpn);
+        stats_.invalidations += array_.invalidateIf(
+            [&](std::uint64_t tag, const Payload &) {
+                return tagHasAsid(tag, asid);
+            });
     }
 
-    void flushAsid(Asid asid) override { tlb_.flushAsid(asid); }
-    const TlbStats &stats() const override { return tlb_.stats(); }
-    std::uint64_t reachPages() const override { return tlb_.reachPages(); }
-    unsigned validEntries() const override { return tlb_.validEntries(); }
+    const TlbStats &stats() const override { return stats_; }
+    unsigned validEntries() const override { return array_.validEntries(); }
+
+  protected:
+    /** Probe for (asid, vpn), refreshing recency on every tag match;
+     *  true on a hit. */
+    virtual bool lookup(Asid asid, Vpn vpn) = 0;
+
+    /** Walk and install; true when a translation was installed. */
+    virtual bool fillFromWalk(Asid asid, Vpn vpn,
+                              TranslationWalker &walker) = 0;
+
+    /** Count one translation request. */
+    bool
+    count(bool hit)
+    {
+        ++stats_.accesses;
+        ++(hit ? stats_.hits : stats_.misses);
+        return hit;
+    }
+
+    /** Claim an entry; displacing a valid one is an eviction. */
+    Payload &
+    allocate(std::uint64_t index_key, std::uint64_t tag)
+    {
+        bool evicted = false;
+        Payload &p = array_.allocate(index_key, tag, &evicted);
+        if (evicted)
+            ++stats_.evictions;
+        return p;
+    }
+
+    /** Drop the entry holding @p tag, if any. */
+    void
+    drop(std::uint64_t index_key, std::uint64_t tag)
+    {
+        if (array_.invalidate(index_key, tag))
+            ++stats_.invalidations;
+    }
+
+    OracleSetAssoc<Payload> array_;
+    TlbStats stats_;
+};
+
+/** Reference model of VanillaDesign: the payload is the PFN (of the
+ *  region's first frame, for a huge entry). */
+class OracleVanillaDesign final : public OracleLeafDesign<Pfn>
+{
+  public:
+    using OracleLeafDesign::OracleLeafDesign;
+
+    bool
+    accessHuge(Asid asid, Vpn vpn, Pfn pfn) override
+    {
+        if (count(lookup(asid, vpn)))
+            return true;
+        allocate(vpn >> 9, tagSecondary(asid, vpn >> 9)) =
+            pfn - vpn % pagesPerHugePage;
+        return false;
+    }
+
+    std::optional<Pfn>
+    contains(Asid asid, Vpn vpn) const override
+    {
+        if (const Pfn *p = array_.peek(vpn, tagPrimary(asid, vpn)))
+            return *p;
+        if (const Pfn *p =
+                array_.peek(vpn >> 9, tagSecondary(asid, vpn >> 9)))
+            return *p + vpn % pagesPerHugePage;
+        return std::nullopt;
+    }
+
+    void
+    invalidatePage(Asid asid, Vpn vpn) override
+    {
+        drop(vpn, tagPrimary(asid, vpn));
+    }
+
+    std::uint64_t
+    reachPages() const override
+    {
+        std::uint64_t pages = 0;
+        array_.forEach([&](std::uint64_t tag, const Pfn &) {
+            pages += isSecondary(tag) ? pagesPerHugePage : 1;
+        });
+        return pages;
+    }
 
   private:
     bool
-    fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+    lookup(Asid asid, Vpn vpn) override
+    {
+        return array_.find(vpn, tagPrimary(asid, vpn)) ||
+               array_.find(vpn >> 9, tagSecondary(asid, vpn >> 9));
+    }
+
+    bool
+    fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker) override
     {
         counters_.walkRefs += walker.walkLevels();
         const std::optional<Pfn> pfn = walker.pfnOf(asid, vpn);
         if (!pfn)
             return false;
-        tlb_.fill(asid, vpn, *pfn);
+        allocate(vpn, tagPrimary(asid, vpn)) = *pfn;
         return true;
     }
-
-    OracleVanillaTlb tlb_;
 };
 
-/** OracleMosaicTlb behind the design contract. */
-class OracleMosaicDesign final : public OracleDesign
+/** One mosaic ToC: a CPFN slot per sub-page, absent until filled. */
+struct OracleToc
+{
+    OracleToc() { cpfns.fill(MosaicTlb::absentCpfn); }
+
+    std::array<Cpfn, maxArity> cpfns;
+};
+
+/** Reference model of MosaicDesign. Conventional (huge-mapped)
+ *  entries use the secondary tag form and an unused ToC. */
+class OracleMosaicDesign final : public OracleLeafDesign<OracleToc>
 {
   public:
     OracleMosaicDesign(const TlbGeometry &geometry, unsigned arity)
-        : tlb_(geometry, arity), arity_(arity)
+        : OracleLeafDesign(geometry), arity_(arity)
     {
     }
 
     bool
-    access(Asid asid, Vpn vpn, TranslationWalker &walker) override
+    accessHuge(Asid asid, Vpn vpn, Pfn) override
     {
-        if (tlb_.lookup(asid, vpn))
+        if (count(array_.find(vpn, tagSecondary(asid, vpn)) != nullptr))
             return true;
-        fillFromWalk(asid, vpn, walker);
+        allocate(vpn, tagSecondary(asid, vpn));
         return false;
     }
 
-    bool
+    std::optional<Pfn>
     contains(Asid asid, Vpn vpn) const override
     {
-        return tlb_.contains(asid, vpn);
-    }
-
-    bool
-    prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker) override
-    {
-        if (tlb_.contains(asid, vpn))
-            return false;
-        return fillFromWalk(asid, vpn, walker);
+        const Mvpn mvpn = vpn / arity_;
+        const OracleToc *toc = array_.peek(mvpn, tagPrimary(asid, mvpn));
+        if (!toc || toc->cpfns[vpn % arity_] == MosaicTlb::absentCpfn)
+            return std::nullopt;
+        return toc->cpfns[vpn % arity_];
     }
 
     void
     invalidatePage(Asid asid, Vpn vpn) override
     {
-        tlb_.invalidateSub(asid, vpn);
+        const Mvpn mvpn = vpn / arity_;
+        if (OracleToc *toc = array_.find(mvpn, tagPrimary(asid, mvpn))) {
+            Cpfn &slot = toc->cpfns[vpn % arity_];
+            if (slot != MosaicTlb::absentCpfn) {
+                slot = MosaicTlb::absentCpfn;
+                ++stats_.invalidations;
+            }
+        }
     }
 
-    void flushAsid(Asid asid) override { tlb_.flushAsid(asid); }
-    const TlbStats &stats() const override { return tlb_.stats(); }
-    std::uint64_t reachPages() const override { return tlb_.reachPages(); }
-    unsigned validEntries() const override { return tlb_.validEntries(); }
+    std::uint64_t
+    reachPages() const override
+    {
+        std::uint64_t pages = 0;
+        array_.forEach([&](std::uint64_t tag, const OracleToc &toc) {
+            if (isSecondary(tag)) {
+                ++pages;
+                return;
+            }
+            for (unsigned i = 0; i < arity_; ++i)
+                pages += toc.cpfns[i] != MosaicTlb::absentCpfn ? 1 : 0;
+        });
+        return pages;
+    }
 
   private:
     bool
-    fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+    lookup(Asid asid, Vpn vpn) override
+    {
+        const Mvpn mvpn = vpn / arity_;
+        const OracleToc *toc = array_.find(mvpn, tagPrimary(asid, mvpn));
+        return toc && toc->cpfns[vpn % arity_] != MosaicTlb::absentCpfn;
+    }
+
+    bool
+    fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker) override
     {
         counters_.walkRefs += walker.walkLevels();
-        std::array<Cpfn, maxArity> toc;
-        const std::span<Cpfn> view(toc.data(), arity_);
+        std::array<Cpfn, maxArity> codes;
+        const std::span<Cpfn> view(codes.data(), arity_);
         walker.tocOf(asid, vpn, arity_, view);
         const Cpfn unmapped = walker.unmappedCode();
-        bool any_mapped = false;
-        for (const Cpfn code : view) {
-            if (code != unmapped) {
-                any_mapped = true;
-                break;
-            }
-        }
-        if (!any_mapped)
+        if (std::all_of(view.begin(), view.end(),
+                        [&](Cpfn c) { return c == unmapped; }))
             return false;
-        tlb_.fill(asid, vpn, view, unmapped);
+        const Mvpn mvpn = vpn / arity_;
+        const std::uint64_t tag = tagPrimary(asid, mvpn);
+        OracleToc *toc = array_.find(mvpn, tag);
+        if (toc)
+            ++stats_.subEntryFills;
+        else
+            toc = &allocate(mvpn, tag);
+        for (unsigned i = 0; i < arity_; ++i)
+            toc->cpfns[i] =
+                view[i] == unmapped ? MosaicTlb::absentCpfn : view[i];
         return true;
     }
 
-    OracleMosaicTlb tlb_;
     unsigned arity_;
+};
+
+/** A coalesced entry: the PFN of group page 0 plus the pages it
+ *  translates; a per-page entry holds its own PFN. */
+struct OracleGroup
+{
+    Pfn basePfn = invalidPfn;
+    std::uint8_t mask = 0;
+};
+
+/** Reference model of CoalescedDesign (CoLT-8). */
+class OracleCoalescedDesign final : public OracleLeafDesign<OracleGroup>
+{
+  public:
+    static constexpr unsigned factor = CoalescedTlb::coalesceFactor;
+
+    using OracleLeafDesign::OracleLeafDesign;
+
+    std::optional<Pfn>
+    contains(Asid asid, Vpn vpn) const override
+    {
+        const unsigned off = vpn % factor;
+        const OracleGroup *g =
+            array_.peek(vpn / factor, tagPrimary(asid, vpn / factor));
+        if (g && (g->mask & (1u << off)))
+            return g->basePfn + off;
+        if (const OracleGroup *p = array_.peek(vpn, tagSecondary(asid, vpn)))
+            return p->basePfn;
+        return std::nullopt;
+    }
+
+    void
+    invalidatePage(Asid asid, Vpn vpn) override
+    {
+        const unsigned off = vpn % factor;
+        OracleGroup *g =
+            array_.find(vpn / factor, tagPrimary(asid, vpn / factor));
+        if (g && (g->mask & (1u << off))) {
+            g->mask &= static_cast<std::uint8_t>(~(1u << off));
+            ++stats_.invalidations;
+        }
+        drop(vpn, tagSecondary(asid, vpn));
+    }
+
+    std::uint64_t
+    reachPages() const override
+    {
+        std::uint64_t pages = 0;
+        array_.forEach([&](std::uint64_t tag, const OracleGroup &g) {
+            pages += isSecondary(tag) ? 1 : std::popcount(g.mask);
+        });
+        return pages;
+    }
+
+  private:
+    bool
+    lookup(Asid asid, Vpn vpn) override
+    {
+        const unsigned off = vpn % factor;
+        const OracleGroup *g =
+            array_.find(vpn / factor, tagPrimary(asid, vpn / factor));
+        if (g && (g->mask & (1u << off)))
+            return true;
+        return array_.find(vpn, tagSecondary(asid, vpn)) != nullptr;
+    }
+
+    bool
+    fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker) override
+    {
+        counters_.walkRefs += walker.walkLevels();
+        const std::optional<Pfn> pfn = walker.pfnOf(asid, vpn);
+        if (!pfn)
+            return false;
+        const Vpn group = vpn / factor;
+        const unsigned off = vpn % factor;
+        const Pfn base = *pfn - off;
+
+        // The 7 neighbour probes, one PTE reference each; a frame
+        // below off cannot anchor a run.
+        std::uint8_t mask = static_cast<std::uint8_t>(1u << off);
+        if (*pfn >= off) {
+            for (unsigned i = 0; i < factor; ++i) {
+                if (i == off)
+                    continue;
+                ++counters_.walkRefs;
+                const std::optional<Pfn> neighbour =
+                    walker.pfnOf(asid, group * factor + i);
+                if (neighbour && *neighbour == base + i)
+                    mask |= static_cast<std::uint8_t>(1u << i);
+            }
+        }
+        counters_.regionPages += std::popcount(mask);
+
+        OracleGroup *g = nullptr;
+        if (std::popcount(mask) > 1) {
+            ++counters_.regionFills;
+            g = array_.find(group, tagPrimary(asid, group));
+            // Keep a better-covered run of the group that is already
+            // cached; this page then gets a per-page entry.
+            const bool keep = g && g->basePfn != base &&
+                              std::popcount(g->mask) >= std::popcount(mask);
+            if (!keep) {
+                if (!g)
+                    g = &allocate(group, tagPrimary(asid, group));
+                *g = OracleGroup{base, mask};
+                return true;
+            }
+        }
+        allocate(vpn, tagSecondary(asid, vpn)) = OracleGroup{*pfn, 0};
+        return true;
+    }
+};
+
+/** A perforated 2 MiB entry: the PFN of sub-page 0 plus its holes; a
+ *  4 KiB entry holds its own PFN. */
+struct OracleRegion
+{
+    Pfn basePfn = invalidPfn;
+    HoleBitmap holes{};
+};
+
+/** Reference model of PerforatedDesign. */
+class OraclePerforatedDesign final : public OracleLeafDesign<OracleRegion>
+{
+  public:
+    using OracleLeafDesign::OracleLeafDesign;
+
+    std::optional<Pfn>
+    contains(Asid asid, Vpn vpn) const override
+    {
+        const unsigned off = vpn % pagesPerHugePage;
+        const OracleRegion *r =
+            array_.peek(vpn >> 9, tagPrimary(asid, vpn >> 9));
+        if (r && !isHole(r->holes, off))
+            return r->basePfn + off;
+        if (const OracleRegion *p =
+                array_.peek(vpn, tagSecondary(asid, vpn)))
+            return p->basePfn;
+        return std::nullopt;
+    }
+
+    void
+    invalidatePage(Asid asid, Vpn vpn) override
+    {
+        const unsigned off = vpn % pagesPerHugePage;
+        OracleRegion *r = array_.find(vpn >> 9, tagPrimary(asid, vpn >> 9));
+        if (r && !isHole(r->holes, off)) {
+            setHole(r->holes, off);
+            ++stats_.invalidations;
+        }
+        drop(vpn, tagSecondary(asid, vpn));
+    }
+
+    std::uint64_t
+    reachPages() const override
+    {
+        std::uint64_t pages = 0;
+        array_.forEach([&](std::uint64_t tag, const OracleRegion &r) {
+            if (isSecondary(tag)) {
+                ++pages;
+                return;
+            }
+            pages += pagesPerHugePage;
+            for (const std::uint64_t word : r.holes)
+                pages -= std::popcount(word);
+        });
+        return pages;
+    }
+
+  private:
+    bool
+    lookup(Asid asid, Vpn vpn) override
+    {
+        const OracleRegion *r =
+            array_.find(vpn >> 9, tagPrimary(asid, vpn >> 9));
+        if (r && !isHole(r->holes, vpn % pagesPerHugePage))
+            return true;
+        return array_.find(vpn, tagSecondary(asid, vpn)) != nullptr;
+    }
+
+    bool
+    fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker) override
+    {
+        counters_.walkRefs += walker.walkLevels();
+        const std::optional<Pfn> pfn = walker.pfnOf(asid, vpn);
+        if (!pfn)
+            return false;
+        const unsigned off = vpn % pagesPerHugePage;
+        // A miss under a cached region entry is a hole; a frame below
+        // off cannot anchor an aligned region. Both get a 4 KiB entry.
+        if (array_.peek(vpn >> 9, tagPrimary(asid, vpn >> 9)) ||
+                *pfn < off) {
+            allocate(vpn, tagSecondary(asid, vpn)).basePfn = *pfn;
+            return true;
+        }
+        // First touch of the region: the 511 probes build the holes.
+        const Pfn base = *pfn - off;
+        HoleBitmap holes{};
+        for (unsigned i = 0; i < pagesPerHugePage; ++i) {
+            if (i == off)
+                continue;
+            ++counters_.walkRefs;
+            const std::optional<Pfn> sub = walker.pfnOf(asid, vpn - off + i);
+            if (!sub || *sub != base + i)
+                setHole(holes, i);
+        }
+        allocate(vpn >> 9, tagPrimary(asid, vpn >> 9)) =
+            OracleRegion{base, holes};
+        ++counters_.regionFills;
+        return true;
+    }
 };
 
 // ----------------------------------------------------- stride wrapper
@@ -195,7 +568,7 @@ class OracleStrideDesign final : public OracleDesign
         return false;
     }
 
-    bool
+    std::optional<Pfn>
     contains(Asid asid, Vpn vpn) const override
     {
         return base_->contains(asid, vpn);
@@ -359,7 +732,7 @@ class OraclePwcDesign final : public OracleDesign
         return false;
     }
 
-    bool
+    std::optional<Pfn>
     contains(Asid asid, Vpn vpn) const override
     {
         return base_->contains(asid, vpn);
@@ -430,14 +803,14 @@ class OracleRangeDesign final : public OracleDesign
         return false;
     }
 
-    bool
+    std::optional<Pfn>
     contains(Asid asid, Vpn vpn) const override
     {
         for (const Entry &e : entries_) {
             if (e.asid == asid && e.run.covers(vpn))
-                return true;
+                return e.run.basePfn + (vpn - e.run.first);
         }
-        return false;
+        return std::nullopt;
     }
 
     bool
@@ -556,27 +929,28 @@ class OracleRangeDesign final : public OracleDesign
 };
 
 std::unique_ptr<OracleDesign>
-makeLeaf(const std::string &kind, const OracleDesignSpec &spec)
+makeLeaf(const std::string &kind, const DesignSpec &spec)
 {
     if (kind == "vanilla")
         return std::make_unique<OracleVanillaDesign>(spec.geometry);
     if (kind == "mosaic")
         return std::make_unique<OracleMosaicDesign>(spec.geometry,
                                                     spec.arity);
-    panic("oracle designs: unknown base kind '" + kind + "'");
+    if (kind == "coalesced")
+        return std::make_unique<OracleCoalescedDesign>(spec.geometry);
+    if (kind == "perforated")
+        return std::make_unique<OraclePerforatedDesign>(spec.geometry);
+    if (kind == "range")
+        return std::make_unique<OracleRangeDesign>(spec.ranges,
+                                                   spec.maxRun);
+    panic("oracle designs: unknown leaf kind '" + kind + "'");
 }
 
 } // namespace
 
 std::unique_ptr<OracleDesign>
-makeOracleDesign(const OracleDesignSpec &spec)
+makeOracleDesign(const DesignSpec &spec)
 {
-    if (spec.kind == "vanilla" || spec.kind == "mosaic")
-        return makeLeaf(spec.kind, spec);
-    if (spec.kind == "range") {
-        return std::make_unique<OracleRangeDesign>(spec.ranges,
-                                                   spec.maxRun);
-    }
     if (spec.kind == "stride") {
         return std::make_unique<OracleStrideDesign>(
             spec.arbitrary, spec.degree, makeLeaf(spec.base, spec));
@@ -585,7 +959,7 @@ makeOracleDesign(const OracleDesignSpec &spec)
         return std::make_unique<OraclePwcDesign>(
             spec.l1, spec.l2, makeLeaf(spec.base, spec));
     }
-    panic("oracle designs: unknown kind '" + spec.kind + "'");
+    return makeLeaf(spec.kind, spec);
 }
 
 } // namespace mosaic

@@ -22,8 +22,8 @@
  *
  * Op vocabulary (args are decimal unsigned integers):
  *   vm:       t asid vpn write | u asid vpn npages | s sa sv da dv n
- *   tlb:      l asid vpn       | i asid vpn        | e asid vpn
- *             f asid           (flush the asid)
+ *   tlb:      l asid vpn       | c asid vpn (huge-mapped access)
+ *             i asid vpn       | f asid     (flush the asid)
  * Harnesses may skip an op that is invalid in the current state
  * (e.g. a share into an ever-bound ToC); skipping is deterministic,
  * which keeps every subsequence of a trace itself a valid trace —

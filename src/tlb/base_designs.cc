@@ -39,7 +39,7 @@ VanillaDesign::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
     return false;
 }
 
-bool
+std::optional<Pfn>
 VanillaDesign::contains(Asid asid, Vpn vpn) const
 {
     return tlb_.contains(asid, vpn);
@@ -110,10 +110,13 @@ MosaicDesign::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
     return false;
 }
 
-bool
+std::optional<Pfn>
 MosaicDesign::contains(Asid asid, Vpn vpn) const
 {
-    return tlb_.contains(asid, vpn);
+    const std::optional<Cpfn> cpfn = tlb_.contains(asid, vpn);
+    if (!cpfn)
+        return std::nullopt;
+    return *cpfn;
 }
 
 bool
@@ -163,7 +166,7 @@ CoalescedDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     return false;
 }
 
-bool
+std::optional<Pfn>
 CoalescedDesign::contains(Asid asid, Vpn vpn) const
 {
     return tlb_.contains(asid, vpn);
@@ -194,6 +197,7 @@ CoalescedDesign::counters() const
 {
     DesignCounters c = counters_;
     c.regionFills = tlb_.coalescedFills();
+    c.regionPages = tlb_.pagesCoveredByFills();
     return c;
 }
 
@@ -244,7 +248,7 @@ PerforatedDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     return false;
 }
 
-bool
+std::optional<Pfn>
 PerforatedDesign::contains(Asid asid, Vpn vpn) const
 {
     return tlb_.contains(asid, vpn);

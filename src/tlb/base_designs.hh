@@ -1,10 +1,10 @@
 /**
  * @file
  * TranslationDesign adapters for the four paper TLB variants. Each
- * adapter owns a concrete TLB (whose API is unchanged — the fuzzer
- * and unit tests still drive the bare classes) and adds the fill
- * policy that turns a walker answer into installed entries, charging
- * the modeled walk cost:
+ * adapter owns a concrete TLB (unit tests still drive the bare
+ * classes; the fuzzer drives the adapters) and adds the fill policy
+ * that turns a walker answer into installed entries, charging the
+ * modeled walk cost:
  *  - vanilla: one radix walk, one 4 KiB fill;
  *  - mosaic: one radix walk returns the whole ToC, one fill covers up
  *    to `arity` pages (the paper's reach mechanism);
@@ -38,7 +38,7 @@ class VanillaDesign : public TranslationDesign
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
     bool accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;
@@ -47,8 +47,6 @@ class VanillaDesign : public TranslationDesign
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
     void prefetchSets(Vpn vpn) const override { tlb_.prefetchSets(vpn); }
-
-    VanillaTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
@@ -68,7 +66,7 @@ class MosaicDesign : public TranslationDesign
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
     bool accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;
@@ -77,8 +75,6 @@ class MosaicDesign : public TranslationDesign
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
     void prefetchSets(Vpn vpn) const override { tlb_.prefetchSets(vpn); }
-
-    MosaicTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
@@ -96,7 +92,7 @@ class CoalescedDesign : public TranslationDesign
     }
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;
@@ -105,8 +101,6 @@ class CoalescedDesign : public TranslationDesign
     DesignCounters counters() const override;
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
-
-    CoalescedTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
@@ -124,7 +118,7 @@ class PerforatedDesign : public TranslationDesign
     }
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;
@@ -132,8 +126,6 @@ class PerforatedDesign : public TranslationDesign
     const TlbStats &stats() const override { return tlb_.stats(); }
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
-
-    PerforatedTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);

@@ -121,16 +121,18 @@ CoalescedTlb::flushAsid(Asid asid)
         });
 }
 
-bool
+std::optional<Pfn>
 CoalescedTlb::contains(Asid asid, Vpn vpn) const
 {
     const Vpn group = vpn / coalesceFactor;
     const unsigned off = vpn % coalesceFactor;
     if (const auto *e = array_.peek(group, tagGroup(asid, group))) {
         if (e->payload.mask & (1u << off))
-            return true;
+            return e->payload.basePfn + off;
     }
-    return array_.peek(vpn, tagPage(asid, vpn)) != nullptr;
+    if (const auto *e = array_.peek(vpn, tagPage(asid, vpn)))
+        return e->payload.basePfn;
+    return std::nullopt;
 }
 
 std::uint64_t

@@ -24,21 +24,6 @@ constexpr std::array<const char *, 7> kKinds = {
     "stride",  "pwc",    "range",
 };
 
-/** Every knob a spec can set, resolved against the defaults. */
-struct SpecOptions
-{
-    unsigned entries;
-    unsigned ways;
-    unsigned arity;
-    std::string base = "vanilla";
-    bool arbitrary = false;
-    unsigned degree = 2;
-    unsigned ranges = 32;
-    std::uint64_t maxRun = 512;
-    unsigned l1 = 16;
-    unsigned l2 = 8;
-};
-
 Status
 badSpec(const std::string &spec, const std::string &what)
 {
@@ -85,7 +70,7 @@ keyAppliesTo(const std::string &kind, const std::string &key)
 
 Status
 applyKey(const std::string &spec, const std::string &kind,
-         const std::string &key, const std::string &value, SpecOptions *opt)
+         const std::string &key, const std::string &value, DesignSpec *opt)
 {
     if (!keyAppliesTo(kind, key)) {
         for (const char *known :
@@ -122,9 +107,9 @@ applyKey(const std::string &spec, const std::string &kind,
         if (!s.ok())
             return s;
         if (key == "entries")
-            opt->entries = static_cast<unsigned>(v);
+            opt->geometry.entries = static_cast<unsigned>(v);
         else if (key == "ways")
-            opt->ways = static_cast<unsigned>(v);
+            opt->geometry.ways = static_cast<unsigned>(v);
         else if (key == "ranges")
             opt->ranges = static_cast<unsigned>(v);
         else if (key == "degree")
@@ -157,41 +142,31 @@ applyKey(const std::string &spec, const std::string &kind,
 }
 
 Status
-checkGeometry(const std::string &spec, unsigned entries, unsigned ways)
+checkGeometry(const std::string &spec, const TlbGeometry &geometry)
 {
-    if (ways > entries)
+    if (geometry.ways > geometry.entries)
         return badSpec(spec, "more ways than entries");
-    if (entries % ways != 0)
+    if (geometry.entries % geometry.ways != 0)
         return badSpec(spec, "entries must divide into sets");
     return Status();
 }
 
 /** Build a non-wrapper design; wrappers recurse here for their base. */
-Result<std::unique_ptr<TranslationDesign>>
-buildLeaf(const std::string &spec, const std::string &kind,
-          const SpecOptions &opt)
+std::unique_ptr<TranslationDesign>
+buildLeaf(const std::string &kind, const DesignSpec &spec)
 {
-    if (kind == "range") {
-        return std::unique_ptr<TranslationDesign>(
-            new RangeDesign(RangeTlbConfig{opt.ranges, opt.maxRun}));
-    }
-    const Status geom = checkGeometry(spec, opt.entries, opt.ways);
-    if (!geom.ok())
-        return geom;
-    const TlbGeometry geometry{opt.entries, opt.ways};
+    if (kind == "range")
+        return std::make_unique<RangeDesign>(
+            RangeTlbConfig{spec.ranges, spec.maxRun});
     if (kind == "vanilla")
-        return std::unique_ptr<TranslationDesign>(
-            new VanillaDesign(geometry));
+        return std::make_unique<VanillaDesign>(spec.geometry);
     if (kind == "mosaic")
-        return std::unique_ptr<TranslationDesign>(
-            new MosaicDesign(geometry, opt.arity));
+        return std::make_unique<MosaicDesign>(spec.geometry, spec.arity);
     if (kind == "coalesced")
-        return std::unique_ptr<TranslationDesign>(
-            new CoalescedDesign(geometry));
+        return std::make_unique<CoalescedDesign>(spec.geometry);
     if (kind == "perforated")
-        return std::unique_ptr<TranslationDesign>(
-            new PerforatedDesign(geometry));
-    return badSpec(spec, "unknown design kind '" + kind + "'");
+        return std::make_unique<PerforatedDesign>(spec.geometry);
+    panic("design registry: unknown leaf kind '" + kind + "'");
 }
 
 } // namespace
@@ -212,16 +187,16 @@ translationDesignKindKnown(const std::string &kind)
     return false;
 }
 
-Result<std::unique_ptr<TranslationDesign>>
-makeTranslationDesign(const std::string &spec, const DesignParams &defaults)
+Result<DesignSpec>
+parseDesignSpec(const std::string &spec, const DesignParams &defaults)
 {
-    SpecOptions opt;
-    opt.entries = defaults.geometry.entries;
-    opt.ways = defaults.geometry.ways;
+    DesignSpec opt;
+    opt.geometry = defaults.geometry;
     opt.arity = defaults.arity;
 
     const std::string::size_type colon = spec.find(':');
-    const std::string kind = spec.substr(0, colon);
+    opt.kind = spec.substr(0, colon);
+    const std::string &kind = opt.kind;
     if (kind.empty())
         return badSpec(spec, "empty design kind");
     if (!translationDesignKindKnown(kind))
@@ -250,31 +225,47 @@ makeTranslationDesign(const std::string &spec, const DesignParams &defaults)
     }
 
     const bool wrapper = kind == "stride" || kind == "pwc";
-    if (!wrapper)
-        return buildLeaf(spec, kind, opt);
-
-    // Wrappers take a bare non-wrapper kind as their base; stacking
-    // wrappers is rejected rather than silently mis-modeled.
-    if (opt.base == "stride" || opt.base == "pwc")
-        return badSpec(spec, "base '" + opt.base +
-                                 "' is itself a wrapper; wrap a concrete "
-                                 "kind instead");
-    if (!translationDesignKindKnown(opt.base))
-        return badSpec(spec, "unknown base kind '" + opt.base + "'");
-    Result<std::unique_ptr<TranslationDesign>> base =
-        buildLeaf(spec, opt.base, opt);
-    if (!base.ok())
-        return base.status();
-
-    if (kind == "stride") {
-        if (opt.degree > 64)
-            return badSpec(spec, "degree larger than 64");
-        return std::unique_ptr<TranslationDesign>(
-            new StrideDesign(StrideConfig{opt.arbitrary, opt.degree},
-                             std::move(base.value())));
+    if (wrapper) {
+        // Wrappers take a bare non-wrapper kind as their base;
+        // stacking wrappers is rejected rather than silently
+        // mis-modeled.
+        if (opt.base == "stride" || opt.base == "pwc")
+            return badSpec(spec, "base '" + opt.base +
+                                     "' is itself a wrapper; wrap a "
+                                     "concrete kind instead");
+        if (!translationDesignKindKnown(opt.base))
+            return badSpec(spec, "unknown base kind '" + opt.base + "'");
     }
-    return std::unique_ptr<TranslationDesign>(new PwcDesign(
-        PwcConfig{opt.l1, opt.l2}, std::move(base.value())));
+    if ((wrapper ? opt.base : kind) != "range") {
+        const Status geom = checkGeometry(spec, opt.geometry);
+        if (!geom.ok())
+            return geom;
+    }
+    if (kind == "stride" && opt.degree > 64)
+        return badSpec(spec, "degree larger than 64");
+    return opt;
+}
+
+std::unique_ptr<TranslationDesign>
+makeTranslationDesign(const DesignSpec &spec)
+{
+    if (spec.kind == "stride")
+        return std::make_unique<StrideDesign>(
+            StrideConfig{spec.arbitrary, spec.degree},
+            buildLeaf(spec.base, spec));
+    if (spec.kind == "pwc")
+        return std::make_unique<PwcDesign>(PwcConfig{spec.l1, spec.l2},
+                                           buildLeaf(spec.base, spec));
+    return buildLeaf(spec.kind, spec);
+}
+
+Result<std::unique_ptr<TranslationDesign>>
+makeTranslationDesign(const std::string &spec, const DesignParams &defaults)
+{
+    Result<DesignSpec> parsed = parseDesignSpec(spec, defaults);
+    if (!parsed.ok())
+        return parsed.status();
+    return makeTranslationDesign(parsed.value());
 }
 
 } // namespace mosaic

@@ -21,6 +21,10 @@
  * Examples: "mosaic:arity=16", "stride:base=mosaic,mode=arbitrary",
  * "pwc:base=vanilla,l1=32", "range:ranges=48,maxrun=512".
  *
+ * parseDesignSpec turns a spec string into a DesignSpec, and every
+ * DesignSpec it returns builds. The fuzzer builds the real design and
+ * its reference model from the same parsed DesignSpec.
+ *
  * Unknown kinds, unknown or inapplicable keys, and malformed values
  * return InvalidArgument naming the offender — specs come from CLI
  * flags and env knobs, so errors must say what to fix.
@@ -29,6 +33,7 @@
 #ifndef MOSAIC_TLB_DESIGN_REGISTRY_HH_
 #define MOSAIC_TLB_DESIGN_REGISTRY_HH_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -47,13 +52,37 @@ struct DesignParams
     unsigned arity = 8;
 };
 
+/** A parsed spec: the kind plus every knob, defaults resolved. Keys
+ *  that do not apply to the kind keep their defaults. */
+struct DesignSpec
+{
+    std::string kind;
+    TlbGeometry geometry{1024, 8};
+    unsigned arity = 8;
+    std::string base = "vanilla";
+    bool arbitrary = false;
+    unsigned degree = 2;
+    unsigned ranges = 32;
+    std::uint64_t maxRun = 512;
+    unsigned l1 = 16;
+    unsigned l2 = 8;
+};
+
 /** All registered design kinds, in bake-off order. */
 std::span<const char *const> translationDesignKinds();
 
 /** Is @p kind one of translationDesignKinds()? */
 bool translationDesignKindKnown(const std::string &kind);
 
-/** Build a design from a spec string (grammar above). */
+/** Parse and validate a spec string (grammar above). */
+Result<DesignSpec> parseDesignSpec(const std::string &spec,
+                                   const DesignParams &defaults = {});
+
+/** Build a design from a spec parseDesignSpec returned. */
+std::unique_ptr<TranslationDesign>
+makeTranslationDesign(const DesignSpec &spec);
+
+/** Parse a spec string, then build it. */
 Result<std::unique_ptr<TranslationDesign>>
 makeTranslationDesign(const std::string &spec,
                       const DesignParams &defaults = {});

@@ -97,14 +97,6 @@ MosaicTlb::invalidateSub(Asid asid, Vpn vpn)
 }
 
 void
-MosaicTlb::invalidateEntry(Asid asid, Vpn vpn)
-{
-    const Mvpn mvpn = mvpnOf(vpn);
-    if (array_.invalidate(mvpn, tagMosaic(asid, mvpn)))
-        ++stats_.invalidations;
-}
-
-void
 MosaicTlb::flushAsid(Asid asid)
 {
     const std::uint64_t asid_bits = std::uint64_t{asid} << 40;
@@ -115,12 +107,14 @@ MosaicTlb::flushAsid(Asid asid)
         });
 }
 
-bool
+std::optional<Cpfn>
 MosaicTlb::contains(Asid asid, Vpn vpn) const
 {
     const Mvpn mvpn = mvpnOf(vpn);
     const auto *e = array_.peek(mvpn, tagMosaic(asid, mvpn));
-    return e && e->payload.cpfns[offsetOf(vpn)] != absentCpfn;
+    if (!e || e->payload.cpfns[offsetOf(vpn)] == absentCpfn)
+        return std::nullopt;
+    return e->payload.cpfns[offsetOf(vpn)];
 }
 
 std::uint64_t

@@ -92,14 +92,12 @@ class MosaicTlb
      */
     void invalidateSub(Asid asid, Vpn vpn);
 
-    /** Drop the entire entry of the mosaic page containing vpn. */
-    void invalidateEntry(Asid asid, Vpn vpn);
-
     /** Drop all entries of an address space. */
     void flushAsid(Asid asid);
 
-    /** Would lookup(asid, vpn) hit right now? No stats, no recency. */
-    bool contains(Asid asid, Vpn vpn) const;
+    /** The CPFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Cpfn> contains(Asid asid, Vpn vpn) const;
 
     /** 4 KiB pages translatable without a walk: present ToC slots
      *  plus one per conventional entry. */

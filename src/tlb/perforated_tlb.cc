@@ -23,7 +23,6 @@ PerforatedTlb::lookup(Asid asid, Vpn vpn)
             return e->payload.basePfn + off;
         }
         // A hole: fall through to the 4 KiB side.
-        ++holeLookups_;
     }
     if (auto *e = array_.find(vpn, tagPage(asid, vpn))) {
         ++stats_.hits;
@@ -92,16 +91,18 @@ PerforatedTlb::hasPerforatedEntry(Asid asid, Vpn vpn) const
     return array_.peek(huge_vpn, tagHuge(asid, huge_vpn)) != nullptr;
 }
 
-bool
+std::optional<Pfn>
 PerforatedTlb::contains(Asid asid, Vpn vpn) const
 {
     const Vpn huge_vpn = vpn >> 9;
     const unsigned off = vpn & 0x1FF;
     if (const auto *e = array_.peek(huge_vpn, tagHuge(asid, huge_vpn))) {
         if (!isHole(e->payload.holes, off))
-            return true;
+            return e->payload.basePfn + off;
     }
-    return array_.peek(vpn, tagPage(asid, vpn)) != nullptr;
+    if (const auto *e = array_.peek(vpn, tagPage(asid, vpn)))
+        return e->payload.basePfn;
+    return std::nullopt;
 }
 
 std::uint64_t

@@ -72,21 +72,18 @@ class PerforatedTlb
     void flushAsid(Asid asid);
 
     /** Is a perforated entry for vpn's region cached? No stats, no
-     *  recency (fill-policy probe and oracle cross-checks). */
+     *  recency (the fill-policy probe). */
     bool hasPerforatedEntry(Asid asid, Vpn vpn) const;
 
-    /** Would lookup(asid, vpn) hit right now? No stats, no recency. */
-    bool contains(Asid asid, Vpn vpn) const;
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
 
     /** 4 KiB pages translatable without a walk (512 minus holes per
      *  perforated entry, 1 per 4 KiB entry). */
     std::uint64_t reachPages() const;
 
     const TlbStats &stats() const { return stats_; }
-
-    /** Lookups that hit a perforated entry but landed in a hole and
-     *  were served by (or missed into) the 4 KiB side. */
-    std::uint64_t holeLookups() const { return holeLookups_; }
 
     /** Currently valid entries (oracle cross-checks). */
     unsigned validEntries() const { return array_.validEntries(); }
@@ -114,7 +111,6 @@ class PerforatedTlb
 
     SetAssocArray<Payload> array_;
     TlbStats stats_;
-    std::uint64_t holeLookups_ = 0;
 };
 
 } // namespace mosaic

@@ -36,7 +36,7 @@ PwcDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     return false;
 }
 
-bool
+std::optional<Pfn>
 PwcDesign::contains(Asid asid, Vpn vpn) const
 {
     return base_->contains(asid, vpn);

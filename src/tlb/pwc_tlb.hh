@@ -128,7 +128,7 @@ class PwcDesign : public TranslationDesign
               std::unique_ptr<TranslationDesign> base);
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;

@@ -80,14 +80,14 @@ RangeTlb::flushAsid(Asid asid)
     }
 }
 
-bool
+std::optional<Pfn>
 RangeTlb::contains(Asid asid, Vpn vpn) const
 {
     for (const Entry &e : entries_) {
         if (e.valid && e.asid == asid && e.run.covers(vpn))
-            return true;
+            return e.run.basePfn + (vpn - e.run.first);
     }
-    return false;
+    return std::nullopt;
 }
 
 std::uint64_t
@@ -145,7 +145,7 @@ RangeDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     return false;
 }
 
-bool
+std::optional<Pfn>
 RangeDesign::contains(Asid asid, Vpn vpn) const
 {
     return tlb_.contains(asid, vpn);

@@ -63,8 +63,9 @@ class RangeTlb
     /** Drop all runs of an address space. */
     void flushAsid(Asid asid);
 
-    /** Would lookup(asid, vpn) hit right now? No stats, no recency. */
-    bool contains(Asid asid, Vpn vpn) const;
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
 
     /** Pages translatable without a walk: total cached run length. */
     std::uint64_t reachPages() const;
@@ -93,7 +94,7 @@ class RangeDesign : public TranslationDesign
     explicit RangeDesign(const RangeTlbConfig &config);
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;
@@ -101,8 +102,6 @@ class RangeDesign : public TranslationDesign
     const TlbStats &stats() const override { return tlb_.stats(); }
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
-
-    RangeTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);

@@ -73,7 +73,7 @@ StrideDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     return false;
 }
 
-bool
+std::optional<Pfn>
 StrideDesign::contains(Asid asid, Vpn vpn) const
 {
     return base_->contains(asid, vpn);

@@ -46,7 +46,7 @@ class StrideDesign : public TranslationDesign
                  std::unique_ptr<TranslationDesign> base);
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
-    bool contains(Asid asid, Vpn vpn) const override;
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
     void invalidatePage(Asid asid, Vpn vpn) override;

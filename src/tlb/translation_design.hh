@@ -90,6 +90,10 @@ struct DesignCounters
      *  contiguity ranges). */
     std::uint64_t regionFills = 0;
 
+    /** Pages the fills covered, summed (coalesced designs only: the
+     *  numerator of CoLT coverage). */
+    std::uint64_t regionPages = 0;
+
     template <typename Fn>
     void
     forEachMetric(Fn &&fn) const
@@ -100,6 +104,7 @@ struct DesignCounters
         fn("prefetchesIssued", prefetchesIssued);
         fn("prefetchFills", prefetchFills);
         fn("regionFills", regionFills);
+        fn("regionPages", regionPages);
     }
 };
 
@@ -141,8 +146,12 @@ class TranslationDesign
               "stream off (kernel.accessEvery = 0)");
     }
 
-    /** Would access() hit right now? No stats, no recency effects. */
-    virtual bool contains(Asid asid, Vpn vpn) const = 0;
+    /**
+     * The translation access() would hit on right now: the PFN, or
+     * for a Mosaic sub-entry its CPFN; nullopt on a miss. No stats,
+     * no recency effects.
+     */
+    virtual std::optional<Pfn> contains(Asid asid, Vpn vpn) const = 0;
 
     /**
      * Prefetch one page: if it is not already covered, walk and
@@ -190,11 +199,12 @@ class TranslationDesign
  * Visit every metric a design exposes, TlbStats then DesignCounters
  * then reach, as (name, value) pairs — the bridge between designs and
  * telemetry::Registry (kept a free function because virtual templates
- * do not exist).
+ * do not exist). Any type with the TranslationDesign accessors works,
+ * so the fuzzer reads its reference models through the same list.
  */
-template <typename Fn>
+template <typename Design, typename Fn>
 void
-forEachDesignMetric(const TranslationDesign &design, Fn &&fn)
+forEachDesignMetric(const Design &design, Fn &&fn)
 {
     design.stats().forEachMetric(fn);
     design.counters().forEachMetric(fn);

@@ -70,11 +70,14 @@ VanillaTlb::flushAsid(Asid asid)
         });
 }
 
-bool
+std::optional<Pfn>
 VanillaTlb::contains(Asid asid, Vpn vpn) const
 {
-    return array_.peek(vpn, tag4k(asid, vpn)) ||
-           array_.peek(vpn >> 9, tagHuge(asid, vpn));
+    if (const auto *e = array_.peek(vpn, tag4k(asid, vpn)))
+        return e->payload.pfn;
+    if (const auto *e = array_.peek(vpn >> 9, tagHuge(asid, vpn)))
+        return e->payload.pfn + (vpn & 0x1FF);
+    return std::nullopt;
 }
 
 std::uint64_t

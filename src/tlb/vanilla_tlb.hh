@@ -54,8 +54,9 @@ class VanillaTlb
     /** Drop all translations of an address space. */
     void flushAsid(Asid asid);
 
-    /** Would lookup(asid, vpn) hit right now? No stats, no recency. */
-    bool contains(Asid asid, Vpn vpn) const;
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
 
     /** 4 KiB pages translatable without a walk (huge entry = 512). */
     std::uint64_t reachPages() const;

@@ -1,17 +1,17 @@
 /**
  * @file
- * Differential fuzzing of the registry-built translation designs
- * (stride prefetcher, two-level PWC, range TLB) against their
- * recency-list oracle models: hit/miss results, every TlbStats
- * counter, valid entries, measured reach, and all walk-cost/helper
- * counters must agree after every operation. The real side of each
- * run is constructed through makeTranslationDesign, so the spec
- * grammar round trip is exercised on every trace.
+ * Differential fuzzing of the wrapper and range designs (stride
+ * prefetcher, two-level PWC, range TLB) and of every registry kind
+ * on the corpus, against their reference models: cached translations,
+ * hit/miss results and every forEachDesignMetric metric must agree.
+ * Both sides of each run are built from one parsed registry spec, so
+ * the spec grammar is exercised on every trace.
  *
- * Coverage comes from three directions: fresh generated seeds per
- * pseudo-component (strided cursors plus random jumps), the checked-in
- * tlb corpus traces re-pinned to each new kind (arbitrary geometries
- * and op mixes the generator would rarely produce), and determinism
+ * Coverage comes from four directions: fresh generated seeds per
+ * pseudo-component (strided cursors plus random jumps), every wrapper
+ * over every base the registry accepts, the checked-in tlb corpus
+ * traces re-pinned to each registry kind (arbitrary geometries and
+ * op mixes the generator would rarely produce), and determinism
  * replays.
  */
 
@@ -26,6 +26,7 @@
 
 #include "oracle/fuzzer.hh"
 #include "oracle/trace.hh"
+#include "tlb/design_registry.hh"
 
 using namespace mosaic;
 using namespace mosaic::fuzztest;
@@ -36,7 +37,38 @@ namespace
 
 constexpr const char *kComponents[] = {"tlb-stride", "tlb-pwc",
                                        "tlb-range"};
-constexpr const char *kKinds[] = {"stride", "pwc", "range"};
+
+/** One wrapper configuration; an empty mode leaves the key unset. */
+struct WrapperCell
+{
+    std::string kind;
+    std::string base;
+    std::string mode;
+};
+
+/** Every (wrapper, base) pair the registry accepts, in both modes
+ *  where the wrapper has a mode key. */
+std::vector<WrapperCell>
+wrapperCells()
+{
+    std::vector<WrapperCell> cells;
+    for (const char *kind : translationDesignKinds()) {
+        for (const char *base : translationDesignKinds()) {
+            const std::string spec = std::string(kind) + ":base=" + base;
+            if (!parseDesignSpec(spec).ok())
+                continue;
+            std::vector<std::string> modes;
+            for (const char *mode : {"fixed", "arbitrary"})
+                if (parseDesignSpec(spec + ",mode=" + mode).ok())
+                    modes.push_back(mode);
+            if (modes.empty())
+                modes.push_back("");
+            for (const std::string &mode : modes)
+                cells.push_back({kind, base, mode});
+        }
+    }
+    return cells;
+}
 
 std::vector<fs::path>
 tlbCorpusTraces()
@@ -63,15 +95,15 @@ TEST(FuzzDesigns, GeneratedSeedsPass)
             expectSeedPasses(component, s, ops);
 }
 
-// Every checked-in tlb trace, re-pinned to each design kind: the op
-// sequences and geometries were minimized/curated against the four
-// base variants, which makes them unusual inputs for the wrappers.
+// Every checked-in tlb trace, re-pinned to each registry kind: the
+// op sequences and geometries were minimized/curated against the four
+// base variants, which makes them unusual inputs for the others.
 TEST(FuzzDesigns, CorpusRepinnedToEachKind)
 {
     const std::vector<fs::path> paths = tlbCorpusTraces();
     ASSERT_GE(paths.size(), 5u);
     for (const fs::path &path : paths) {
-        for (const char *kind : kKinds) {
+        for (const char *kind : translationDesignKinds()) {
             Trace trace = readTraceFile(path.string());
             trace.setCfg("kind", kind);
             const FuzzResult result = runTrace(trace);
@@ -84,33 +116,29 @@ TEST(FuzzDesigns, CorpusRepinnedToEachKind)
     }
 }
 
-// Both wrapper kinds over both base kinds, plus the stride modes, at
-// a fully associative geometry (hardest LRU-order case).
+// Every wrapper over every base, in every mode, at the generated
+// geometry and at a fully associative one (hardest LRU-order case).
 TEST(FuzzDesigns, WrapperMatrixPinned)
 {
-    struct Cell
-    {
-        const char *component;
-        const char *base;
-        const char *mode;
-    };
-    static constexpr Cell cells[] = {
-        {"tlb-stride", "vanilla", "fixed"},
-        {"tlb-stride", "mosaic", "arbitrary"},
-        {"tlb-pwc", "vanilla", nullptr},
-        {"tlb-pwc", "mosaic", nullptr},
-    };
-    for (const Cell &cell : cells) {
-        Trace trace = generateTrace(cell.component, 99, opBudget(2000));
-        trace.setCfg("base", cell.base);
-        if (cell.mode != nullptr)
-            trace.setCfg("mode", cell.mode);
-        trace.setCfgUint("entries", 16);
-        trace.setCfgUint("ways", 16);
-        const FuzzResult result = runTrace(trace);
-        EXPECT_FALSE(result.divergence.has_value())
-            << cell.component << " base=" << cell.base << ": "
-            << result.divergence->message;
+    const std::vector<WrapperCell> cells = wrapperCells();
+    ASSERT_GE(cells.size(), 4u);
+    for (const WrapperCell &cell : cells) {
+        for (const unsigned ways : {0u, 16u}) {
+            Trace trace =
+                generateTrace("tlb-" + cell.kind, 99, opBudget(2000));
+            trace.setCfg("base", cell.base);
+            if (!cell.mode.empty())
+                trace.setCfg("mode", cell.mode);
+            if (ways != 0) {
+                trace.setCfgUint("entries", ways);
+                trace.setCfgUint("ways", ways);
+            }
+            const FuzzResult result = runTrace(trace);
+            EXPECT_FALSE(result.divergence.has_value())
+                << cell.kind << " base=" << cell.base << " mode="
+                << cell.mode << " ways=" << ways << ": "
+                << result.divergence->message;
+        }
     }
 }
 

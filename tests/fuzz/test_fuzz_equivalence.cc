@@ -45,11 +45,11 @@ struct CorpusGolden
 constexpr CorpusGolden corpusGoldens[] = {
     {"ghost_rescue_adoption.trace", 14674125878381882746ull, 126},
     {"ghost_rescue_adoption_long.trace", 7267721577211409804ull, 577},
-    {"tlb_seed1.trace", 17475615509327730047ull, 2000},
-    {"tlb_seed13.trace", 14888094062101289659ull, 2000},
-    {"tlb_seed2.trace", 5536836242472044596ull, 2000},
-    {"tlb_seed3.trace", 2856143697853722682ull, 2000},
-    {"tlb_seed4.trace", 13487116255103069025ull, 2000},
+    {"tlb_seed1.trace", 8989511554147415485ull, 2000},
+    {"tlb_seed13.trace", 8984735817782752560ull, 2000},
+    {"tlb_seed2.trace", 11030404164527443136ull, 1882},
+    {"tlb_seed3.trace", 10279311506589771070ull, 2000},
+    {"tlb_seed4.trace", 3663744691645384934ull, 2000},
     {"vm-shard_seed1.trace", 7354204406591376375ull, 2000},
     {"vm-shard_seed11.trace", 9328550632844078930ull, 2000},
     {"vm-shard_seed13.trace", 13357099176557344888ull, 1884},
@@ -80,7 +80,8 @@ struct FreshGolden
     std::size_t opsApplied;
 };
 
-// Fresh generateTrace() sweeps: 8 seeds per component at 4000 ops.
+// Fresh generateTrace() sweeps at 4000 ops: 8 seeds for vm and tlb, 4
+// for vm-shard and for each design pseudo-component.
 constexpr FreshGolden freshGoldens[] = {
     {"vm", 1ull, 4000u, 1802567896903992309ull, 4000u},
     {"vm", 2ull, 4000u, 12470357187984636251ull, 4000u},
@@ -94,14 +95,26 @@ constexpr FreshGolden freshGoldens[] = {
     {"vm-shard", 2ull, 4000u, 18412944092187819907ull, 4000u},
     {"vm-shard", 3ull, 4000u, 17576827964146887582ull, 4000u},
     {"vm-shard", 4ull, 4000u, 16584354164570952334ull, 3794u},
-    {"tlb", 1ull, 4000u, 3585466602176344134ull, 4000u},
-    {"tlb", 2ull, 4000u, 7480110974605423026ull, 4000u},
-    {"tlb", 3ull, 4000u, 1194973029098713469ull, 4000u},
-    {"tlb", 4ull, 4000u, 15961398935396753117ull, 4000u},
-    {"tlb", 5ull, 4000u, 6746646528952416100ull, 4000u},
-    {"tlb", 6ull, 4000u, 805798702827141589ull, 4000u},
-    {"tlb", 7ull, 4000u, 8100107992367519399ull, 4000u},
-    {"tlb", 8ull, 4000u, 561405217994852731ull, 4000u},
+    {"tlb", 1ull, 4000u, 2117653091505080974ull, 4000u},
+    {"tlb", 2ull, 4000u, 17987959156886865393ull, 4000u},
+    {"tlb", 3ull, 4000u, 18058812808874252700ull, 4000u},
+    {"tlb", 4ull, 4000u, 14865847380130940327ull, 4000u},
+    {"tlb", 5ull, 4000u, 9966796391208793322ull, 4000u},
+    {"tlb", 6ull, 4000u, 9390991007473507214ull, 4000u},
+    {"tlb", 7ull, 4000u, 18308702825162086654ull, 4000u},
+    {"tlb", 8ull, 4000u, 16984362778487534213ull, 4000u},
+    {"tlb-stride", 1ull, 4000u, 7404388805249807982ull, 4000u},
+    {"tlb-stride", 2ull, 4000u, 12264207742661056764ull, 4000u},
+    {"tlb-stride", 3ull, 4000u, 6071427855056958375ull, 4000u},
+    {"tlb-stride", 4ull, 4000u, 11348242993869515830ull, 4000u},
+    {"tlb-pwc", 1ull, 4000u, 15673644285461642182ull, 4000u},
+    {"tlb-pwc", 2ull, 4000u, 15448966851367172180ull, 4000u},
+    {"tlb-pwc", 3ull, 4000u, 14310593665664905303ull, 4000u},
+    {"tlb-pwc", 4ull, 4000u, 15963577774539116936ull, 4000u},
+    {"tlb-range", 1ull, 4000u, 11763716954863972494ull, 4000u},
+    {"tlb-range", 2ull, 4000u, 16062175720757548608ull, 4000u},
+    {"tlb-range", 3ull, 4000u, 11719333202855133727ull, 4000u},
+    {"tlb-range", 4ull, 4000u, 15869479291053609509ull, 4000u},
 };
 
 std::string

@@ -1,15 +1,14 @@
 /**
  * @file
- * Differential fuzzing of every TLB variant (vanilla, mosaic,
- * coalesced, perforated) against the recency-list oracle models:
- * lookup results, all stats counters, valid-entry counts, and the
- * variant-specific extras must agree after every operation.
+ * Differential fuzzing of every registry design kind against its
+ * reference model (oracle/oracle_designs.hh): the cached translation
+ * before every access and every forEachDesignMetric metric after
+ * every op must agree.
  *
- * This is the oracle cross-check coverage for PerforatedTlb and
- * CoalescedTlb: beyond the random sweep, pinned-kind tests guarantee
- * each variant is exercised regardless of the seed budget. Below
- * them, the shared array itself runs against its reference slot by
- * slot.
+ * Beyond the random sweep, the pinned tests run every
+ * translationDesignKinds() kind regardless of the seed budget, so a
+ * registry kind without a reference model fails at once. Below them,
+ * the shared array itself runs against its reference slot by slot.
  */
 
 #include "fuzz_test_util.hh"
@@ -17,8 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "oracle/fuzzer.hh"
-#include "oracle/oracle_tlb.hh"
+#include "oracle/oracle_designs.hh"
 #include "oracle/trace.hh"
+#include "tlb/design_registry.hh"
 #include "tlb/set_assoc.hh"
 #include "util/random.hh"
 
@@ -36,60 +36,40 @@ TEST(FuzzTlb, GeneratedSeedsPass)
 namespace
 {
 
-/** Run a generated trace re-pinned to one TLB kind. */
+/** Run a generated tlb trace re-pinned to @p kind; @p ways = 0 keeps
+ *  the generated geometry, anything else sets ways x ways. */
 void
-runPinnedKind(const std::string &kind, std::uint64_t seeds,
-              std::uint64_t ops)
+runPinned(const char *kind, std::uint64_t seed, unsigned ways = 0)
 {
-    for (std::uint64_t s = 1; s <= seeds; ++s) {
-        Trace trace = generateTrace("tlb", s, ops);
-        trace.setCfg("kind", kind);
-        const FuzzResult result = runTrace(trace);
-        if (result.divergence) {
-            FAIL() << kind << " tlb seed " << s << " diverged at op "
-                   << result.divergence->opIndex << ": "
-                   << result.divergence->message;
-        }
-        EXPECT_GT(result.opsApplied, 0u);
+    Trace trace = generateTrace("tlb", seed, opBudget(2000));
+    trace.setCfg("kind", kind);
+    if (ways != 0) {
+        trace.setCfgUint("entries", ways);
+        trace.setCfgUint("ways", ways);
     }
+    const FuzzResult result = runTrace(trace);
+    EXPECT_FALSE(result.divergence.has_value())
+        << kind << " seed " << seed << " diverged at op "
+        << result.divergence->opIndex << ": "
+        << result.divergence->message;
+    EXPECT_GT(result.opsApplied, 0u) << kind << " seed " << seed;
 }
 
 } // namespace
 
-TEST(FuzzTlb, VanillaPinned)
+TEST(FuzzTlb, EveryKindPinned)
 {
-    runPinnedKind("vanilla", 4, opBudget(2000));
-}
-
-TEST(FuzzTlb, MosaicPinned)
-{
-    runPinnedKind("mosaic", 4, opBudget(2000));
-}
-
-TEST(FuzzTlb, CoalescedPinned)
-{
-    runPinnedKind("coalesced", 4, opBudget(2000));
-}
-
-TEST(FuzzTlb, PerforatedPinned)
-{
-    runPinnedKind("perforated", 4, opBudget(2000));
+    for (const char *kind : translationDesignKinds())
+        for (std::uint64_t s = 1; s <= 4; ++s)
+            runPinned(kind, s);
 }
 
 // A fully-associative geometry stresses the recency-order modelling
 // hardest: one set, every entry competes on pure LRU order.
 TEST(FuzzTlb, FullyAssociativePinned)
 {
-    for (const char *kind :
-         {"vanilla", "mosaic", "coalesced", "perforated"}) {
-        Trace trace = generateTrace("tlb", 99, opBudget(2000));
-        trace.setCfg("kind", kind);
-        trace.setCfgUint("entries", 16);
-        trace.setCfgUint("ways", 16);
-        const FuzzResult result = runTrace(trace);
-        EXPECT_FALSE(result.divergence.has_value())
-            << kind << ": " << result.divergence->message;
-    }
+    for (const char *kind : translationDesignKinds())
+        runPinned(kind, 99, 16);
 }
 
 namespace

@@ -102,15 +102,6 @@ TEST(MosaicTlb, InvalidateSubDropsOnlyOneSubPage)
     EXPECT_EQ(tlb.stats().invalidations, 1u);
 }
 
-TEST(MosaicTlb, InvalidateEntryDropsWholeToc)
-{
-    MosaicTlb tlb({16, 4}, 4);
-    tlb.fill(1, 0, toc4(1, 2, 3, 4), unmapped);
-    tlb.invalidateEntry(1, 1);
-    for (Vpn v = 0; v < 4; ++v)
-        EXPECT_FALSE(tlb.lookup(1, v).has_value());
-}
-
 TEST(MosaicTlb, LruEvictsWholeEntries)
 {
     // Fully associative, 2 entries.
