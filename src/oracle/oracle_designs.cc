@@ -361,6 +361,8 @@ class OracleCoalescedDesign final : public OracleLeafDesign<OracleGroup>
         return pages;
     }
 
+    std::uint64_t regionPages() const override { return regionPages_; }
+
   private:
     bool
     lookup(Asid asid, Vpn vpn) override
@@ -398,7 +400,7 @@ class OracleCoalescedDesign final : public OracleLeafDesign<OracleGroup>
                     mask |= static_cast<std::uint8_t>(1u << i);
             }
         }
-        counters_.regionPages += std::popcount(mask);
+        regionPages_ += std::popcount(mask);
 
         OracleGroup *g = nullptr;
         if (std::popcount(mask) > 1) {
@@ -418,6 +420,8 @@ class OracleCoalescedDesign final : public OracleLeafDesign<OracleGroup>
         allocate(vpn, tagSecondary(asid, vpn)) = OracleGroup{*pfn, 0};
         return true;
     }
+
+    std::uint64_t regionPages_ = 0;
 };
 
 /** A perforated 2 MiB entry: the PFN of sub-page 0 plus its holes; a
@@ -608,6 +612,10 @@ class OracleStrideDesign final : public OracleDesign
     {
         return base_->reachPages();
     }
+    std::uint64_t regionPages() const override
+    {
+        return base_->regionPages();
+    }
     unsigned validEntries() const override
     {
         return base_->validEntries();
@@ -772,6 +780,10 @@ class OraclePwcDesign final : public OracleDesign
     std::uint64_t reachPages() const override
     {
         return base_->reachPages();
+    }
+    std::uint64_t regionPages() const override
+    {
+        return base_->regionPages();
     }
     unsigned validEntries() const override
     {

@@ -211,6 +211,7 @@ class OracleDesign
     virtual const TlbStats &stats() const = 0;
     virtual DesignCounters counters() const { return counters_; }
     virtual std::uint64_t reachPages() const = 0;
+    virtual std::uint64_t regionPages() const { return 0; }
     virtual unsigned validEntries() const = 0;
 
   protected:

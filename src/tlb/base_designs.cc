@@ -197,7 +197,6 @@ CoalescedDesign::counters() const
 {
     DesignCounters c = counters_;
     c.regionFills = tlb_.coalescedFills();
-    c.regionPages = tlb_.pagesCoveredByFills();
     return c;
 }
 

@@ -100,6 +100,11 @@ class CoalescedDesign : public TranslationDesign
     const TlbStats &stats() const override { return tlb_.stats(); }
     DesignCounters counters() const override;
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
+    std::uint64_t
+    regionPages() const override
+    {
+        return tlb_.pagesCoveredByFills();
+    }
     unsigned validEntries() const override { return tlb_.validEntries(); }
 
   private:

@@ -139,6 +139,10 @@ class PwcDesign : public TranslationDesign
     {
         return base_->reachPages();
     }
+    std::uint64_t regionPages() const override
+    {
+        return base_->regionPages();
+    }
     unsigned validEntries() const override
     {
         return base_->validEntries();

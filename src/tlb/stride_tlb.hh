@@ -57,6 +57,10 @@ class StrideDesign : public TranslationDesign
     {
         return base_->reachPages();
     }
+    std::uint64_t regionPages() const override
+    {
+        return base_->regionPages();
+    }
     unsigned validEntries() const override
     {
         return base_->validEntries();

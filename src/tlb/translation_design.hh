@@ -90,10 +90,6 @@ struct DesignCounters
      *  contiguity ranges). */
     std::uint64_t regionFills = 0;
 
-    /** Pages the fills covered, summed (coalesced designs only: the
-     *  numerator of CoLT coverage). */
-    std::uint64_t regionPages = 0;
-
     template <typename Fn>
     void
     forEachMetric(Fn &&fn) const
@@ -104,7 +100,6 @@ struct DesignCounters
         fn("prefetchesIssued", prefetchesIssued);
         fn("prefetchFills", prefetchFills);
         fn("regionFills", regionFills);
-        fn("regionPages", regionPages);
     }
 };
 
@@ -181,6 +176,11 @@ class TranslationDesign
      *  paper's "reach" metric, measured instead of assumed. */
     virtual std::uint64_t reachPages() const = 0;
 
+    /** Pages the coalescing fills covered, summed over all fills (the
+     *  numerator of CoLT coverage); 0 for designs that do not
+     *  coalesce. */
+    virtual std::uint64_t regionPages() const { return 0; }
+
     /** Valid entries in the underlying array (cross-checks). */
     virtual unsigned validEntries() const = 0;
 
@@ -208,6 +208,7 @@ forEachDesignMetric(const Design &design, Fn &&fn)
 {
     design.stats().forEachMetric(fn);
     design.counters().forEachMetric(fn);
+    fn("regionPages", design.regionPages());
     fn("reachPages", design.reachPages());
     fn("validEntries", static_cast<std::uint64_t>(design.validEntries()));
 }
