@@ -118,6 +118,17 @@ TEST(DesignRegistry, DefaultsFlowFromParams)
     const auto design = makeTranslationDesign("mosaic", params);
     ASSERT_TRUE(design.ok());
     EXPECT_EQ(design.value()->name(), "mosaic:arity=16");
+
+    // The parsed spec carries the defaults and every override.
+    const Result<DesignSpec> spec =
+        parseDesignSpec("stride:base=mosaic,ways=2,degree=3", params);
+    ASSERT_TRUE(spec.ok()) << spec.status().toString();
+    EXPECT_EQ(spec.value().kind, "stride");
+    EXPECT_EQ(spec.value().base, "mosaic");
+    EXPECT_EQ(spec.value().geometry.entries, 64u);
+    EXPECT_EQ(spec.value().geometry.ways, 2u);
+    EXPECT_EQ(spec.value().arity, 16u);
+    EXPECT_EQ(spec.value().degree, 3u);
 }
 
 TEST(DesignRegistry, WrapperNamesEmbedTheirBase)
