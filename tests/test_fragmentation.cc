@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/fragmentation_sim.hh"
 
 namespace mosaic
@@ -98,6 +100,75 @@ TEST(Fragmentation, AccessCountsConsistent)
     EXPECT_GT(r.accesses, 0u);
     EXPECT_LE(r.misses4k, r.accesses);
     EXPECT_LE(r.missesMosaic, r.accesses);
+}
+
+/** Every FragmentationResult field, compared exactly. */
+void
+expectResult(const FragmentationResult &got,
+             const FragmentationResult &want, const char *label)
+{
+    SCOPED_TRACE(label);
+    EXPECT_DOUBLE_EQ(got.fragmentationIndex, want.fragmentationIndex);
+    EXPECT_EQ(got.hugeMappings, want.hugeMappings);
+    EXPECT_EQ(got.hugeFallbacks, want.hugeFallbacks);
+    EXPECT_EQ(got.perforatedRegions, want.perforatedRegions);
+    EXPECT_EQ(got.perforatedFallbacks, want.perforatedFallbacks);
+    EXPECT_DOUBLE_EQ(got.meanHoles, want.meanHoles);
+    EXPECT_EQ(got.accesses, want.accesses);
+    EXPECT_EQ(got.misses4k, want.misses4k);
+    EXPECT_EQ(got.missesThp, want.missesThp);
+    EXPECT_EQ(got.missesColt, want.missesColt);
+    EXPECT_EQ(got.missesPerforated, want.missesPerforated);
+    EXPECT_EQ(got.missesMosaic, want.missesMosaic);
+    EXPECT_DOUBLE_EQ(got.coltCoverage, want.coltCoverage);
+}
+
+FragmentationResult
+pinned(double index, std::uint64_t huge, std::uint64_t huge_fallbacks,
+       std::uint64_t perforated, std::uint64_t perforated_fallbacks,
+       double mean_holes, std::uint64_t thp, std::uint64_t colt,
+       std::uint64_t perf, double coverage)
+{
+    FragmentationResult r;
+    r.fragmentationIndex = index;
+    r.hugeMappings = huge;
+    r.hugeFallbacks = huge_fallbacks;
+    r.perforatedRegions = perforated;
+    r.perforatedFallbacks = perforated_fallbacks;
+    r.meanHoles = mean_holes;
+    // The workload, the 4 KiB floor and Mosaic do not depend on the
+    // fragmentation pattern.
+    r.accesses = 3522848;
+    r.misses4k = 141103;
+    r.missesMosaic = 26968;
+    r.missesThp = thp;
+    r.missesColt = colt;
+    r.missesPerforated = perf;
+    r.coltCoverage = coverage;
+    return r;
+}
+
+// Pins every result of the motivation experiment's drivers (the bare
+// TLB fill primitives: lookup, fill, fillHuge, fill4k, fillPerforated
+// and the CoLT fill), so a change to any TLB class that moves a
+// number here is caught even though no golden file covers
+// motivation_fragmentation.
+TEST(Fragmentation, ResultsArePinned)
+{
+    expectResult(runFragmentation(tinyOptions(0.0)),
+                 pinned(0.0, 5, 0, 5, 0, 0.0, 5, 26968, 5,
+                        7.9998145950756454),
+                 "pristine");
+    expectResult(runFragmentation(tinyOptions(0.5)),
+                 pinned(1.0, 0, 5, 0, 5, 0.0, 141103, 139312, 141103,
+                        1.1432396347766165),
+                 "fine 0.5");
+    FragmentationOptions coarse = tinyOptions(0.5);
+    coarse.pinGranularityOrder = 6;
+    expectResult(runFragmentation(coarse),
+                 pinned(1.0, 0, 5, 2, 3, 64.0, 141103, 26968, 84169,
+                        7.9998145950756454),
+                 "coarse 0.5");
 }
 
 using FragmentationDeathTest = ::testing::Test;
