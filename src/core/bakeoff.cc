@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "core/batch_pipeline.hh"
 #include "core/experiment_export.hh"
 #include "core/translation_sim.hh"
 #include "tlb/design_registry.hh"
@@ -89,13 +88,7 @@ runBakeoffCell(WorkloadKind kind, const BakeoffOptions &options,
     config.seed = options.seed;
 
     TranslationSim sim(config);
-    if (const unsigned block = batchBlockFromEnv(); block > 1) {
-        BatchTranslationSink sink(sim, block);
-        workload->run(sink);
-        sink.flush();
-    } else {
-        workload->run(sim);
-    }
+    workload->run(sim);
 
     BakeoffCell cell;
     cell.kind = kind;

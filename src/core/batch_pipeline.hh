@@ -1,17 +1,19 @@
 /**
  * @file
- * The batched translation pipeline (ROADMAP item 2): adapters that
- * buffer a workload's reference stream into blocks and drive the
- * batched engines — VirtualMemory::touchBatch for the demand-paging
- * experiments and TranslationSim::accessBatch for the TLB sweeps —
- * instead of one virtual call per reference.
+ * The batched VM touch pipeline (DESIGN.md §13): an adapter that
+ * buffers a workload's page touches into blocks and drains them
+ * through VirtualMemory::touchBatch for the demand-paging
+ * experiments (Tables 3 and 4) instead of one virtual call per
+ * reference.
  *
- * Batching never changes results: every batched engine is bit-exact
- * against its scalar path (stats, placements, digests), enforced by
+ * Batching never changes results: touchBatch is bit-exact against
+ * the scalar touch() loop (stats, placements, digests), enforced by
  * tests/test_batch_pipeline.cc and the fuzz harness's batched leg.
  * The block size comes from the MOSAIC_BATCH environment knob (0 or
- * unset = scalar), so every driver — experiments, benches, replay —
- * can flip between paths without code changes. See DESIGN.md §13.
+ * unset = scalar), so the VM drivers — Tables 3/4, mosaic_fuzz and
+ * mosaic_replay — can flip between paths without code changes. The
+ * TLB sweeps (Figure 6, bake-off, interference) have one drive path,
+ * TranslationSim::access, and ignore the knob.
  */
 
 #ifndef MOSAIC_CORE_BATCH_PIPELINE_HH_
@@ -20,7 +22,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/translation_sim.hh"
 #include "core/vm_touch_sink.hh"
 #include "os/virtual_memory.hh"
 #include "workloads/access_sink.hh"
@@ -83,47 +84,6 @@ class BatchVmTouchSink : public AccessSink
     std::size_t block_;
     std::vector<PageTouch> buf_;
     std::vector<Pfn> pfns_;
-};
-
-/**
- * Buffers data references into fixed-size blocks and drains them
- * through TranslationSim::accessBatch (whose apply loop is the
- * scalar access() path itself, so stats are identical).
- */
-class BatchTranslationSink : public AccessSink
-{
-  public:
-    BatchTranslationSink(TranslationSim &sim, unsigned block)
-        : sim_(sim), block_(std::clamp(block, 2u, maxBatchBlock))
-    {
-        buf_.reserve(block_);
-    }
-
-    ~BatchTranslationSink() override { drain(); }
-
-    void
-    access(Addr vaddr, bool write) override
-    {
-        buf_.push_back(MemRef{vaddr, write});
-        if (buf_.size() >= block_)
-            drain();
-    }
-
-    void flush() override { drain(); }
-
-  private:
-    void
-    drain()
-    {
-        if (buf_.empty())
-            return;
-        sim_.accessBatch(buf_);
-        buf_.clear();
-    }
-
-    TranslationSim &sim_;
-    std::size_t block_;
-    std::vector<MemRef> buf_;
 };
 
 } // namespace mosaic

@@ -163,13 +163,7 @@ runFig6Cell(WorkloadKind kind, const Fig6Options &options,
     config.seed = options.seed;
 
     TranslationSim sim(config);
-    if (const unsigned block = batchBlockFromEnv(); block > 1) {
-        BatchTranslationSink sink(sim, block);
-        workload->run(sink);
-        sink.flush();
-    } else {
-        workload->run(sim);
-    }
+    workload->run(sim);
 
     Fig6Cell cell;
     cell.footprintBytes = workload->info().footprintBytes;

@@ -169,7 +169,7 @@ class FragmentationSim : public AccessSink
         out.missesMosaic = tlbMosaic_.stats().misses;
         out.coltCoverage = tlbColt_.stats().misses == 0
             ? 0.0
-            : static_cast<double>(tlbColt_.pagesCoveredByFills()) /
+            : static_cast<double>(tlbColt_.regionPages()) /
                   static_cast<double>(tlbColt_.stats().misses);
         return out;
     }

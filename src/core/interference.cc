@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 
-#include "core/batch_pipeline.hh"
 #include "core/experiment_export.hh"
 #include "core/translation_sim.hh"
 
@@ -71,20 +69,13 @@ accumulateDelta(TenantDesignCounters &into,
     into.pwcWalkRefs += after.pwcWalkRefs - before.pwcWalkRefs;
 }
 
-/** Feed trace[begin, end) to the sim, honoring MOSAIC_BATCH. */
+/** Feed trace[begin, end) to the sim. */
 void
 feed(TranslationSim &sim, const std::vector<MemRef> &trace,
-     std::size_t begin, std::size_t end, unsigned block)
+     std::size_t begin, std::size_t end)
 {
-    if (block > 1) {
-        for (std::size_t i = begin; i < end; i += block) {
-            const std::size_t n = std::min<std::size_t>(block, end - i);
-            sim.accessBatch(std::span<const MemRef>(&trace[i], n));
-        }
-    } else {
-        for (std::size_t i = begin; i < end; ++i)
-            sim.access(trace[i].vaddr, trace[i].write);
-    }
+    for (std::size_t i = begin; i < end; ++i)
+        sim.access(trace[i].vaddr, trace[i].write);
 }
 
 std::uint64_t
@@ -140,7 +131,6 @@ runInterferenceCell(const InterferenceOptions &options,
 {
     const auto start = Clock::now();
     const InterferenceMix &mix = options.mixes.at(mix_index);
-    const unsigned block = batchBlockFromEnv();
 
     // Record each tenant's reference stream; streams are pure
     // functions of (seed, mix, tenant), never of scheduling.
@@ -192,7 +182,7 @@ runInterferenceCell(const InterferenceOptions &options,
                 const std::size_t end = std::min(
                     trace.size(), cursor[t] + options.quantum);
                 const TenantDesignCounters before = snapshot(sim);
-                feed(sim, trace, cursor[t], end, block);
+                feed(sim, trace, cursor[t], end);
                 cursor[t] = end;
                 accumulateDelta(cell.tenants[t].shared, before,
                                 snapshot(sim));
@@ -209,7 +199,7 @@ runInterferenceCell(const InterferenceOptions &options,
     for (std::size_t t = 0; t < mix.tenants.size(); ++t) {
         TranslationSim solo(config);
         solo.setActiveAsid(static_cast<Asid>(t + 1));
-        feed(solo, traces[t], 0, traces[t].size(), block);
+        feed(solo, traces[t], 0, traces[t].size());
         accumulateDelta(cell.tenants[t].solo, TenantDesignCounters{},
                         snapshot(solo));
     }

@@ -196,24 +196,6 @@ TranslationSim::kernelAccess()
 }
 
 void
-TranslationSim::accessBatch(std::span<const MemRef> block)
-{
-    // Every design probes the same VPN per reference, so one
-    // lookahead reference's sets are warmed across every design
-    // while the current reference translates. The apply loop is the
-    // scalar path itself: equivalence is by identical call sequence.
-    constexpr std::size_t lookahead = 4;
-    for (std::size_t i = 0; i < block.size(); ++i) {
-        if (i + lookahead < block.size()) {
-            const Vpn vpn = vpnOf(block[i + lookahead].vaddr);
-            for (const auto &design : designs_)
-                design->prefetchSets(vpn);
-        }
-        access(block[i].vaddr, block[i].write);
-    }
-}
-
-void
 TranslationSim::access(Addr vaddr, bool /*write*/)
 {
     ++accesses_;

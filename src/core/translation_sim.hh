@@ -104,14 +104,6 @@ class TranslationSim : public AccessSink
     void access(Addr vaddr, bool write) override;
 
     /**
-     * Process a block of data references. Exactly equivalent to
-     * calling access() per reference in order — the batch only adds
-     * a prefetch stage that warms each reference's TLB set lines a
-     * fixed lookahead ahead of the translate that consumes them.
-     */
-    void accessBatch(std::span<const MemRef> block);
-
-    /**
      * Switch the address space subsequent accesses run in — a
      * context switch. TLB entries are ASID-tagged, so nothing is
      * flushed; translations of other processes simply stop hitting.

@@ -262,8 +262,8 @@ class DesignHarness
 void
 runTlbTrace(const Trace &trace, Digest &dg, FuzzResult &res)
 {
-    // accessBatch's apply loop is the scalar access path itself;
-    // there is no separate TLB engine to shadow.
+    // A design has one drive path, access(); there is no batched
+    // TLB engine to shadow.
     DesignHarness h(trace);
     drive(trace, h, dg, res);
 }

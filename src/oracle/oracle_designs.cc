@@ -144,7 +144,7 @@ class OracleLeafDesign : public OracleDesign
     TlbStats stats_;
 };
 
-/** Reference model of VanillaDesign: the payload is the PFN (of the
+/** Reference model of VanillaTlb: the payload is the PFN (of the
  *  region's first frame, for a huge entry). */
 class OracleVanillaDesign final : public OracleLeafDesign<Pfn>
 {
@@ -216,7 +216,7 @@ struct OracleToc
     std::array<Cpfn, maxArity> cpfns;
 };
 
-/** Reference model of MosaicDesign. Conventional (huge-mapped)
+/** Reference model of MosaicTlb. Conventional (huge-mapped)
  *  entries use the secondary tag form and an unused ToC. */
 class OracleMosaicDesign final : public OracleLeafDesign<OracleToc>
 {
@@ -317,7 +317,7 @@ struct OracleGroup
     std::uint8_t mask = 0;
 };
 
-/** Reference model of CoalescedDesign (CoLT-8). */
+/** Reference model of CoalescedTlb (CoLT-8). */
 class OracleCoalescedDesign final : public OracleLeafDesign<OracleGroup>
 {
   public:
@@ -432,7 +432,7 @@ struct OracleRegion
     HoleBitmap holes{};
 };
 
-/** Reference model of PerforatedDesign. */
+/** Reference model of PerforatedTlb. */
 class OraclePerforatedDesign final : public OracleLeafDesign<OracleRegion>
 {
   public:

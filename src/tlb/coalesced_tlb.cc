@@ -6,8 +6,41 @@ namespace mosaic
 {
 
 CoalescedTlb::CoalescedTlb(const TlbGeometry &geometry)
-    : array_(geometry)
+    : TranslationDesign("coalesced"), array_(geometry)
 {
+}
+
+bool
+CoalescedTlb::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    counters_.walkRefs += walker.walkLevels();
+    const std::optional<Pfn> pfn = walker.pfnOf(asid, vpn);
+    if (!pfn)
+        return false;
+    // Each neighbour-PTE probe the coalescing fill makes is one extra
+    // page-table reference.
+    fill(asid, vpn, *pfn, [&](Vpn neighbour) {
+        ++counters_.walkRefs;
+        return walker.pfnOf(asid, neighbour);
+    });
+    return true;
+}
+
+bool
+CoalescedTlb::access(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (lookup(asid, vpn))
+        return true;
+    fillFromWalk(asid, vpn, walker);
+    return false;
+}
+
+bool
+CoalescedTlb::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (contains(asid, vpn))
+        return false;
+    return fillFromWalk(asid, vpn, walker);
 }
 
 std::optional<Pfn>
@@ -68,7 +101,7 @@ CoalescedTlb::fill(Asid asid, Vpn vpn, Pfn pfn,
         return;
     }
 
-    ++coalescedFills_;
+    ++counters_.regionFills;
     const std::uint64_t t = tagGroup(asid, group);
     auto *e = array_.find(group, t);
     if (e && e->payload.basePfn != base &&
@@ -96,7 +129,7 @@ CoalescedTlb::fill(Asid asid, Vpn vpn, Pfn pfn,
 }
 
 void
-CoalescedTlb::invalidate(Asid asid, Vpn vpn)
+CoalescedTlb::invalidatePage(Asid asid, Vpn vpn)
 {
     const Vpn group = vpn / coalesceFactor;
     const unsigned off = vpn % coalesceFactor;

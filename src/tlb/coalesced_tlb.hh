@@ -5,6 +5,9 @@
  * *when their frames happen to be physically contiguous too*. This
  * is the contiguity-dependent alternative Mosaic is positioned
  * against: its reach shrinks exactly as physical memory fragments.
+ *
+ * As a TranslationDesign a miss costs one radix walk plus one
+ * reference per neighbour-PTE probe (7 for CoLT-8).
  */
 
 #ifndef MOSAIC_TLB_COALESCED_TLB_HH_
@@ -15,19 +18,46 @@
 
 #include "tlb/set_assoc.hh"
 #include "tlb/tlb_stats.hh"
+#include "tlb/translation_design.hh"
 #include "util/types.hh"
 
 namespace mosaic
 {
 
 /** Set-associative TLB with CoLT-style entry coalescing. */
-class CoalescedTlb
+class CoalescedTlb final : public TranslationDesign
 {
   public:
     /** Pages per coalescing group (CoLT-8). */
     static constexpr unsigned coalesceFactor = 8;
 
     explicit CoalescedTlb(const TlbGeometry &geometry);
+
+    bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
+
+    bool prefetchFill(Asid asid, Vpn vpn,
+                      TranslationWalker &walker) override;
+
+    /** Drop the coverage of one page (and only that page). */
+    void invalidatePage(Asid asid, Vpn vpn) override;
+
+    /** Drop all entries of an address space. */
+    void flushAsid(Asid asid) override;
+
+    const TlbStats &stats() const override { return stats_; }
+
+    /** 4 KiB pages translatable without a walk (mask popcount per
+     *  coalesced entry, 1 per per-page entry). */
+    std::uint64_t reachPages() const override;
+
+    /** Pages covered summed over all fills (reach accounting). */
+    std::uint64_t regionPages() const override { return covered_; }
+
+    unsigned validEntries() const override { return array_.validEntries(); }
 
     /** Translate; nullopt on miss. */
     std::optional<Pfn> lookup(Asid asid, Vpn vpn);
@@ -36,35 +66,12 @@ class CoalescedTlb
      * Install a translation after a walk. The walker probes the
      * other PTEs of the aligned group through @p pfn_of (returning
      * nullopt for unmapped neighbours) and coalesces every neighbour
-     * whose frame sits at the matching offset from vpn's frame.
+     * whose frame sits at the matching offset from vpn's frame. A
+     * fill that coalesces at least two pages counts one
+     * counters().regionFills.
      */
     void fill(Asid asid, Vpn vpn, Pfn pfn,
               const std::function<std::optional<Pfn>(Vpn)> &pfn_of);
-
-    /** Drop the coverage of one page (and only that page). */
-    void invalidate(Asid asid, Vpn vpn);
-
-    /** Drop all entries of an address space. */
-    void flushAsid(Asid asid);
-
-    /** The PFN lookup(asid, vpn) would return right now; no stats,
-     *  no recency. */
-    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
-
-    /** 4 KiB pages translatable without a walk (mask popcount per
-     *  coalesced entry, 1 per per-page entry). */
-    std::uint64_t reachPages() const;
-
-    const TlbStats &stats() const { return stats_; }
-
-    /** Pages covered summed over all fills (reach accounting). */
-    std::uint64_t pagesCoveredByFills() const { return covered_; }
-
-    /** Fills that coalesced at least two pages. */
-    std::uint64_t coalescedFills() const { return coalescedFills_; }
-
-    /** Currently valid entries (oracle cross-checks). */
-    unsigned validEntries() const { return array_.validEntries(); }
 
   private:
     struct Payload
@@ -92,10 +99,13 @@ class CoalescedTlb
                vpn;
     }
 
+    /** Walk, probe the group's neighbour PTEs and install; false
+     *  when the page is unmapped. */
+    bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
+
     SetAssocArray<Payload> array_;
     TlbStats stats_;
     std::uint64_t covered_ = 0;
-    std::uint64_t coalescedFills_ = 0;
 };
 
 } // namespace mosaic

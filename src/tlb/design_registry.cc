@@ -7,10 +7,13 @@
 #include <utility>
 #include <vector>
 
-#include "tlb/base_designs.hh"
+#include "tlb/coalesced_tlb.hh"
+#include "tlb/mosaic_tlb.hh"
+#include "tlb/perforated_tlb.hh"
 #include "tlb/pwc_tlb.hh"
 #include "tlb/range_tlb.hh"
 #include "tlb/stride_tlb.hh"
+#include "tlb/vanilla_tlb.hh"
 #include "util/parse.hh"
 
 namespace mosaic
@@ -156,16 +159,16 @@ std::unique_ptr<TranslationDesign>
 buildLeaf(const std::string &kind, const DesignSpec &spec)
 {
     if (kind == "range")
-        return std::make_unique<RangeDesign>(
+        return std::make_unique<RangeTlb>(
             RangeTlbConfig{spec.ranges, spec.maxRun});
     if (kind == "vanilla")
-        return std::make_unique<VanillaDesign>(spec.geometry);
+        return std::make_unique<VanillaTlb>(spec.geometry);
     if (kind == "mosaic")
-        return std::make_unique<MosaicDesign>(spec.geometry, spec.arity);
+        return std::make_unique<MosaicTlb>(spec.geometry, spec.arity);
     if (kind == "coalesced")
-        return std::make_unique<CoalescedDesign>(spec.geometry);
+        return std::make_unique<CoalescedTlb>(spec.geometry);
     if (kind == "perforated")
-        return std::make_unique<PerforatedDesign>(spec.geometry);
+        return std::make_unique<PerforatedTlb>(spec.geometry);
     panic("design registry: unknown leaf kind '" + kind + "'");
 }
 

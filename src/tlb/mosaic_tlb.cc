@@ -1,15 +1,67 @@
 #include "tlb/mosaic_tlb.hh"
 
+#include <string>
+
 #include "mem/geometry.hh"
 
 namespace mosaic
 {
 
 MosaicTlb::MosaicTlb(const TlbGeometry &geometry, unsigned arity)
-    : array_(geometry), arity_(arity), log2Arity_(ceilLog2(arity))
+    : TranslationDesign("mosaic:arity=" + std::to_string(arity)),
+      array_(geometry), arity_(arity), log2Arity_(ceilLog2(arity))
 {
     ensure(arity >= 1 && arity <= maxArity, "mosaic_tlb: arity range");
     ensure((arity & (arity - 1)) == 0, "mosaic_tlb: arity power of two");
+}
+
+bool
+MosaicTlb::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    counters_.walkRefs += walker.walkLevels();
+    std::array<Cpfn, maxArity> toc;
+    const std::span<Cpfn> view(toc.data(), arity_);
+    walker.tocOf(asid, vpn, arity_, view);
+    const Cpfn unmapped = walker.unmappedCode();
+    bool any_mapped = false;
+    for (const Cpfn code : view) {
+        if (code != unmapped) {
+            any_mapped = true;
+            break;
+        }
+    }
+    // An all-absent ToC means the whole mosaic page is unmapped; the
+    // walk found nothing worth caching.
+    if (!any_mapped)
+        return false;
+    fill(asid, vpn, view, unmapped);
+    return true;
+}
+
+bool
+MosaicTlb::access(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (lookup(asid, vpn))
+        return true;
+    fillFromWalk(asid, vpn, walker);
+    return false;
+}
+
+bool
+MosaicTlb::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
+{
+    if (lookupConventional(asid, vpn))
+        return true;
+    fillConventional(asid, vpn, pfn);
+    return false;
+}
+
+bool
+MosaicTlb::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (contains(asid, vpn))
+        return false;
+    return fillFromWalk(asid, vpn, walker);
 }
 
 std::optional<Cpfn>
@@ -84,7 +136,7 @@ MosaicTlb::fillConventional(Asid asid, Vpn vpn, Pfn pfn)
 }
 
 void
-MosaicTlb::invalidateSub(Asid asid, Vpn vpn)
+MosaicTlb::invalidatePage(Asid asid, Vpn vpn)
 {
     const Mvpn mvpn = mvpnOf(vpn);
     if (auto *e = array_.find(mvpn, tagMosaic(asid, mvpn))) {
@@ -107,7 +159,7 @@ MosaicTlb::flushAsid(Asid asid)
         });
 }
 
-std::optional<Cpfn>
+std::optional<Pfn>
 MosaicTlb::contains(Asid asid, Vpn vpn) const
 {
     const Mvpn mvpn = mvpnOf(vpn);

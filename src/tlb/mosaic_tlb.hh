@@ -13,6 +13,9 @@
  * Conventional mappings (the kernel, shared pages) coexist in the
  * same array, each consuming an entire entry, mirroring the paper's
  * gem5 model.
+ *
+ * As a TranslationDesign one radix walk returns the whole ToC and one
+ * fill covers up to `arity` pages (the paper's reach mechanism).
  */
 
 #ifndef MOSAIC_TLB_MOSAIC_TLB_HH_
@@ -24,6 +27,7 @@
 
 #include "tlb/set_assoc.hh"
 #include "tlb/tlb_stats.hh"
+#include "tlb/translation_design.hh"
 #include "util/types.hh"
 
 namespace mosaic
@@ -33,7 +37,7 @@ namespace mosaic
 constexpr unsigned maxArity = 64;
 
 /** MVPN-indexed TLB storing compressed translations. */
-class MosaicTlb
+class MosaicTlb final : public TranslationDesign
 {
   public:
     /** Sentinel stored for "this sub-page has no cached CPFN". */
@@ -44,6 +48,36 @@ class MosaicTlb
      * @param arity CPFNs per entry; a power of two in [1, 64].
      */
     MosaicTlb(const TlbGeometry &geometry, unsigned arity);
+
+    bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+
+    /** Huge-mapped pages are cached as conventional entries, one
+     *  full entry per 4 KiB page. */
+    bool accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
+
+    /** The CPFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
+
+    bool prefetchFill(Asid asid, Vpn vpn,
+                      TranslationWalker &walker) override;
+
+    /**
+     * Invalidate the sub-entry of one base page; the rest of the
+     * mosaic entry's ToC stays cached (paper §3.1).
+     */
+    void invalidatePage(Asid asid, Vpn vpn) override;
+
+    /** Drop all entries of an address space. */
+    void flushAsid(Asid asid) override;
+
+    const TlbStats &stats() const override { return stats_; }
+
+    /** 4 KiB pages translatable without a walk: present ToC slots
+     *  plus one per conventional entry. */
+    std::uint64_t reachPages() const override;
+
+    unsigned validEntries() const override { return array_.validEntries(); }
 
     unsigned arity() const { return arity_; }
 
@@ -78,38 +112,6 @@ class MosaicTlb
     /** Install a conventional translation. */
     void fillConventional(Asid asid, Vpn vpn, Pfn pfn);
 
-    /** Warm the cache lines lookup(vpn) will scan. Pure performance
-     *  hint; no stats, no state change. */
-    void
-    prefetchSets(Vpn vpn) const
-    {
-        array_.prefetchSet(mvpnOf(vpn));
-    }
-
-    /**
-     * Invalidate the sub-entry of one base page; the rest of the
-     * mosaic entry's ToC stays cached (paper §3.1).
-     */
-    void invalidateSub(Asid asid, Vpn vpn);
-
-    /** Drop all entries of an address space. */
-    void flushAsid(Asid asid);
-
-    /** The CPFN lookup(asid, vpn) would return right now; no stats,
-     *  no recency. */
-    std::optional<Cpfn> contains(Asid asid, Vpn vpn) const;
-
-    /** 4 KiB pages translatable without a walk: present ToC slots
-     *  plus one per conventional entry. */
-    std::uint64_t reachPages() const;
-
-    const TlbStats &stats() const { return stats_; }
-    TlbStats &stats() { return stats_; }
-    const TlbGeometry &geometry() const { return array_.geometry(); }
-
-    /** Currently valid entries (oracle cross-checks). */
-    unsigned validEntries() const { return array_.validEntries(); }
-
   private:
     struct Payload
     {
@@ -132,6 +134,10 @@ class MosaicTlb
         return (std::uint64_t{1} << 63) | (std::uint64_t{asid} << 40) |
                vpn;
     }
+
+    /** Walk the ToC and install it; false when the whole mosaic
+     *  page is unmapped. */
+    bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
 
     SetAssocArray<Payload> array_;
     TlbStats stats_;

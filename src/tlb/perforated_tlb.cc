@@ -6,8 +6,61 @@ namespace mosaic
 {
 
 PerforatedTlb::PerforatedTlb(const TlbGeometry &geometry)
-    : array_(geometry)
+    : TranslationDesign("perforated"), array_(geometry)
 {
+}
+
+bool
+PerforatedTlb::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    counters_.walkRefs += walker.walkLevels();
+    const std::optional<Pfn> pfn = walker.pfnOf(asid, vpn);
+    if (!pfn)
+        return false;
+
+    const unsigned off = static_cast<unsigned>(vpn % pagesPerHugePage);
+    // When the region entry is already cached, this miss was a hole:
+    // cache the hole page's own 4 KiB translation. Likewise when the
+    // frame cannot anchor an aligned region (base would underflow).
+    if (hasPerforatedEntry(asid, vpn) || *pfn < off) {
+        fill4k(asid, vpn, *pfn);
+        return true;
+    }
+
+    // First touch of the region: probe every other sub-page's PTE to
+    // build the hole bitmap (one reference each), then install the
+    // perforated 2 MiB entry.
+    const Pfn base = *pfn - off;
+    const Vpn region_first = vpn - off;
+    HoleBitmap holes{};
+    for (unsigned i = 0; i < pagesPerHugePage; ++i) {
+        if (i == off)
+            continue;
+        ++counters_.walkRefs;
+        const std::optional<Pfn> sub = walker.pfnOf(asid, region_first + i);
+        if (!sub || *sub != base + i)
+            setHole(holes, i);
+    }
+    fillPerforated(asid, vpn, base, holes);
+    ++counters_.regionFills;
+    return true;
+}
+
+bool
+PerforatedTlb::access(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (lookup(asid, vpn))
+        return true;
+    fillFromWalk(asid, vpn, walker);
+    return false;
+}
+
+bool
+PerforatedTlb::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (contains(asid, vpn))
+        return false;
+    return fillFromWalk(asid, vpn, walker);
 }
 
 std::optional<Pfn>
@@ -59,7 +112,7 @@ PerforatedTlb::fill4k(Asid asid, Vpn vpn, Pfn pfn)
 }
 
 void
-PerforatedTlb::invalidate(Asid asid, Vpn vpn)
+PerforatedTlb::invalidatePage(Asid asid, Vpn vpn)
 {
     const Vpn huge_vpn = vpn >> 9;
     const unsigned off = vpn & 0x1FF;

@@ -10,6 +10,10 @@
  * (all-or-nothing 2 MiB runs) and Mosaic (no contiguity at all): it
  * survives moderate fragmentation by filling holes, but still needs
  * a mostly-free aligned 2 MiB window per region.
+ *
+ * As a TranslationDesign the first miss in a region costs one radix
+ * walk plus 511 neighbour probes that build the hole bitmap; later
+ * misses in the region (holes) fill single 4 KiB pages.
  */
 
 #ifndef MOSAIC_TLB_PERFORATED_TLB_HH_
@@ -21,6 +25,7 @@
 
 #include "tlb/set_assoc.hh"
 #include "tlb/tlb_stats.hh"
+#include "tlb/translation_design.hh"
 #include "util/types.hh"
 
 namespace mosaic
@@ -43,10 +48,37 @@ isHole(const HoleBitmap &bitmap, unsigned off)
 }
 
 /** TLB with perforated 2 MiB entries plus 4 KiB hole entries. */
-class PerforatedTlb
+class PerforatedTlb final : public TranslationDesign
 {
   public:
     explicit PerforatedTlb(const TlbGeometry &geometry);
+
+    bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
+
+    bool prefetchFill(Asid asid, Vpn vpn,
+                      TranslationWalker &walker) override;
+
+    /**
+     * Drop the coverage of one page: its 4 KiB entry if cached, and —
+     * when a perforated entry covers it — punch a hole so the region
+     * entry stops translating it (the rest of the region stays).
+     */
+    void invalidatePage(Asid asid, Vpn vpn) override;
+
+    /** Drop all entries of an address space. */
+    void flushAsid(Asid asid) override;
+
+    const TlbStats &stats() const override { return stats_; }
+
+    /** 4 KiB pages translatable without a walk (512 minus holes per
+     *  perforated entry, 1 per 4 KiB entry). */
+    std::uint64_t reachPages() const override;
+
+    unsigned validEntries() const override { return array_.validEntries(); }
 
     /** Translate; nullopt on a miss (including uncached holes). */
     std::optional<Pfn> lookup(Asid asid, Vpn vpn);
@@ -61,32 +93,9 @@ class PerforatedTlb
     /** Install the 4 KiB translation of one hole (or plain) page. */
     void fill4k(Asid asid, Vpn vpn, Pfn pfn);
 
-    /**
-     * Drop the coverage of one page: its 4 KiB entry if cached, and —
-     * when a perforated entry covers it — punch a hole so the region
-     * entry stops translating it (the rest of the region stays).
-     */
-    void invalidate(Asid asid, Vpn vpn);
-
-    /** Drop all entries of an address space. */
-    void flushAsid(Asid asid);
-
     /** Is a perforated entry for vpn's region cached? No stats, no
      *  recency (the fill-policy probe). */
     bool hasPerforatedEntry(Asid asid, Vpn vpn) const;
-
-    /** The PFN lookup(asid, vpn) would return right now; no stats,
-     *  no recency. */
-    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
-
-    /** 4 KiB pages translatable without a walk (512 minus holes per
-     *  perforated entry, 1 per 4 KiB entry). */
-    std::uint64_t reachPages() const;
-
-    const TlbStats &stats() const { return stats_; }
-
-    /** Currently valid entries (oracle cross-checks). */
-    unsigned validEntries() const { return array_.validEntries(); }
 
   private:
     struct Payload
@@ -108,6 +117,10 @@ class PerforatedTlb
         return (std::uint64_t{1} << 63) | (std::uint64_t{asid} << 40) |
                vpn;
     }
+
+    /** Walk and install the region entry or a hole page; false
+     *  when the page is unmapped. */
+    bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
 
     SetAssocArray<Payload> array_;
     TlbStats stats_;

@@ -147,7 +147,6 @@ class PwcDesign : public TranslationDesign
     {
         return base_->validEntries();
     }
-    void prefetchSets(Vpn vpn) const override { base_->prefetchSets(vpn); }
 
     const TranslationDesign &base() const { return *base_; }
     unsigned pwcValidEntries() const { return pwc_.validEntries(); }

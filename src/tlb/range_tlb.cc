@@ -8,7 +8,9 @@ namespace mosaic
 {
 
 RangeTlb::RangeTlb(const RangeTlbConfig &config)
-    : entries_(config.entries)
+    : TranslationDesign("range:ranges=" + std::to_string(config.entries) +
+                        ",maxrun=" + std::to_string(config.maxRun)),
+      entries_(config.entries), maxRun_(config.maxRun)
 {
     ensure(config.entries > 0, "range tlb: empty geometry");
     ensure(config.maxRun > 0, "range tlb: zero max run");
@@ -59,7 +61,7 @@ RangeTlb::fill(Asid asid, const ContigRun &run)
 }
 
 void
-RangeTlb::invalidate(Asid asid, Vpn vpn)
+RangeTlb::invalidatePage(Asid asid, Vpn vpn)
 {
     for (Entry &e : entries_) {
         if (e.valid && e.asid == asid && e.run.covers(vpn)) {
@@ -110,15 +112,8 @@ RangeTlb::validEntries() const
     return n;
 }
 
-RangeDesign::RangeDesign(const RangeTlbConfig &config)
-    : TranslationDesign("range:ranges=" + std::to_string(config.entries) +
-                        ",maxrun=" + std::to_string(config.maxRun)),
-      tlb_(config), maxRun_(config.maxRun)
-{
-}
-
 bool
-RangeDesign::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+RangeTlb::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
 {
     // One radix walk resolves the anchor; every neighbour probe the
     // run miner makes reads one more PTE.
@@ -130,45 +125,27 @@ RangeDesign::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
     counters_.walkRefs += probes;
     if (!run)
         return false;
-    tlb_.fill(asid, *run);
+    fill(asid, *run);
     if (run->length > 1)
         ++counters_.regionFills;
     return true;
 }
 
 bool
-RangeDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
+RangeTlb::access(Asid asid, Vpn vpn, TranslationWalker &walker)
 {
-    if (tlb_.lookup(asid, vpn))
+    if (lookup(asid, vpn))
         return true;
     fillFromWalk(asid, vpn, walker);
     return false;
 }
 
-std::optional<Pfn>
-RangeDesign::contains(Asid asid, Vpn vpn) const
-{
-    return tlb_.contains(asid, vpn);
-}
-
 bool
-RangeDesign::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
+RangeTlb::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
 {
-    if (tlb_.contains(asid, vpn))
+    if (contains(asid, vpn))
         return false;
     return fillFromWalk(asid, vpn, walker);
-}
-
-void
-RangeDesign::invalidatePage(Asid asid, Vpn vpn)
-{
-    tlb_.invalidate(asid, vpn);
-}
-
-void
-RangeDesign::flushAsid(Asid asid)
-{
-    tlb_.flushAsid(asid);
 }
 
 } // namespace mosaic

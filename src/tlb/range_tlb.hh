@@ -19,7 +19,6 @@
 #define MOSAIC_TLB_RANGE_TLB_HH_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -41,11 +40,34 @@ struct RangeTlbConfig
     std::uint64_t maxRun = 512;
 };
 
-/** Fully associative LRU cache of contiguity runs. */
-class RangeTlb
+/** Fully associative LRU cache of contiguity runs; misses mine a
+ *  run through the walker. */
+class RangeTlb final : public TranslationDesign
 {
   public:
     explicit RangeTlb(const RangeTlbConfig &config);
+
+    bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
+
+    bool prefetchFill(Asid asid, Vpn vpn,
+                      TranslationWalker &walker) override;
+
+    /** Drop the whole run covering one page, if any. */
+    void invalidatePage(Asid asid, Vpn vpn) override;
+
+    /** Drop all runs of an address space. */
+    void flushAsid(Asid asid) override;
+
+    const TlbStats &stats() const override { return stats_; }
+
+    /** Pages translatable without a walk: total cached run length. */
+    std::uint64_t reachPages() const override;
+
+    unsigned validEntries() const override;
 
     /** Translate; nullopt on a miss. */
     std::optional<Pfn> lookup(Asid asid, Vpn vpn);
@@ -57,22 +79,6 @@ class RangeTlb
      */
     void fill(Asid asid, const ContigRun &run);
 
-    /** Drop the whole run covering one page, if any. */
-    void invalidate(Asid asid, Vpn vpn);
-
-    /** Drop all runs of an address space. */
-    void flushAsid(Asid asid);
-
-    /** The PFN lookup(asid, vpn) would return right now; no stats,
-     *  no recency. */
-    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
-
-    /** Pages translatable without a walk: total cached run length. */
-    std::uint64_t reachPages() const;
-
-    const TlbStats &stats() const { return stats_; }
-    unsigned validEntries() const;
-
   private:
     struct Entry
     {
@@ -82,31 +88,13 @@ class RangeTlb
         bool valid = false;
     };
 
+    /** Walk, mine the contiguity run around @p vpn and install it;
+     *  false when the page is unmapped. */
+    bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
+
     std::vector<Entry> entries_;
     TlbStats stats_;
     Tick useClock_ = 0;
-};
-
-/** Range TLB as a pluggable design: misses mine a contiguity run. */
-class RangeDesign : public TranslationDesign
-{
-  public:
-    explicit RangeDesign(const RangeTlbConfig &config);
-
-    bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
-    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
-    bool prefetchFill(Asid asid, Vpn vpn,
-                      TranslationWalker &walker) override;
-    void invalidatePage(Asid asid, Vpn vpn) override;
-    void flushAsid(Asid asid) override;
-    const TlbStats &stats() const override { return tlb_.stats(); }
-    std::uint64_t reachPages() const override { return tlb_.reachPages(); }
-    unsigned validEntries() const override { return tlb_.validEntries(); }
-
-  private:
-    bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
-
-    RangeTlb tlb_;
     std::uint64_t maxRun_;
 };
 

@@ -212,8 +212,6 @@ class SetAssocArray
         }
     }
 
-    const TlbGeometry &geometry() const { return geometry_; }
-
     /** Set index for an index key (e.g. a VPN or MVPN). A mask when
      *  the set count is a power of two (every Fig 6 geometry), which
      *  spares the lookup path two divisions. */
@@ -245,23 +243,6 @@ class SetAssocArray
             }
         }
         return nullptr;
-    }
-
-    /**
-     * Prefetch the tag/data lines of the set an index key maps to —
-     * a pure performance hint the batched translation pipeline
-     * issues one stage before the lookups that consume them. Indexed
-     * (high-associativity) arrays resolve through the tag hash
-     * instead of a set scan, so there is nothing useful to warm.
-     */
-    void
-    prefetchSet(std::uint64_t index_key) const
-    {
-        if (ix_)
-            return;
-        const Entry *base = &entries_[setOf(index_key) * geometry_.ways];
-        for (unsigned w = 0; w < geometry_.ways; w += 2)
-            __builtin_prefetch(base + w);
     }
 
     /** Find without updating recency (for inspection). */

@@ -65,7 +65,6 @@ class StrideDesign : public TranslationDesign
     {
         return base_->validEntries();
     }
-    void prefetchSets(Vpn vpn) const override { base_->prefetchSets(vpn); }
 
     const TranslationDesign &base() const { return *base_; }
 

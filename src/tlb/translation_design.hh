@@ -6,11 +6,14 @@
  * A TranslationDesign is one complete "how does the core translate
  * addresses" proposal: a TLB organization plus its fill policy plus
  * any helpers (prefetchers, page-walk caches, range tracking). The
- * four paper variants (vanilla, mosaic, coalesced, perforated) and
- * the Virtuoso-patterned additions (stride prefetcher, two-level PWC,
- * range TLB) all sit behind this interface, so TranslationSim and the
- * bake-off bench can sweep them head-to-head without knowing any
- * variant's concrete API.
+ * four paper variants (VanillaTlb, MosaicTlb, CoalescedTlb,
+ * PerforatedTlb) and the Virtuoso-patterned range TLB (RangeTlb) are
+ * each one class that owns its array, lookup, fill primitives and
+ * fill policy and derives from this interface; the stride prefetcher
+ * and the two-level PWC decorate any of them. TranslationSim and the
+ * bake-off bench sweep them head-to-head without knowing any
+ * variant's concrete API, and every reference reaches a design
+ * through access() — there is no second drive path.
  *
  * Designs never walk page tables themselves; they ask the
  * TranslationWalker the simulator hands them. That keeps the modeled
@@ -183,10 +186,6 @@ class TranslationDesign
 
     /** Valid entries in the underlying array (cross-checks). */
     virtual unsigned validEntries() const = 0;
-
-    /** Warm the array lines access(vpn) will probe (batched pipeline
-     *  hint). Default: nothing to warm. */
-    virtual void prefetchSets(Vpn vpn) const { (void)vpn; }
 
   protected:
     DesignCounters counters_;

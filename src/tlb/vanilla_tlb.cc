@@ -4,8 +4,45 @@ namespace mosaic
 {
 
 VanillaTlb::VanillaTlb(const TlbGeometry &geometry)
-    : array_(geometry)
+    : TranslationDesign("vanilla"), array_(geometry)
 {
+}
+
+bool
+VanillaTlb::fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    counters_.walkRefs += walker.walkLevels();
+    const std::optional<Pfn> pfn = walker.pfnOf(asid, vpn);
+    if (!pfn)
+        return false;
+    fill(asid, vpn, *pfn);
+    return true;
+}
+
+bool
+VanillaTlb::access(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (lookup(asid, vpn))
+        return true;
+    fillFromWalk(asid, vpn, walker);
+    return false;
+}
+
+bool
+VanillaTlb::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
+{
+    if (lookup(asid, vpn))
+        return true;
+    fillHuge(asid, vpn, pfn - vpn % pagesPerHugePage);
+    return false;
+}
+
+bool
+VanillaTlb::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
+{
+    if (contains(asid, vpn))
+        return false;
+    return fillFromWalk(asid, vpn, walker);
 }
 
 std::optional<Pfn>
@@ -53,7 +90,7 @@ VanillaTlb::fillHuge(Asid asid, Vpn vpn, Pfn base_pfn)
 }
 
 void
-VanillaTlb::invalidate(Asid asid, Vpn vpn)
+VanillaTlb::invalidatePage(Asid asid, Vpn vpn)
 {
     if (array_.invalidate(vpn, tag4k(asid, vpn)))
         ++stats_.invalidations;

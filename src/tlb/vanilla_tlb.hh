@@ -3,6 +3,9 @@
  * The conventional ("vanilla") TLB baseline: a unified TLB for 4 KiB
  * and 2 MiB pages, matching the simulated platform in Table 1a. Each
  * entry maps one virtual page (of either size) to a full PFN.
+ *
+ * As a TranslationDesign its fill policy is one radix walk and one
+ * 4 KiB fill per miss; huge-mapped (kernel) pages fill 2 MiB entries.
  */
 
 #ifndef MOSAIC_TLB_VANILLA_TLB_HH_
@@ -12,16 +15,40 @@
 
 #include "tlb/set_assoc.hh"
 #include "tlb/tlb_stats.hh"
+#include "tlb/translation_design.hh"
 #include "util/types.hh"
 
 namespace mosaic
 {
 
 /** Unified 4 KiB / 2 MiB set-associative TLB with LRU replacement. */
-class VanillaTlb
+class VanillaTlb final : public TranslationDesign
 {
   public:
     explicit VanillaTlb(const TlbGeometry &geometry);
+
+    bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+    bool accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
+
+    /** The PFN lookup(asid, vpn) would return right now; no stats,
+     *  no recency. */
+    std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
+
+    bool prefetchFill(Asid asid, Vpn vpn,
+                      TranslationWalker &walker) override;
+
+    /** Drop the translation of one 4 KiB page, if cached. */
+    void invalidatePage(Asid asid, Vpn vpn) override;
+
+    /** Drop all translations of an address space. */
+    void flushAsid(Asid asid) override;
+
+    const TlbStats &stats() const override { return stats_; }
+
+    /** 4 KiB pages translatable without a walk (huge entry = 512). */
+    std::uint64_t reachPages() const override;
+
+    unsigned validEntries() const override { return array_.validEntries(); }
 
     /**
      * Translate a (ASID, VPN). Probes both the 4 KiB and the 2 MiB
@@ -38,35 +65,6 @@ class VanillaTlb
      * first 4 KiB frame of the physically contiguous 2 MiB region.
      */
     void fillHuge(Asid asid, Vpn vpn, Pfn base_pfn);
-
-    /** Warm the cache lines lookup(vpn) will scan (4 KiB and huge
-     *  sets). Pure performance hint; no stats, no state change. */
-    void
-    prefetchSets(Vpn vpn) const
-    {
-        array_.prefetchSet(vpn);
-        array_.prefetchSet(vpn >> 9);
-    }
-
-    /** Drop the translation of one 4 KiB page, if cached. */
-    void invalidate(Asid asid, Vpn vpn);
-
-    /** Drop all translations of an address space. */
-    void flushAsid(Asid asid);
-
-    /** The PFN lookup(asid, vpn) would return right now; no stats,
-     *  no recency. */
-    std::optional<Pfn> contains(Asid asid, Vpn vpn) const;
-
-    /** 4 KiB pages translatable without a walk (huge entry = 512). */
-    std::uint64_t reachPages() const;
-
-    const TlbStats &stats() const { return stats_; }
-    TlbStats &stats() { return stats_; }
-    const TlbGeometry &geometry() const { return array_.geometry(); }
-
-    /** Currently valid entries (oracle cross-checks). */
-    unsigned validEntries() const { return array_.validEntries(); }
 
   private:
     struct Payload
@@ -89,6 +87,9 @@ class VanillaTlb
         return (std::uint64_t{1} << 63) | (std::uint64_t{asid} << 40) |
                huge_vpn;
     }
+
+    /** Walk and install one 4 KiB page; false when it is unmapped. */
+    bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
 
     SetAssocArray<Payload> array_;
     TlbStats stats_;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Differential tests for the batched translation pipeline (ROADMAP
- * item 2, DESIGN.md §13): for every eviction policy, sharing mode,
- * VM model, TLB variant, block size (including non-power-of-2 sizes
- * and partial tail blocks) and thread count tested, the batched path
- * must be bit-identical to the scalar path — same per-touch PFNs,
- * same stats, same resident/ghost/horizon state, same TLB counters.
+ * Differential tests for the batched VM touch pipeline (DESIGN.md
+ * §13): for every eviction policy, sharing mode, VM model, block size
+ * (including non-power-of-2 sizes and partial tail blocks) and thread
+ * count tested, the batched path must be bit-identical to the scalar
+ * path — same per-touch PFNs, same stats, same resident/ghost/horizon
+ * state.
  */
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "core/batch_pipeline.hh"
-#include "core/translation_sim.hh"
 #include "core/vm_touch_sink.hh"
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
@@ -466,60 +465,6 @@ TEST(BatchPipeline, VmTouchSinkFactoryMatchesScalarSink)
             outcomes[block > 1] = captureOutcome(vm, 0);
         }
         ASSERT_EQ(outcomes[0], outcomes[1]) << "seed=" << seed;
-    }
-}
-
-/** All TLB counters of a full sim grid (every ways x arity cell),
- *  flattened for comparison. */
-std::vector<double>
-simGridStats(const TranslationSim &sim)
-{
-    std::vector<double> flat;
-    const auto take = [&](const TlbStats &stats) {
-        stats.forEachMetric([&](const char *, double value) {
-            flat.push_back(value);
-        });
-    };
-    for (std::size_t w = 0; w < sim.numWays(); ++w) {
-        take(sim.vanillaStats(w));
-        for (std::size_t a = 0; a < sim.numArities(); ++a)
-            take(sim.mosaicStats(w, a));
-    }
-    flat.push_back(static_cast<double>(sim.totalAccesses()));
-    return flat;
-}
-
-TEST(BatchPipeline, TranslationSimAllTlbVariantsBitIdentical)
-{
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        TranslationSimConfig config;
-        // Ample: demand mapping must never hit a conflict.
-        config.memory.numFrames = 64 * 256;
-        config.seed = seed;
-
-        Rng rng(seed);
-        std::vector<MemRef> stream(9001);
-        for (MemRef &ref : stream) {
-            ref.vaddr = rng.below(5000) * pageSize + rng.below(4096);
-            ref.write = rng.chance(0.25);
-        }
-
-        TranslationSim scalar_sim(config);
-        for (const MemRef &ref : stream)
-            scalar_sim.access(ref.vaddr, ref.write);
-        const auto scalar = simGridStats(scalar_sim);
-
-        for (const unsigned block : kBlocks) {
-            if (block <= 1)
-                continue;
-            TranslationSim sim(config);
-            BatchTranslationSink sink(sim, block);
-            for (const MemRef &ref : stream)
-                sink.access(ref.vaddr, ref.write);
-            sink.flush();
-            ASSERT_EQ(scalar, simGridStats(sim))
-                << "seed=" << seed << " block=" << block;
-        }
     }
 }
 

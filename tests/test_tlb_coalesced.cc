@@ -52,7 +52,7 @@ TEST(CoalescedTlb, FullyContiguousGroupNeedsOneFill)
         EXPECT_EQ(*pfn, 100 + v);
     }
     EXPECT_EQ(tlb.stats().misses, 1u);
-    EXPECT_EQ(tlb.coalescedFills(), 1u);
+    EXPECT_EQ(tlb.counters().regionFills, 1u);
 }
 
 TEST(CoalescedTlb, NonContiguousFramesDoNotCoalesce)
@@ -69,7 +69,7 @@ TEST(CoalescedTlb, NonContiguousFramesDoNotCoalesce)
     EXPECT_EQ(*tlb.lookup(1, 0), 50u);
     // Neighbours are not covered: each needs its own miss+fill.
     EXPECT_FALSE(tlb.lookup(1, 1).has_value());
-    EXPECT_EQ(tlb.coalescedFills(), 0u);
+    EXPECT_EQ(tlb.counters().regionFills, 0u);
 }
 
 TEST(CoalescedTlb, PartialRunCoalescesOnlyMatchingOffsets)
@@ -142,7 +142,7 @@ TEST(CoalescedTlb, InvalidateDropsSinglePage)
     for (Vpn v = 0; v < 8; ++v)
         pt.map(v, 100 + v);
     tlb.fill(1, 0, 100, pt);
-    tlb.invalidate(1, 3);
+    tlb.invalidatePage(1, 3);
     EXPECT_FALSE(tlb.lookup(1, 3).has_value());
     EXPECT_TRUE(tlb.lookup(1, 2).has_value());
     EXPECT_TRUE(tlb.lookup(1, 4).has_value());
@@ -196,7 +196,7 @@ TEST(CoalescedTlb, DifferentialAgainstVanillaOnScatteredFrames)
         }
     }
     // No coalescing ever happened.
-    EXPECT_EQ(colt.coalescedFills(), 0u);
+    EXPECT_EQ(colt.counters().regionFills, 0u);
 }
 
 TEST(CoalescedTlb, ReachTracksContiguity)

@@ -94,7 +94,7 @@ TEST(MosaicTlb, InvalidateSubDropsOnlyOneSubPage)
 {
     MosaicTlb tlb({16, 4}, 4);
     tlb.fill(1, 0, toc4(1, 2, 3, 4), unmapped);
-    tlb.invalidateSub(1, 2);
+    tlb.invalidatePage(1, 2);
     EXPECT_TRUE(tlb.lookup(1, 0).has_value());
     EXPECT_TRUE(tlb.lookup(1, 1).has_value());
     EXPECT_FALSE(tlb.lookup(1, 2).has_value());
@@ -311,7 +311,7 @@ TEST_P(MosaicDiffTest, MatchesReferenceModel)
 
         switch (next() % 8) {
           case 7: // invalidate the sub-page
-            tlb.invalidateSub(1, vpn);
+            tlb.invalidatePage(1, vpn);
             if (entry_it != set.end()) {
                 entry_it->valid[off] = false;
                 // find() touched recency in the real TLB.

@@ -120,11 +120,11 @@ TEST(VanillaTlb, InvalidateDropsEntry)
 {
     VanillaTlb tlb({16, 4});
     tlb.fill(1, 7, 70);
-    tlb.invalidate(1, 7);
+    tlb.invalidatePage(1, 7);
     EXPECT_FALSE(tlb.lookup(1, 7).has_value());
     EXPECT_EQ(tlb.stats().invalidations, 1u);
     // Invalidating an absent entry is a no-op.
-    tlb.invalidate(1, 7);
+    tlb.invalidatePage(1, 7);
     EXPECT_EQ(tlb.stats().invalidations, 1u);
 }
 

@@ -14,9 +14,7 @@
 #include <set>
 #include <vector>
 
-#include "core/batch_pipeline.hh"
 #include "core/experiments.hh"
-#include "core/translation_sim.hh"
 #include "workloads/access_sink.hh"
 #include "workloads/btree.hh"
 #include "workloads/factory.hh"
@@ -531,55 +529,6 @@ TEST_P(ScenarioEngineTest, AccessesStayInsideArena)
     EXPECT_LT(sink.max_, (Addr{1} << 30) + (Addr{1} << 30));
     EXPECT_GT(sink.writes_, 0u) << workloadName(GetParam());
     EXPECT_LT(sink.writes_, sink.count_) << workloadName(GetParam());
-}
-
-// The batched translation path must be bit-exact against scalar for
-// the new engines' streams at every block size, including partial
-// tail blocks (7) and the bench defaults (64, 128).
-TEST_P(ScenarioEngineTest, BatchedTranslationMatchesScalar)
-{
-    const auto w = make();
-    VectorSink recorded;
-    w->run(recorded);
-
-    TranslationSimConfig config;
-    config.memory = ampleGeometry(w->info().footprintBytes);
-    config.tlbEntries = 128;
-    config.waysList = {4};
-    config.arities = {8};
-    config.kernel.accessEvery = 0;
-    config.designWays = 4;
-    config.designSpecs = {"vanilla", "mosaic:arity=8",
-                          "stride:base=mosaic,arity=8,mode=arbitrary"};
-
-    TranslationSim scalar(config);
-    for (const MemRef &ref : recorded.trace())
-        scalar.access(ref.vaddr, ref.write);
-
-    for (const unsigned block : {1u, 7u, 64u, 128u}) {
-        TranslationSim batched(config);
-        {
-            BatchTranslationSink sink(batched, block);
-            for (const MemRef &ref : recorded.trace())
-                sink.access(ref.vaddr, ref.write);
-            sink.flush();
-        }
-        ASSERT_EQ(scalar.numDesigns(), batched.numDesigns());
-        for (std::size_t d = 0; d < scalar.numDesigns(); ++d) {
-            const auto &s = scalar.design(d);
-            const auto &b = batched.design(d);
-            EXPECT_EQ(s.stats().hits, b.stats().hits)
-                << workloadName(GetParam()) << " block " << block
-                << " design " << s.name();
-            EXPECT_EQ(s.stats().misses, b.stats().misses)
-                << workloadName(GetParam()) << " block " << block
-                << " design " << s.name();
-            EXPECT_EQ(s.counters().walkRefs, b.counters().walkRefs)
-                << workloadName(GetParam()) << " block " << block;
-            EXPECT_EQ(s.reachPages(), b.reachPages())
-                << workloadName(GetParam()) << " block " << block;
-        }
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
