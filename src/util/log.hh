@@ -27,11 +27,18 @@ panic(const std::string &msg)
     std::abort();
 }
 
+/**
+ * Exits with code 1 from any thread. Static destructors do not run:
+ * std::exit on a ThreadPool::shared() worker would run the pool's
+ * destructor, which joins the calling thread and aborts. Flushing
+ * every stdio stream first keeps the output printed so far.
+ */
 [[noreturn]] inline void
 fatal(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(1);
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 inline void

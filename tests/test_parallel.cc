@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "core/experiments.hh"
+#include "util/log.hh"
 #include "util/thread_pool.hh"
 
 namespace mosaic
@@ -174,6 +176,32 @@ TEST(ThreadPoolDeathTest, MalformedThreadCountIsFatalNotSilent)
     EXPECT_EXIT(ThreadPool::defaultThreadCount(),
                 testing::ExitedWithCode(1), "not-a-number");
     ::unsetenv("MOSAIC_THREADS");
+}
+
+// A configuration error inside a sweep cell reaches fatal() on a
+// shared-pool worker; it must exit 1 like anywhere else, not abort
+// while the exiting worker tears down the pool it belongs to.
+TEST(ThreadPoolDeathTest, FatalOnSharedPoolWorkerExitsOne)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            // The child creates the shared pool here, so it has
+            // workers however few cores the host has.
+            ::setenv("MOSAIC_THREADS", "4", 1);
+            // Exactly one worker fails; every other index (the
+            // caller's included) outlives the exit, so nothing
+            // returns from parallelFor first.
+            const std::thread::id caller = std::this_thread::get_id();
+            std::atomic<bool> failed{false};
+            parallelFor(ThreadPool::shared(), 8, [&](std::size_t) {
+                if (std::this_thread::get_id() != caller &&
+                        !failed.exchange(true))
+                    fatal("bad cell configuration");
+                std::this_thread::sleep_for(std::chrono::seconds(1));
+            });
+        },
+        testing::ExitedWithCode(1), "fatal: bad cell configuration");
 }
 
 // ------------------------------------------- experiment determinism
