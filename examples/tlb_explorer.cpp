@@ -8,19 +8,39 @@
  *
  * Usage: tlb_explorer [workload] [scale] [entries]
  *   workload: graph500|btree|gups|xsbench|kvstore (default graph500)
- *   scale:    workload size multiplier           (default 0.25)
- *   entries:  TLB entries                        (default 1024)
+ *   scale:    workload size multiplier, > 0       (default 0.25)
+ *   entries:  TLB entries, a positive multiple of 8 (default 1024)
+ *
+ * A malformed or out-of-range argument prints the usage line and
+ * exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "core/experiments.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 using namespace mosaic;
+
+namespace
+{
+
+int
+usage(const char *argv0, const std::string &error)
+{
+    if (!error.empty())
+        std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
+    std::fprintf(stderr,
+                 "usage: %s [graph500|btree|gups|xsbench|kvstore] "
+                 "[scale > 0] [entries: positive multiple of 8]\n",
+                 argv0);
+    return 2;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -36,19 +56,33 @@ main(int argc, char **argv)
             kind = WorkloadKind::XsBench;
         else if (name == "kvstore")
             kind = WorkloadKind::KvStore;
-        else if (name != "graph500") {
-            std::fprintf(stderr,
-                         "usage: %s [graph500|btree|gups|xsbench|kvstore] "
-                         "[scale] [entries]\n",
-                         argv[0]);
-            return 2;
-        }
+        else if (name != "graph500")
+            return usage(argv[0], "unknown workload '" + name + "'");
     }
 
     Fig6Options options;
-    options.scale = argc > 2 ? std::atof(argv[2]) : 0.25;
-    options.tlbEntries =
-        argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 1024;
+    options.scale = 0.25;
+    options.tlbEntries = 1024;
+    if (argc > 2) {
+        const Result<double> scale = parseFinite("scale", argv[2]);
+        if (!scale.ok())
+            return usage(argv[0], scale.status().toString());
+        if (scale.value() <= 0.0)
+            return usage(argv[0], "scale must be positive, got '" +
+                                      std::string(argv[2]) + "'");
+        options.scale = scale.value();
+    }
+    if (argc > 3) {
+        // A multiple of 8 divides into every swept associativity
+        // (1, 2, 4, 8 and fully associative).
+        unsigned entries = 0;
+        if (!parseU32(argv[3], &entries) || entries == 0 ||
+                entries % 8 != 0)
+            return usage(argv[0], "entries must be a positive multiple "
+                                  "of 8, got '" +
+                                      std::string(argv[3]) + "'");
+        options.tlbEntries = entries;
+    }
     options.waysList = {1, 2, 4, 8, options.tlbEntries};
     options.arities = {1, 4, 8, 16, 32, 64};
 

@@ -4,7 +4,8 @@
  * subprocesses. mosaic_replay: 0 clean, 1 divergence, 2 usage, 3
  * unreadable input — CI scripts branch on these, so they are API.
  * mosaicd: 0 success, 1 runtime failure, 2 usage. perf_gate: 0
- * pass, 1 regression or failed ratio, 2 usage.
+ * pass, 1 regression or failed ratio, 2 usage. tlb_explorer: 0
+ * success, 2 usage.
  */
 
 #include <gtest/gtest.h>
@@ -127,6 +128,28 @@ TEST(ToolsCli, MosaicdSmallRunExitsZeroAndRecoveryRefusalIsOne)
     EXPECT_EQ(exitCodeOf(std::string(MOSAICD_BIN) + " --dir=" +
                          dir.str() + "/ghost --recover"),
               1);
+}
+
+TEST(ToolsCli, TlbExplorerUsageErrorsExitTwo)
+{
+    const std::string bin = TLB_EXPLORER_BIN;
+    EXPECT_EQ(exitCodeOf(bin + " nosuchworkload"), 2);
+    // Scale: strict finite parse, then positive.
+    for (const char *scale : {"abc", "0", "-0.5", "0.1x", "nan"}) {
+        EXPECT_EQ(exitCodeOf(bin + " gups " + scale), 2) << scale;
+    }
+    // Entries: a positive multiple of 8; no atoi wrap of "-1" into a
+    // 4294967295-entry TLB and no "abc" as 0 entries.
+    for (const char *entries : {"-1", "abc", "0", "100", "64x", ""}) {
+        EXPECT_EQ(exitCodeOf(bin + " gups 0.01 '" + entries + "'"), 2)
+            << entries;
+    }
+}
+
+TEST(ToolsCli, TlbExplorerSmallRunExitsZero)
+{
+    EXPECT_EQ(exitCodeOf(std::string(TLB_EXPLORER_BIN) + " gups 0.01 64"),
+              0);
 }
 
 namespace
