@@ -1,6 +1,6 @@
 /**
  * @file
- * Microbenchmarks for the batched translation pipeline (DESIGN.md
+ * Microbenchmarks for the batched VM touch pipeline (DESIGN.md
  * §13): scalar/batched pairs over working sets sized well past the
  * cache hierarchy, where the pipeline's wins live — batched
  * tabulation sweeps and prefetch-ahead of page-table and frame-table
