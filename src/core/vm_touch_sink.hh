@@ -37,7 +37,8 @@ class VmTouchSink : public AccessSink
 };
 
 /**
- * Factory behind the MOSAIC_BATCH knob: a plain VmTouchSink when
+ * Factory behind the MOSAIC_BATCH knob, which batches only this VM
+ * touch path (the TLB sweeps ignore it): a plain VmTouchSink when
  * @p block <= 1, otherwise a BatchVmTouchSink (batch_pipeline.hh)
  * buffering @p block touches per VirtualMemory::touchBatch call.
  * Both produce bit-identical VM state; callers must flush() before
