@@ -69,6 +69,15 @@ class RangeTlb final : public TranslationDesign
 
     unsigned validEntries() const override;
 
+  private:
+    struct Entry
+    {
+        Asid asid = 0;
+        ContigRun run{};
+        Tick lastUse = 0;
+        bool valid = false;
+    };
+
     /** Translate; nullopt on a miss. */
     std::optional<Pfn> lookup(Asid asid, Vpn vpn);
 
@@ -78,15 +87,6 @@ class RangeTlb final : public TranslationDesign
      * array is full.
      */
     void fill(Asid asid, const ContigRun &run);
-
-  private:
-    struct Entry
-    {
-        Asid asid = 0;
-        ContigRun run{};
-        Tick lastUse = 0;
-        bool valid = false;
-    };
 
     /** Walk, mine the contiguity run around @p vpn and install it;
      *  false when the page is unmapped. */
