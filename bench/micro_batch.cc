@@ -29,9 +29,11 @@ constexpr unsigned kBlock = 64;
 
 // ------------------------------------------------------------ vm
 
-/** A 1M-frame mosaic VM (frame table + page tables tens of MB) with
- *  a fully resident working set touched in random order: the hot
- *  resident-touch path under cache pressure. */
+/** A 1M-frame mosaic VM with a fully resident working set touched in
+ *  random order: the hot resident-touch path under cache pressure.
+ *  The frame table and ghost tracker take tens of MB; the page
+ *  table's 192 Ki arity-4 ToCs take ~0.8 MB of leaves (arity bytes
+ *  each), plus ~1.5 MB of interior nodes. */
 struct BigVm
 {
     std::unique_ptr<MosaicVm> vm;

@@ -12,7 +12,8 @@ MosaicVm::MosaicVm(const MosaicVmConfig &config)
       allocator_(config.geometry),
       frames_(config.geometry.numFrames),
       rng_(config.seed),
-      globalLru_(config.geometry.numFrames),
+      globalLru_(config.policy == EvictionPolicy::ShrunkenCache
+                     ? config.geometry.numFrames : 0),
       ghosts_(config.geometry.numFrames)
 {
     liveCap_ = config_.policy == EvictionPolicy::ShrunkenCache
@@ -280,7 +281,7 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
                       std::uint64_t hash_input)
 {
     // Page fault. Every path below changes a page->frame mapping, so
-    // batch walks gathered before this op are no longer current.
+    // touchBatch re-checks each walk it gathered against its frame.
     MosaicPageTable &pt = pageTable(asid);
     const bool major = swap_.contains(hash_input);
 
@@ -453,23 +454,23 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
             globalLru_.prefetch(pfn);
     };
 
-    // Apply in the caller's order — the determinism contract. A walk
-    // is current until the next mapping mutation, and only a fault
-    // mutates: it discards every walk gathered past it, and those ops
-    // are walked again (a fault may have mapped or evicted them).
+    // Apply in the caller's order — the determinism contract. A fault
+    // may have evicted a walked page or mapped an absent one; a frame
+    // holds one page in PageIdHash mode, so a walk is current iff its
+    // frame is in use by this page. Other ops take the scalar touch().
     std::size_t walked = 0;
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::size_t end = std::min(n, i + 1 + walkAhead);
              walked < end; ++walked)
             walk_op(walked);
         const PageTouch &t = block[i];
-        ++clock_;
-        if (const Pfn pfn = walk_of(i); pfn != invalidPfn) {
+        const Pfn pfn = walk_of(i);
+        if (pfn != invalidPfn && frames_.frame(pfn).used &&
+                frames_.frame(pfn).owner == PageId{t.asid, t.vpn}) {
+            ++clock_;
             out[i] = touchResident(pfn, t.write);
         } else {
-            out[i] = touchAbsent(t.asid, t.vpn, t.write,
-                                 packPageId(PageId{t.asid, t.vpn}));
-            walked = i + 1;
+            out[i] = touch(t.asid, t.vpn, t.write);
         }
     }
 }

@@ -119,9 +119,9 @@ class MosaicVm : public VirtualMemory
      * prefetches that frame's record and live-order node. Touches are
      * then applied in the caller's order, so results, stats and
      * placements are bit-identical to a scalar touch() loop; faults
-     * take the scalar fault path. A walk is trusted only until the
-     * next mapping mutation: a fault discards the walks gathered
-     * past it, and those ops are walked again. LocationId sharing
+     * take the scalar fault path. A fault may evict a walked page, so
+     * a walk is applied only if its frame still holds that page;
+     * otherwise the op runs the scalar touch(). LocationId sharing
      * derives hash inputs statefully (binding creation draws the
      * RNG), so that mode — and trivial blocks — run the scalar loop
      * directly.
@@ -298,7 +298,7 @@ class MosaicVm : public VirtualMemory
     Tick horizon_ = 0;
     Rng rng_;
 
-    /** ShrunkenCache: global LRU order and the live-page cap. */
+    /** ShrunkenCache: global LRU order (empty otherwise), live cap. */
     LruList globalLru_;
     std::size_t liveCap_;
 

@@ -6,7 +6,7 @@ namespace mosaic
 {
 
 MosaicPageTable::MosaicPageTable(unsigned arity, Cpfn unmapped_code)
-    : tree_(vpnBits - ceilLog2(arity)),
+    : tree_(vpnBits - ceilLog2(arity), arity, unmapped_code),
       arity_(arity),
       log2Arity_(ceilLog2(arity)),
       unmapped_(unmapped_code)
@@ -15,22 +15,11 @@ MosaicPageTable::MosaicPageTable(unsigned arity, Cpfn unmapped_code)
     ensure((arity & (arity - 1)) == 0, "mosaic_pt: arity power of two");
 }
 
-Toc &
-MosaicPageTable::leafFor(Vpn vpn, unsigned *refs)
-{
-    Toc &toc = tree_.getOrCreate(mvpnOf(vpn), refs);
-    if (!toc.initialized) {
-        toc.cpfns.fill(unmapped_);
-        toc.initialized = true;
-    }
-    return toc;
-}
-
 void
 MosaicPageTable::setCpfn(Vpn vpn, Cpfn cpfn)
 {
-    Toc &toc = leafFor(vpn);
-    Cpfn &slot = toc.cpfns[offsetOf(vpn)];
+    Cpfn *toc = &tree_.getOrCreate(mvpnOf(vpn));
+    Cpfn &slot = toc[offsetOf(vpn)];
     if (slot == unmapped_ && cpfn != unmapped_)
         ++mapped_;
     else if (slot != unmapped_ && cpfn == unmapped_)
@@ -38,23 +27,14 @@ MosaicPageTable::setCpfn(Vpn vpn, Cpfn cpfn)
     slot = cpfn;
 }
 
-void
-MosaicPageTable::clearCpfn(Vpn vpn)
-{
-    setCpfn(vpn, unmapped_);
-}
-
 MosaicWalkResult
 MosaicPageTable::walk(Vpn vpn) const
 {
     MosaicWalkResult out;
-    const Toc *toc = tree_.find(mvpnOf(vpn), &out.memRefs);
-    if (!toc || !toc->initialized) {
-        out.cpfn = unmapped_;
-        return out;
-    }
-    out.toc = std::span<const Cpfn>(toc->cpfns.data(), arity_);
-    out.cpfn = toc->cpfns[offsetOf(vpn)];
+    const Cpfn *toc = tree_.find(mvpnOf(vpn), &out.memRefs);
+    if (toc)
+        out.toc = std::span<const Cpfn>(toc, arity_);
+    out.cpfn = toc ? toc[offsetOf(vpn)] : unmapped_;
     out.present = out.cpfn != unmapped_;
     return out;
 }

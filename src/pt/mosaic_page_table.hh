@@ -2,13 +2,12 @@
  * @file
  * The mosaic page table (paper §3.1, Figure 5): a radix tree whose
  * leaves map MVPNs to tables of contents (ToCs) — one CPFN per base
- * page of the mosaic page — instead of full PFNs.
+ * page of the mosaic page, `arity` CPFNs in all — instead of PFNs.
  */
 
 #ifndef MOSAIC_PT_MOSAIC_PAGE_TABLE_HH_
 #define MOSAIC_PT_MOSAIC_PAGE_TABLE_HH_
 
-#include <array>
 #include <cstdint>
 #include <span>
 
@@ -19,21 +18,10 @@
 namespace mosaic
 {
 
-/** The leaf payload: a mosaic page's table of contents. */
-struct Toc
-{
-    /** One CPFN per sub-page; slots beyond the arity are unused.
-     *  Initialized lazily by MosaicPageTable to the unmapped code. */
-    std::array<Cpfn, maxArity> cpfns{};
-
-    /** True once cpfns has been initialized to the unmapped code. */
-    bool initialized = false;
-};
-
 /** Result of a mosaic page-table walk. */
 struct MosaicWalkResult
 {
-    /** The full ToC of the mosaic page; empty when no leaf exists. */
+    /** The mosaic page's arity-CPFN ToC; empty when no leaf exists. */
     std::span<const Cpfn> toc;
 
     /** CPFN of the requested page (== unmapped code if absent). */
@@ -66,7 +54,7 @@ class MosaicPageTable
     void setCpfn(Vpn vpn, Cpfn cpfn);
 
     /** Clear the CPFN of one base page (marks it unmapped). */
-    void clearCpfn(Vpn vpn);
+    void clearCpfn(Vpn vpn) { setCpfn(vpn, unmapped_); }
 
     /** Walk for a VPN; also yields the whole ToC for TLB fill. */
     MosaicWalkResult walk(Vpn vpn) const;
@@ -78,9 +66,7 @@ class MosaicPageTable
     std::uint64_t mappedPages() const { return mapped_; }
 
   private:
-    Toc &leafFor(Vpn vpn, unsigned *refs = nullptr);
-
-    RadixTree<Toc> tree_;
+    RadixTree<Cpfn> tree_; // MVPN -> its ToC, arity leaves wide
     unsigned arity_;
     unsigned log2Arity_;
     Cpfn unmapped_;

@@ -241,13 +241,17 @@ constexpr unsigned kHintBlocks[] = {2, 7, 64, 128};
  * How often a stream defeats the walks a batch gathers, measured on a
  * scalar run at @p block: ops whose page was absent when their block
  * began but resident when touched (an earlier op in the block mapped
- * it), and ops whose page was resident when the block began but
- * faulted when touched (an earlier op in the block evicted it).
+ * it), ops whose page was resident when the block began but faulted
+ * when touched (an earlier op in the block evicted it), and ops whose
+ * block-start walk named a frame that holds a different page when the
+ * op is applied (an earlier op in the block evicted the page and
+ * reused its frame).
  */
 struct StaleWalks
 {
     std::size_t absentThenMapped = 0;
     std::size_t residentThenEvicted = 0;
+    std::size_t residentThenReused = 0;
 };
 
 StaleWalks
@@ -256,21 +260,31 @@ staleWalks(const MosaicVmConfig &config, std::span<const PageTouch> stream,
 {
     MosaicVm vm(config);
     StaleWalks out;
-    std::vector<bool> present(block);
+    std::vector<Pfn> named(block);
     for (std::size_t base = 0; base < stream.size(); base += block) {
         const std::size_t n =
             std::min<std::size_t>(block, stream.size() - base);
         for (std::size_t k = 0; k < n; ++k) {
             const PageTouch &t = stream[base + k];
-            present[k] = vm.pageTable(t.asid).walk(t.vpn).present;
+            const MosaicWalkResult walk = vm.pageTable(t.asid).walk(t.vpn);
+            named[k] = walk.present
+                ? vm.allocator().mapper().pfnOf(
+                      packPageId(PageId{t.asid, t.vpn}), walk.cpfn)
+                : invalidPfn;
         }
         for (std::size_t k = 0; k < n; ++k) {
             const PageTouch &t = stream[base + k];
+            const bool present = named[k] != invalidPfn;
+            if (present) {
+                const Frame &f = vm.frameTable().frame(named[k]);
+                out.residentThenReused +=
+                    f.used && f.owner != PageId{t.asid, t.vpn};
+            }
             const std::uint64_t faults = vm.stats().faults();
             vm.touch(t.asid, t.vpn, t.write);
             const bool faulted = vm.stats().faults() != faults;
-            out.absentThenMapped += !present[k] && !faulted;
-            out.residentThenEvicted += present[k] && faulted;
+            out.absentThenMapped += !present && !faulted;
+            out.residentThenEvicted += present && faulted;
         }
     }
     return out;
@@ -312,18 +326,24 @@ TEST(BatchPipeline, FaultMapsPageALaterOpInTheBlockTouches)
     }
 }
 
+/** Eight candidate frames per page in 48 frames: with a working set
+ *  a third larger, most faults are Horizon LRU conflicts, and their
+ *  victims are soon touched again. */
+MosaicVmConfig
+conflictConfig(std::uint64_t seed)
+{
+    MosaicVmConfig config = mosaicConfig(seed, EvictionPolicy::HorizonLru);
+    config.geometry.frontSlots = 4;
+    config.geometry.backSlots = 2;
+    config.geometry.backChoices = 2;
+    config.geometry.numFrames = 8 * config.geometry.slotsPerBucket();
+    return config;
+}
+
 TEST(BatchPipeline, ConflictEvictsPageALaterOpInTheBlockTouches)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        // Eight candidate frames per page in 48 frames, and a working
-        // set a third larger: most faults are Horizon LRU conflicts,
-        // and their victims are soon touched again.
-        MosaicVmConfig config =
-            mosaicConfig(seed, EvictionPolicy::HorizonLru);
-        config.geometry.frontSlots = 4;
-        config.geometry.backSlots = 2;
-        config.geometry.backChoices = 2;
-        config.geometry.numFrames = 8 * config.geometry.slotsPerBucket();
+        const MosaicVmConfig config = conflictConfig(seed);
         const auto stream = makeRetouchStream(seed, 20011, 64);
         const VmOutcome scalar = mosaicRun(config, stream, 1);
         {
@@ -334,6 +354,25 @@ TEST(BatchPipeline, ConflictEvictsPageALaterOpInTheBlockTouches)
         for (const unsigned block : kHintBlocks) {
             ASSERT_GT(
                 staleWalks(config, stream, block).residentThenEvicted, 0u)
+                << "seed=" << seed << " block=" << block;
+            ASSERT_EQ(scalar, mosaicRun(config, stream, block))
+                << "seed=" << seed << " block=" << block;
+        }
+    }
+}
+
+TEST(BatchPipeline, ConflictReusesAWalkedFrameForAnotherPage)
+{
+    // A walk that named a frame is applied only while the frame still
+    // holds the walked page: a frame that is merely in use may have
+    // been handed to another page by a conflict earlier in the block.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const MosaicVmConfig config = conflictConfig(seed);
+        const auto stream = makeRetouchStream(seed, 20011, 64);
+        const VmOutcome scalar = mosaicRun(config, stream, 1);
+        for (const unsigned block : kHintBlocks) {
+            ASSERT_GT(
+                staleWalks(config, stream, block).residentThenReused, 0u)
                 << "seed=" << seed << " block=" << block;
             ASSERT_EQ(scalar, mosaicRun(config, stream, block))
                 << "seed=" << seed << " block=" << block;

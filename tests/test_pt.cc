@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 
 #include "pt/mosaic_page_table.hh"
 #include "pt/radix_tree.hh"
@@ -77,13 +78,66 @@ TEST(RadixTree, ForEachVisitsLeavesWithKeys)
     t.getOrCreate(5) = 50;
     t.getOrCreate(100000) = 77;
     std::map<std::uint64_t, int> seen;
-    t.forEach([&](std::uint64_t key, int &leaf) {
-        if (leaf != 0)
-            seen[key] = leaf;
+    t.forEach([&](std::uint64_t key, std::span<int> run) {
+        ASSERT_EQ(run.size(), 1u);
+        if (run[0] != 0)
+            seen[key] = run[0];
     });
     EXPECT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[5], 50);
     EXPECT_EQ(seen[100000], 77);
+}
+
+TEST(RadixTree, WideLeavesAreContiguousAndFilled)
+{
+    constexpr unsigned width = 4;
+    RadixTree<std::uint8_t> t(34, width, 0x7F);
+    std::uint8_t *run = &t.getOrCreate(10);
+    for (unsigned i = 0; i < width; ++i)
+        EXPECT_EQ(run[i], 0x7F);
+    run[3] = 9;
+    EXPECT_EQ(t.find(10), run);
+    // Neighbouring keys' runs abut this one and still hold the fill.
+    EXPECT_EQ(t.find(11), run + width);
+    EXPECT_EQ(t.find(9), run - width);
+    EXPECT_EQ(t.find(11)[0], 0x7F);
+    EXPECT_EQ(t.find(9)[width - 1], 0x7F);
+}
+
+TEST(RadixTree, WideLeavesOfSparseKeysDoNotInterfere)
+{
+    constexpr unsigned width = 16;
+    RadixTree<std::uint8_t> t(32, width, 0xFF);
+    std::map<std::uint64_t, std::uint8_t> model;
+    std::uint64_t x = 1;
+    for (int i = 0; i < 2000; ++i) {
+        x = x * 6364136223846793005ull + 1;
+        const std::uint64_t key = x >> 32; // 32-bit keys
+        const auto value = static_cast<std::uint8_t>(x >> 24);
+        (&t.getOrCreate(key))[key % width] = value;
+        model[key] = value;
+    }
+    for (const auto &[key, value] : model) {
+        const std::uint8_t *leaf = t.find(key);
+        ASSERT_NE(leaf, nullptr);
+        for (unsigned i = 0; i < width; ++i) {
+            EXPECT_EQ(leaf[i], i == key % width ? value : 0xFF)
+                << "key=" << key << " slot=" << i;
+        }
+    }
+
+    // forEach hands out every instantiated key's run, width long.
+    std::size_t runs = 0;
+    std::size_t set = 0;
+    t.forEach([&](std::uint64_t key, std::span<std::uint8_t> leaves) {
+        ASSERT_EQ(leaves.size(), width);
+        EXPECT_EQ(leaves.data(), t.find(key));
+        ++runs;
+        if (model.contains(key))
+            set += leaves[key % width] == model[key];
+    });
+    EXPECT_EQ(runs % RadixTree<std::uint8_t>::fanout, 0u);
+    EXPECT_EQ(set, model.size());
 }
 
 TEST(RadixTree, SingleLevelTree)
@@ -217,6 +271,28 @@ TEST(MosaicPt, RemapCounting)
     pt.setCpfn(3, 6); // remap: count stays 1
     EXPECT_EQ(pt.mappedPages(), 1u);
     EXPECT_EQ(pt.walk(3).cpfn, 6);
+}
+
+TEST(MosaicPt, UnsetTocInAnExistingLeafWalksAbsent)
+{
+    for (const unsigned arity : {1u, 4u, 16u, 64u}) {
+        MosaicPageTable pt(arity, 0x7F);
+        pt.setCpfn(0, 5);
+        const auto set = pt.walk(0);
+        ASSERT_TRUE(set.present) << "arity=" << arity;
+        ASSERT_EQ(set.toc.size(), arity);
+        // The next mosaic page shares the leaf node but was never set.
+        for (const Vpn vpn : {Vpn{arity}, Vpn{2 * arity - 1}}) {
+            const auto unset = pt.walk(vpn);
+            EXPECT_FALSE(unset.present) << "arity=" << arity;
+            EXPECT_EQ(unset.cpfn, 0x7F);
+            ASSERT_EQ(unset.toc.size(), arity);
+            for (const Cpfn code : unset.toc)
+                EXPECT_EQ(code, 0x7F) << "arity=" << arity;
+            EXPECT_EQ(unset.memRefs, set.memRefs) << "arity=" << arity;
+        }
+        EXPECT_EQ(pt.mappedPages(), 1u);
+    }
 }
 
 using MosaicPtDeathTest = ::testing::Test;
