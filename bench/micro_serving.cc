@@ -3,10 +3,11 @@
  * Microbenchmarks for the serving hot path (DESIGN.md §16): the
  * SPSC ring transfer, the admission controller's decision cost, the
  * latency histogram's record path, and the full accept path
- * (admission + WAL append/flush + ring push) against a tmpfs-backed
- * log. The ring and admission numbers bound what the daemon can
- * ever serve; the accept-path number shows where the durability
- * cost lives.
+ * (admission + WAL append/flush + ring push) against a log in the
+ * temp directory. The ring and admission numbers bound what the
+ * daemon can ever serve; the accept-path number shows what the
+ * durability costs: a checksum and a store into the memory-mapped
+ * log, plus one preallocation step per 64 KiB of records.
  */
 
 #include <benchmark/benchmark.h>
@@ -106,7 +107,7 @@ BENCHMARK(BM_LatencyHistogramRecord);
 // ------------------------------------------------- the accept path
 
 /** Admission + WAL append/flush + ring push, the whole durable
- *  accept, against a temp-file log (tmpfs on CI). */
+ *  accept, against a temp-file log. */
 void
 BM_AcceptPathDurable(benchmark::State &state)
 {

@@ -1,8 +1,13 @@
 #include "core/request_log.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 
 namespace mosaic
@@ -14,6 +19,10 @@ namespace
 constexpr const char *logMagic = "mosaic-request-log v1";
 
 constexpr std::size_t payloadBytes = 20;
+
+/** The file grows ahead of the writer in steps of this many bytes
+ *  (a multiple of every page size the mapping may use). */
+constexpr std::uint64_t growStepBytes = 64 * 1024;
 
 std::uint32_t
 fnv1a32(const unsigned char *data, std::size_t n)
@@ -101,25 +110,75 @@ RequestLogWriter::~RequestLogWriter()
 }
 
 Status
+RequestLogWriter::grow(std::uint64_t end)
+{
+    const std::uint64_t target =
+        (end + growStepBytes - 1) / growStepBytes * growStepBytes;
+    // Reserve the blocks before any store can reach them: a store
+    // into a hole the filesystem cannot fill would be a SIGBUS.
+    const int err = ::posix_fallocate(
+        fd_, static_cast<off_t>(allocatedBytes_),
+        static_cast<off_t>(target - allocatedBytes_));
+    if (err != 0) {
+        return Status::ioError("cannot grow request log '" + path_ +
+                               "' to " + std::to_string(target) +
+                               " bytes (" + std::strerror(err) + ")");
+    }
+    const std::size_t length = target - mapBase_;
+    void *window =
+        map_ == nullptr
+            ? ::mmap(nullptr, length, PROT_READ | PROT_WRITE,
+                     MAP_SHARED, fd_, static_cast<off_t>(mapBase_))
+            : ::mremap(map_, allocatedBytes_ - mapBase_, length,
+                       MREMAP_MAYMOVE);
+    if (window == MAP_FAILED) {
+        return Status::ioError("cannot map request log '" + path_ +
+                               "' (" + std::strerror(errno) + ")");
+    }
+    map_ = static_cast<unsigned char *>(window);
+    allocatedBytes_ = target;
+    return {};
+}
+
+void
+RequestLogWriter::release(std::uint64_t size, const char *what)
+{
+    if (map_ != nullptr)
+        ::munmap(map_, allocatedBytes_ - mapBase_);
+    map_ = nullptr;
+    if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+        warn("request log '" + path_ + "': " + what +
+             " could not truncate to " + std::to_string(size) +
+             " bytes (" + std::strerror(errno) + ")");
+    }
+    ::close(fd_);
+    fd_ = -1;
+}
+
+Status
 RequestLogWriter::open(const std::string &path,
                        const std::string &fingerprint)
 {
     close();
-    file_ = std::fopen(path.c_str(), "wb");
-    if (file_ == nullptr)
+    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0)
         return Status::ioError("cannot open request log '" + path +
                                "' for writing");
     path_ = path;
+    mapBase_ = 0;
+    allocatedBytes_ = 0;
+    writtenBytes_ = 0;
+    flushedBytes_ = 0;
     const std::string header = std::string(logMagic) +
                                "\nfingerprint " + fingerprint + "\n";
-    if (std::fwrite(header.data(), 1, header.size(), file_) !=
-            header.size()) {
-        close();
-        return Status::ioError("cannot write request-log header to '" +
-                               path + "'");
+    Status st = grow(header.size());
+    if (!st.ok()) {
+        release(0, "failed open");
+        return st;
     }
+    std::memcpy(map_, header.data(), header.size());
     writtenBytes_ = header.size();
-    flushedBytes_ = 0;
     return flush();
 }
 
@@ -128,19 +187,25 @@ RequestLogWriter::openForAppend(const std::string &path,
                                 std::uint64_t durable_bytes)
 {
     close();
-    // Drop any torn tail first so appends extend the durable prefix.
-    std::error_code ec;
-    std::filesystem::resize_file(path, durable_bytes, ec);
-    if (ec) {
-        return Status::ioError("cannot truncate request log '" + path +
-                               "' to its durable prefix (" +
-                               ec.message() + ")");
-    }
-    file_ = std::fopen(path.c_str(), "ab");
-    if (file_ == nullptr)
+    fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+    if (fd_ < 0)
         return Status::ioError("cannot open request log '" + path +
                                "' for append");
     path_ = path;
+    // Drop any torn tail first so appends extend the durable prefix.
+    if (::ftruncate(fd_, static_cast<off_t>(durable_bytes)) != 0) {
+        const std::string reason = std::strerror(errno);
+        ::close(fd_);
+        fd_ = -1;
+        return Status::ioError("cannot truncate request log '" + path +
+                               "' to its durable prefix (" + reason +
+                               ")");
+    }
+    // The window starts at the page holding the end of the durable
+    // prefix; the first append maps it.
+    const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    mapBase_ = durable_bytes / page * page;
+    allocatedBytes_ = durable_bytes;
     writtenBytes_ = durable_bytes;
     flushedBytes_ = durable_bytes;
     return {};
@@ -149,12 +214,16 @@ RequestLogWriter::openForAppend(const std::string &path,
 Status
 RequestLogWriter::append(const LogRecord &record)
 {
-    if (file_ == nullptr)
+    if (fd_ < 0)
         return Status::internal("request log is not open");
+    if (writtenBytes_ + logRecordBytes > allocatedBytes_) {
+        Status st = grow(writtenBytes_ + logRecordBytes);
+        if (!st.ok())
+            return st;
+    }
     const auto buf = encodeRecord(record);
-    if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size())
-        return Status::ioError("short write to request log '" + path_ +
-                               "'");
+    std::memcpy(map_ + (writtenBytes_ - mapBase_), buf.data(),
+                buf.size());
     writtenBytes_ += buf.size();
     return {};
 }
@@ -162,11 +231,8 @@ RequestLogWriter::append(const LogRecord &record)
 Status
 RequestLogWriter::flush()
 {
-    if (file_ == nullptr)
+    if (fd_ < 0)
         return Status::internal("request log is not open");
-    if (std::fflush(file_) != 0)
-        return Status::ioError("cannot flush request log '" + path_ +
-                               "'");
     flushedBytes_ = writtenBytes_;
     return {};
 }
@@ -174,30 +240,19 @@ RequestLogWriter::flush()
 void
 RequestLogWriter::crash()
 {
-    if (file_ == nullptr)
+    if (fd_ < 0)
         return;
-    // Abandon the buffered suffix, then cut the file back to the
-    // watermark: exactly what the kernel would keep had the process
-    // died after the last successful flush().
-    std::fclose(file_);
-    file_ = nullptr;
-    std::error_code ec;
-    std::filesystem::resize_file(path_, flushedBytes_, ec);
-    if (ec) {
-        warn("request log '" + path_ +
-             "': simulated crash could not truncate to the flushed "
-             "offset (" + ec.message() + ")");
-    }
+    // Cut the file back to the watermark: the acknowledged prefix
+    // is all the acceptance protocol promises to keep.
+    release(flushedBytes_, "simulated crash");
 }
 
 void
 RequestLogWriter::close()
 {
-    if (file_ == nullptr)
+    if (fd_ < 0)
         return;
-    std::fflush(file_);
-    std::fclose(file_);
-    file_ = nullptr;
+    release(writtenBytes_, "close");
     flushedBytes_ = writtenBytes_;
 }
 
@@ -223,17 +278,22 @@ readRequestLog(const std::string &path, const std::string &fingerprint)
     unsigned char buf[logRecordBytes];
     for (;;) {
         in.read(reinterpret_cast<char *>(buf), logRecordBytes);
-        if (in.gcount() != static_cast<std::streamsize>(logRecordBytes)) {
-            contents.tornTail = in.gcount() != 0;
-            break;
-        }
         LogRecord record;
-        if (!decodeRecord(buf, &record)) {
-            contents.tornTail = true;
+        if (in.gcount() != static_cast<std::streamsize>(logRecordBytes) ||
+                !decodeRecord(buf, &record))
             break;
-        }
         contents.records.push_back(record);
         contents.durableBytes += logRecordBytes;
+    }
+    // Whatever follows the durable prefix is torn unless it is all
+    // zeros: the preallocation a writer that died never reached.
+    in.clear();
+    in.seekg(static_cast<std::streamoff>(contents.durableBytes));
+    char tail[4096];
+    while (!contents.tornTail && in.read(tail, sizeof(tail)).gcount() > 0) {
+        contents.tornTail =
+            std::any_of(tail, tail + in.gcount(),
+                        [](char c) { return c != 0; });
     }
     return contents;
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * The per-session request log (write-ahead log) behind mosaicd's
- * crash recovery, plus the RequestLog seam on the touch-sink path
- * (DESIGN.md §16).
+ * crash recovery (DESIGN.md §16).
  *
  * Format: a two-line text header (magic + fingerprint, the shared
  * checkpoint convention of fault/checkpoint.hh) followed by fixed-
@@ -20,23 +19,31 @@
  * client (mosaicd acks only after flush), so recovery discards it
  * and the client's retry resubmits.
  *
+ * The writer stores records into a MAP_SHARED window of the file.
+ * A store that has retired is in the page cache, so it survives
+ * process death exactly as a write(2) would, without a syscall per
+ * record. Power loss is out of scope: nothing is fsynced. The file
+ * is preallocated ahead of the writer in fixed steps, so a full
+ * disk or a file-size limit surfaces as an IoError from append(),
+ * never as a SIGBUS on a store. A process that dies leaves that
+ * preallocation behind as a zero-filled tail, which the reader
+ * treats as a clean end; close() trims it.
+ *
  * The writer tracks its flushed offset explicitly, which is what
  * lets the chaos tests simulate a kill precisely: a simulated crash
  * truncates the file to the flushed offset, dropping exactly the
- * bytes a real process death would have lost.
+ * bytes the acceptance protocol may lose.
  */
 
 #ifndef MOSAIC_CORE_REQUEST_LOG_HH_
 #define MOSAIC_CORE_REQUEST_LOG_HH_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "util/status.hh"
 #include "util/types.hh"
-#include "workloads/access_sink.hh"
 
 namespace mosaic
 {
@@ -65,7 +72,10 @@ struct LogRecord
 /** Serialized size of one record on disk. */
 constexpr std::size_t logRecordBytes = 24;
 
-/** Append-only writer with an explicit flushed-offset watermark. */
+/**
+ * Append-only writer over a memory-mapped file, with an explicit
+ * flushed-offset watermark.
+ */
 class RequestLogWriter
 {
   public:
@@ -90,10 +100,18 @@ class RequestLogWriter
     Status openForAppend(const std::string &path,
                          std::uint64_t durable_bytes);
 
-    /** Append one record (buffered; durable only after flush()). */
+    /**
+     * Append one record: an encode and a store into the mapped
+     * window. IoError when the file cannot grow to hold it (full
+     * disk, file-size limit); the log is then left as it was.
+     */
     Status append(const LogRecord &record);
 
-    /** Push buffered records to the OS and advance the watermark. */
+    /**
+     * Advance the flushed watermark to everything appended. The
+     * records are already in the page cache; this only marks them
+     * as acknowledged (no syscall).
+     */
     Status flush();
 
     /** Bytes guaranteed durable against process death. */
@@ -102,20 +120,32 @@ class RequestLogWriter
     /** Bytes appended (flushed or not). */
     std::uint64_t writtenBytes() const { return writtenBytes_; }
 
-    bool isOpen() const { return file_ != nullptr; }
+    bool isOpen() const { return fd_ >= 0; }
 
     /**
-     * Simulated process death: close the file and truncate it to
-     * the flushed watermark, losing exactly the unflushed suffix.
+     * Simulated process death: unmap and truncate the file to the
+     * flushed watermark, losing exactly the unflushed suffix.
      */
     void crash();
 
-    /** Flush and close cleanly. */
+    /** Unmap, trim the preallocation to writtenBytes() and close. */
     void close();
 
   private:
-    std::FILE *file_ = nullptr;
+    /** Preallocate and map the file up to at least @p end bytes. */
+    Status grow(std::uint64_t end);
+
+    /** Release the window and trim the file to @p size bytes. */
+    void release(std::uint64_t size, const char *what);
+
+    int fd_ = -1;
     std::string path_;
+
+    /** The mapped window: file bytes [mapBase_, allocatedBytes_). */
+    unsigned char *map_ = nullptr;
+    std::uint64_t mapBase_ = 0;
+    std::uint64_t allocatedBytes_ = 0;
+
     std::uint64_t writtenBytes_ = 0;
     std::uint64_t flushedBytes_ = 0;
 };
@@ -129,7 +159,8 @@ struct RequestLogContents
     std::uint64_t durableBytes = 0;
 
     /** True when a torn/corrupt tail was discarded after the
-     *  durable prefix. */
+     *  durable prefix. An all-zero tail (the preallocation a dead
+     *  writer leaves behind) is a clean end, not a torn one. */
     bool tornTail = false;
 };
 
@@ -141,52 +172,6 @@ struct RequestLogContents
  */
 Result<RequestLogContents> readRequestLog(
     const std::string &path, const std::string &fingerprint);
-
-/**
- * The RequestLog seam on the touch-sink path: tees every access
- * into a log (with self-assigned dense seq) before forwarding to
- * the inner sink. Lets any workload run be captured as a replayable
- * request log, and is what mosaicd's recovery drives replay through.
- * Append/flush failures surface through status() — the stream keeps
- * flowing to the inner sink (degraded, like a failed telemetry
- * write), and callers that need the log decide what to do.
- */
-class LoggingSink : public AccessSink
-{
-  public:
-    LoggingSink(RequestLogWriter &log, AccessSink &inner)
-        : log_(log), inner_(inner)
-    {
-    }
-
-    void
-    access(Addr vaddr, bool write) override
-    {
-        if (status_.ok()) {
-            status_ = log_.append(LogRecord{
-                LogRecordKind::Translate, write, nextSeq_, vaddr});
-        }
-        ++nextSeq_;
-        inner_.access(vaddr, write);
-    }
-
-    void
-    flush() override
-    {
-        if (status_.ok())
-            status_ = log_.flush();
-        inner_.flush();
-    }
-
-    /** First append/flush failure, sticky; Ok while healthy. */
-    const Status &status() const { return status_; }
-
-  private:
-    RequestLogWriter &log_;
-    AccessSink &inner_;
-    std::uint64_t nextSeq_ = 0;
-    Status status_;
-};
 
 } // namespace mosaic
 

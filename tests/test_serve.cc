@@ -2,14 +2,15 @@
  * @file
  * Unit tests for mosaicd's building blocks (DESIGN.md §16): the SPSC
  * ring, the deterministic token bucket and admission controller, the
- * retry helper, the request log (framing, torn tails, crash
- * watermark), the LoggingSink seam, the latency histogram, and the
- * epoch-checkpoint payload codec.
+ * retry helper, the request log (framing, torn and zero-filled
+ * tails, crash watermark, survival of a real process death), the
+ * latency histogram, and the epoch-checkpoint payload codec.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -352,47 +353,80 @@ TEST(RequestLog, CrashTruncatesToTheFlushedWatermark)
     EXPECT_FALSE(read.value().tornTail);
 }
 
-// ---------------------------------------------------------------
-// LoggingSink
-
-TEST(LoggingSink, AssignsDenseSequenceAndForwards)
+TEST(RequestLog, ZeroFilledTailIsACleanEnd)
 {
-    const TempDir dir("mosaic_logsink");
+    const TempDir dir("mosaic_reqlog_zero_tail");
     const std::string path = dir.str() + "/a.log";
     RequestLogWriter writer;
     ASSERT_TRUE(writer.open(path, "fp").ok());
-    VectorSink inner;
-    LoggingSink sink(writer, inner);
-    sink.access(0x1000, false);
-    sink.access(0x2000, true);
-    sink.access(0x3000, false);
-    sink.flush();
-    EXPECT_TRUE(sink.status().ok());
+    for (std::uint64_t i = 0; i < 3; ++i)
+        ASSERT_TRUE(
+            writer.append({LogRecordKind::Translate, i == 1, i, i})
+                .ok());
+    ASSERT_TRUE(writer.flush().ok());
     writer.close();
+    const auto before = readRequestLog(path, "fp");
+    ASSERT_TRUE(before.ok());
+    EXPECT_FALSE(before.value().tornTail);
 
-    ASSERT_EQ(inner.trace().size(), 3u);
-    const auto read = readRequestLog(path, "fp");
-    ASSERT_TRUE(read.ok());
-    ASSERT_EQ(read.value().records.size(), 3u);
-    for (std::uint64_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(read.value().records[i].seq, i);
-        EXPECT_EQ(read.value().records[i].vaddr,
-                  inner.trace()[i].vaddr);
-        EXPECT_EQ(read.value().records[i].write,
-                  inner.trace()[i].write);
+    // A writer that dies leaves its preallocation behind: zeros,
+    // not a whole number of records long.
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        const std::string zeros(10000, '\0');
+        out.write(zeros.data(),
+                  static_cast<std::streamsize>(zeros.size()));
     }
+    const auto after = readRequestLog(path, "fp");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().records, before.value().records);
+    EXPECT_EQ(after.value().durableBytes,
+              before.value().durableBytes);
+    EXPECT_FALSE(after.value().tornTail);
 }
 
-TEST(LoggingSink, AppendFailureIsStickyButTheStreamFlows)
+TEST(RequestLogDeathTest, FlushedRecordsSurviveProcessDeath)
 {
-    RequestLogWriter writer; // never opened: appends fail
-    VectorSink inner;
-    LoggingSink sink(writer, inner);
-    sink.access(0x1000, false);
-    sink.access(0x2000, false);
-    EXPECT_FALSE(sink.status().ok());
-    EXPECT_EQ(inner.trace().size(), 2u)
-        << "a broken log must degrade, not stop the stream";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const TempDir dir("mosaic_reqlog_process_death");
+    const std::string path = dir.str() + "/a.log";
+    constexpr std::uint64_t records = 5000;
+
+    // The child dies without close(): nothing trims, nothing runs
+    // a destructor, only what flush() acknowledged may be relied on.
+    EXPECT_EXIT(
+        {
+            RequestLogWriter writer;
+            if (!writer.open(path, "fp").ok())
+                std::_Exit(1);
+            for (std::uint64_t i = 0; i < records; ++i) {
+                if (!writer
+                         .append({LogRecordKind::Translate, i % 3 == 0,
+                                  i, 0x1000 + 64 * i})
+                         .ok() ||
+                        !writer.flush().ok())
+                    std::_Exit(2);
+            }
+            std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+
+    RequestLogWriter reference;
+    ASSERT_TRUE(reference.open(dir.str() + "/header.log", "fp").ok());
+    const std::uint64_t headerBytes = reference.writtenBytes();
+    reference.close();
+
+    const auto read = readRequestLog(path, "fp");
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    ASSERT_EQ(read.value().records.size(), records);
+    EXPECT_EQ(read.value().durableBytes,
+              headerBytes + records * logRecordBytes);
+    EXPECT_FALSE(read.value().tornTail);
+    for (std::uint64_t i = 0; i < records; ++i) {
+        const LogRecord expect{LogRecordKind::Translate, i % 3 == 0, i,
+                               0x1000 + 64 * i};
+        ASSERT_EQ(read.value().records[i], expect) << "record " << i;
+    }
 }
 
 // ---------------------------------------------------------------

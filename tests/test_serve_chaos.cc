@@ -10,10 +10,13 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <iostream>
 #include <map>
 #include <string>
 #include <thread>
@@ -325,4 +328,72 @@ TEST(ServeChaos, MultiTenantChaosConservesEveryRequest)
     for (const SessionSnapshot &snap : daemon.snapshots())
         expectConservation(snap);
     daemon.stop();
+}
+
+// A log that cannot grow (here: a file-size limit, as a full disk
+// would be) must come back as a LogIo shed that poisons the session
+// — never a SIGBUS on a store into unbacked pages. The limit is set
+// on the death-test child alone.
+TEST(ServeDeathTest, LogGrowthFailureShedsLogIo)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const TempDir dir("serve_chaos_log_growth");
+    EXPECT_EXIT(
+        {
+            int failures = 0;
+            const auto check = [&failures](bool ok, const char *what) {
+                if (!ok) {
+                    std::cerr << "check failed: " << what << "\n";
+                    ++failures;
+                }
+            };
+            std::signal(SIGXFSZ, SIG_IGN);
+            rlimit limit{};
+            getrlimit(RLIMIT_FSIZE, &limit);
+            limit.rlim_cur = 100 * 1024;
+            if (setrlimit(RLIMIT_FSIZE, &limit) != 0)
+                std::_Exit(3);
+            {
+                Mosaicd daemon(chaosConfig(dir.str(), 1));
+                if (!daemon.start().ok())
+                    std::_Exit(4);
+                auto handle = daemon.connect("alice");
+                if (!handle.ok())
+                    std::_Exit(5);
+                SessionHandle session = handle.value();
+                const auto trace = syntheticTrace(11, 20000);
+                Status st;
+                for (const MemRef &ref : trace) {
+                    // Wait out backpressure; stop at the first
+                    // failure that is not it.
+                    while ((st = session.submit(ref.vaddr, ref.write))
+                               .code() == StatusCode::ResourceExhausted)
+                        std::this_thread::yield();
+                    if (!st.ok())
+                        break;
+                }
+                check(st.code() == StatusCode::IoError,
+                      "the log never failed to grow");
+                const Status again = session.submit(0x4000, false);
+                check(again.code() == StatusCode::IoError &&
+                          again.message().find("poisoned") !=
+                              std::string::npos,
+                      "the failed log is not poisoned");
+                check(daemon.drain().ok(), "drain");
+                const SessionSnapshot snap = session.snapshot();
+                check(snap.shed[static_cast<int>(ShedClass::LogIo)] ==
+                          2,
+                      "exactly the two failed submits shed LogIo");
+                check(snap.accepted > 0 &&
+                          snap.accepted * logRecordBytes < 100 * 1024,
+                      "growth stopped at the file-size limit");
+                check(snap.submitted == snap.accepted + snap.shedTotal(),
+                      "submitted == accepted + shed");
+                check(snap.accepted == snap.completed,
+                      "accepted == completed after drain");
+                daemon.stop();
+            }
+            std::exit(failures == 0 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
