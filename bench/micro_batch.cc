@@ -33,7 +33,9 @@ constexpr unsigned kBlock = 64;
  *  random order: the hot resident-touch path under cache pressure.
  *  The frame table and ghost tracker take tens of MB; the page
  *  table's 192 Ki arity-4 ToCs take ~0.8 MB of leaves (arity bytes
- *  each), plus ~1.5 MB of interior nodes. */
+ *  each) in 384 leaf nodes, plus three 4 KiB interior nodes. Random
+ *  touches rarely stay in one leaf node, so walks here seldom take
+ *  the radix tree's remembered-leaf shortcut. */
 struct BigVm
 {
     std::unique_ptr<MosaicVm> vm;

@@ -70,6 +70,10 @@ class FrameTable
      *  Frame record each. */
     Tick lastAccessOf(Pfn pfn) const { return ticks_[pfn]; }
 
+    /** True when the frame holds a page; frame(pfn).used, from the
+     *  used-bit mirror. */
+    bool isUsed(Pfn pfn) const { return usedBits_.test(pfn); }
+
     /** Used bits of frames [base, base + width), width in [1, 64]
      *  (bit k set iff frame base + k holds a page). Lets placement
      *  find free slots with countr_zero and count bucket occupancy
@@ -129,6 +133,9 @@ class FrameTable
         for (std::size_t p = base; p <= last; p += 2)
             __builtin_prefetch(&frames_[p]);
     }
+
+    /** Hint that lastAccessOf(pfn) is about to be read; pure hint. */
+    void prefetchTick(Pfn pfn) const { __builtin_prefetch(&ticks_[pfn]); }
 
     /** Update the access timestamp (and dirtiness) of a used frame. */
     void

@@ -2,13 +2,18 @@
  * @file
  * Horizon-LRU ghost bookkeeping, factored out of MosaicVm so each
  * shard of the sharded engine (DESIGN.md §17) reuses the exact same
- * live-order / ghost-count / ghost-bitmap machinery.
+ * recency-log / ghost-count / ghost-bitmap machinery.
  *
- * Invariants maintained (identical to the pre-refactor MosaicVm
- * fields): used frames at or above the horizon live in the LRU list
- * in ascending lastAccess order; used frames strictly below it are
- * counted in ghostCount() and have their bit set in bits(), which is
- * exactly isGhostFrame() and drives the bitmap placement path.
+ * Invariants: every used frame has exactly one live entry in the
+ * recency log (the entry of its last map or touch) unless a reap has
+ * passed it; the log's live entries run in ascending lastAccess order.
+ * A reap passes exactly the live entries below the horizon, so the
+ * used frames at or above the horizon are the log's live entries, and
+ * the used frames strictly below it are counted in ghostCount() and
+ * have their bit set in bits(), which is exactly isGhostFrame() and
+ * drives the bitmap placement path. Ghost status is a function of
+ * the timestamps alone (paper §2.4); the log only makes a reap cost
+ * O(entries it passes).
  */
 
 #ifndef MOSAIC_OS_GHOST_TRACKER_HH_
@@ -17,71 +22,66 @@
 #include <cstddef>
 
 #include "mem/frame_table.hh"
-#include "os/lru_list.hh"
+#include "os/recency_log.hh"
 #include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace mosaic
 {
 
-/** Live-order + ghost accounting for one Horizon LRU clock. */
+/** Recency log + ghost accounting for one Horizon LRU clock. */
 class GhostTracker
 {
   public:
     explicit GhostTracker(std::size_t num_frames)
-        : liveOrder_(num_frames), ghostBits_(num_frames)
+        : log_(num_frames), ghostBits_(num_frames)
     {
     }
 
     /**
-     * Move frames that fell below @p horizon out of the live order
-     * and into the ghost count. The live order is in ascending
-     * lastAccess order, so every newly ghosted frame sits at the
-     * front; each frame is reaped at most once per residency,
-     * amortized O(1) per ghosting.
+     * Move frames that fell below @p horizon into the ghost count.
+     * The log is in ascending tick order, so every newly ghosted
+     * frame's live entry sits at its front; each entry is passed
+     * once, amortized O(1) per touch.
      */
     void
     reap(const FrameTable &frames, Tick horizon)
     {
-        while (!liveOrder_.empty() &&
-                   frames.frame(liveOrder_.front()).lastAccess < horizon) {
-            ghostBits_.set(liveOrder_.front());
-            liveOrder_.popFront();
+        log_.popOlderThan(frames, horizon, [this](Pfn pfn) {
+            ghostBits_.set(pfn);
             ++ghostCount_;
-        }
+        });
     }
 
-    /** Bookkeeping for a frame about to be unmapped. */
+    /** Bookkeeping for a frame about to be unmapped; a live frame's
+     *  log entry goes stale with the unmap. */
     void
     noteFreed(Pfn pfn, bool was_ghost)
     {
         if (was_ghost) {
             ghostBits_.clear(pfn);
             --ghostCount_;
-        } else {
-            liveOrder_.remove(pfn);
         }
     }
 
-    /** A resident ghost was referenced again: it rejoins the live
-     *  order as most recently used. */
+    /** A resident ghost was referenced again; record() then puts it
+     *  back in the order as most recently used. */
     void
     rescue(Pfn pfn)
     {
         ghostBits_.clear(pfn);
         --ghostCount_;
-        liveOrder_.pushBack(pfn);
     }
 
-    /** A live frame was touched: move it to most recently used. */
-    void touchLive(Pfn pfn) { liveOrder_.touch(pfn); }
+    /** A frame was mapped or touched and @p frames already holds its
+     *  new tick: log it as most recently used. */
+    void record(const FrameTable &frames, Pfn pfn) { log_.append(frames, pfn); }
 
-    /** Prefetch a frame's live-order node ahead of a touchLive() or
-     *  rescue(); pure hint. */
-    void prefetch(Pfn pfn) const { liveOrder_.prefetch(pfn); }
-
-    /** A frame was (re)mapped: append as most recently used. */
-    void recordLive(Pfn pfn) { liveOrder_.pushBack(pfn); }
+    /** Remove and return the least recently used live frame, or
+     *  invalidPfn when there is none; the caller evicts it. With the
+     *  horizon at 0 (every policy but HorizonLru) that is the global
+     *  LRU page. */
+    Pfn popOldest(const FrameTable &frames) { return log_.popOldest(frames); }
 
     /** Resident pages that are ghosts. O(1). */
     std::size_t ghostCount() const { return ghostCount_; }
@@ -90,8 +90,8 @@ class GhostTracker
     const BitVec &bits() const { return ghostBits_; }
 
   private:
-    /** Used frames at or above the horizon, ascending lastAccess. */
-    LruList liveOrder_;
+    /** Used frames at or above the horizon, as their live entries. */
+    RecencyLog log_;
 
     /** Used frames strictly below the horizon. */
     std::size_t ghostCount_ = 0;

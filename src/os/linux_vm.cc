@@ -38,7 +38,6 @@ LinuxVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
         const VanillaWalkResult walk = pt.walk(v);
         if (!walk.present)
             continue;
-        lru_.remove(walk.pfn);
         frames_.unmap(walk.pfn);
         free_.release(walk.pfn);
         pt.unmap(v);
@@ -48,8 +47,10 @@ LinuxVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
 void
 LinuxVm::reclaim()
 {
-    for (unsigned i = 0; i < config_.reclaimBatch && !lru_.empty(); ++i) {
-        const Pfn pfn = lru_.popFront();
+    for (unsigned i = 0; i < config_.reclaimBatch; ++i) {
+        const Pfn pfn = lru_.popOldest(frames_);
+        if (pfn == invalidPfn)
+            break;
         const Frame &f = frames_.frame(pfn);
         if (f.dirty) {
             swap_.writeOut(packPageId(f.owner));
@@ -71,7 +72,7 @@ LinuxVm::touch(Asid asid, Vpn vpn, bool write)
 
     if (const VanillaWalkResult walk = pt.walk(vpn); walk.present) {
         frames_.touch(walk.pfn, clock_, write);
-        lru_.touch(walk.pfn);
+        lru_.append(frames_, walk.pfn);
         return walk.pfn;
     }
 
@@ -88,7 +89,7 @@ LinuxVm::touch(Asid asid, Vpn vpn, bool write)
     const bool dirty = !major || write;
     frames_.map(*pfn, PageId{asid, vpn}, clock_, dirty);
     pt.map(vpn, *pfn);
-    lru_.pushBack(*pfn);
+    lru_.append(frames_, *pfn);
 
     if (major) {
         swap_.readIn(key);

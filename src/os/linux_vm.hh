@@ -17,7 +17,7 @@
 
 #include "mem/frame_table.hh"
 #include "mem/freelist_allocator.hh"
-#include "os/lru_list.hh"
+#include "os/recency_log.hh"
 #include "os/swap_device.hh"
 #include "os/virtual_memory.hh"
 #include "pt/vanilla_page_table.hh"
@@ -81,7 +81,8 @@ class LinuxVm : public VirtualMemory
     LinuxVmConfig config_;
     FreeListAllocator free_;
     FrameTable frames_;
-    LruList lru_;
+    /** Global LRU order of the used frames (a recency log). */
+    RecencyLog lru_;
     SwapDevice swap_;
     VmStats stats_;
     Tick clock_ = 0;

@@ -12,8 +12,6 @@ MosaicVm::MosaicVm(const MosaicVmConfig &config)
       allocator_(config.geometry),
       frames_(config.geometry.numFrames),
       rng_(config.seed),
-      globalLru_(config.policy == EvictionPolicy::ShrunkenCache
-                     ? config.geometry.numFrames : 0),
       ghosts_(config.geometry.numFrames)
 {
     liveCap_ = config_.policy == EvictionPolicy::ShrunkenCache
@@ -144,8 +142,6 @@ MosaicVm::evictFrame(Pfn pfn)
         pageTable(asid).clearCpfn(vpn);
     });
     sharers_.erase(pfn);
-    if (config_.policy == EvictionPolicy::ShrunkenCache)
-        globalLru_.remove(pfn);
     noteFrameFreed(pfn);
     frames_.unmap(pfn);
     // No binding release here: an evicted page always leaves a swap
@@ -190,8 +186,6 @@ MosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
             pageTable(a).clearCpfn(vp);
         });
         sharers_.erase(pfn);
-        if (config_.policy == EvictionPolicy::ShrunkenCache)
-            globalLru_.remove(pfn);
         noteFrameFreed(pfn);
         frames_.unmap(pfn);
     }
@@ -261,18 +255,15 @@ MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 Pfn
 MosaicVm::touchResident(Pfn pfn, bool write)
 {
-    if (frames_.frame(pfn).lastAccess < horizon_) {
+    if (frames_.lastAccessOf(pfn) < horizon_) {
         // A resident ghost was referenced again: a strict global
         // LRU would have evicted it; Horizon LRU rescues it. It
-        // rejoins the live order as most recently used.
+        // rejoins the recency order as most recently used.
         ++stats_.ghostRescues;
         ghosts_.rescue(pfn);
-    } else {
-        ghosts_.touchLive(pfn);
     }
     frames_.touch(pfn, clock_, write);
-    if (config_.policy == EvictionPolicy::ShrunkenCache)
-        globalLru_.touch(pfn);
+    ghosts_.record(frames_, pfn);
     return pfn;
 }
 
@@ -315,10 +306,12 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
     const CandidateSet cand = allocator_.mapper().candidates(hash_input);
 
     // ShrunkenCache holds live pages below (1 - delta)p by evicting
-    // the global LRU page first, so placement usually finds room.
+    // the global LRU page first, so placement usually finds room. Its
+    // horizon stays 0, so the recency log's oldest live frame is that
+    // page.
     if (config_.policy == EvictionPolicy::ShrunkenCache &&
-            frames_.usedFrames() >= liveCap_ && !globalLru_.empty()) {
-        evictFrame(globalLru_.front());
+            frames_.usedFrames() >= liveCap_ && frames_.usedFrames() > 0) {
+        evictFrame(ghosts_.popOldest(frames_));
     }
 
     std::optional<Placement> placement;
@@ -365,9 +358,7 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
     // fresh zero-filled page) must be written out if ever evicted.
     const bool dirty = !major || write;
     frames_.map(placement->pfn, PageId{asid, vpn}, clock_, dirty);
-    ghosts_.recordLive(placement->pfn);
-    if (config_.policy == EvictionPolicy::ShrunkenCache)
-        globalLru_.pushBack(placement->pfn);
+    ghosts_.record(frames_, placement->pfn);
     pt.setCpfn(vpn, placement->cpfn);
 
     if (major) {
@@ -429,8 +420,9 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
         return last_table;
     };
 
-    // Walk op j; a resident page's frame record and live-order node
-    // are prefetched for its apply.
+    // Walk op j; a resident page's frame record is prefetched for its
+    // apply. (Its recency-log append lands on the log's tail, which
+    // is already cached.)
     const auto walk_op = [&](std::size_t j) {
         if (j + leafAhead < n) {
             const PageTouch &ahead = block[j + leafAhead];
@@ -449,9 +441,6 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
             mapper.pfnOf(packPageId(PageId{t.asid, t.vpn}), walk.cpfn);
         walk_of(j) = pfn;
         frames_.prefetchRange(pfn, 1);
-        ghosts_.prefetch(pfn);
-        if (config_.policy == EvictionPolicy::ShrunkenCache)
-            globalLru_.prefetch(pfn);
     };
 
     // Apply in the caller's order — the determinism contract. A fault

@@ -21,7 +21,6 @@
 #include "mem/frame_table.hh"
 #include "mem/mosaic_allocator.hh"
 #include "os/ghost_tracker.hh"
-#include "os/lru_list.hh"
 #include "os/swap_device.hh"
 #include "os/virtual_memory.hh"
 #include "pt/mosaic_page_table.hh"
@@ -116,7 +115,7 @@ class MosaicVm : public VirtualMemory
      * lookahead ahead of the apply point it prefetches each op's
      * page-table leaf, walks the op, and for a resident page decodes
      * the one bucket its CPFN names (MosaicMapper::pfnOf) and
-     * prefetches that frame's record and live-order node. Touches are
+     * prefetches that frame's record. Touches are
      * then applied in the caller's order, so results, stats and
      * placements are bit-identical to a scalar touch() loop; faults
      * take the scalar fault path. A fault may evict a walked page, so
@@ -155,6 +154,10 @@ class MosaicVm : public VirtualMemory
     /** Resident pages that are ghosts. O(1): the count is maintained
      *  incrementally as the horizon moves and frames churn. */
     std::size_t ghostPages() const { return ghosts_.ghostCount(); }
+
+    /** The incrementally kept ghost set, PFN-indexed: bit set iff
+     *  isGhostFrame() (for inspection and tests). */
+    const BitVec &ghostBits() const { return ghosts_.bits(); }
 
     /** Swap-device counters (for telemetry and tests). */
     const SwapDevice &swapDevice() const { return swap_; }
@@ -231,8 +234,8 @@ class MosaicVm : public VirtualMemory
 
     /**
      * A touch of a page resident in @p pfn at the current clock:
-     * ghost rescue or live-order update, frame timestamp, and the
-     * ShrunkenCache LRU. Changes no mapping.
+     * ghost rescue, frame timestamp, and the recency-log append.
+     * Changes no mapping.
      */
     Pfn touchResident(Pfn pfn, bool write);
 
@@ -259,8 +262,8 @@ class MosaicVm : public VirtualMemory
     /** Ghost/live bookkeeping for a frame about to be unmapped. */
     void noteFrameFreed(Pfn pfn);
 
-    /** Move frames that fell below the horizon out of liveOrder_
-     *  and into the ghost count. Amortized O(1) per ghosting. */
+    /** Move frames that fell below the horizon into the ghost
+     *  count. Amortized O(1) per touch. */
     void reapGhosts();
 
     /** Location ID of the ToC containing (asid, vpn), creating one
@@ -298,13 +301,13 @@ class MosaicVm : public VirtualMemory
     Tick horizon_ = 0;
     Rng rng_;
 
-    /** ShrunkenCache: global LRU order (empty otherwise), live cap. */
-    LruList globalLru_;
+    /** ShrunkenCache: live-page cap ((1 - delta)p; numFrames
+     *  otherwise). */
     std::size_t liveCap_;
 
-    /** Live-order / ghost-count / ghost-bitmap bookkeeping for this
+    /** Recency-log / ghost-count / ghost-bitmap bookkeeping for this
      *  VM's horizon clock (shared with the sharded engine's shards,
-     *  DESIGN.md §17). */
+     *  DESIGN.md §17). ShrunkenCache's global LRU is its log. */
     GhostTracker ghosts_;
 
     FlatMap<Asid, std::unique_ptr<MosaicPageTable>> tables_;

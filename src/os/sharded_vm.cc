@@ -80,9 +80,16 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
         ShardBatch &b = batches_[s];
         b.out.resize(b.ops.size());
         vms_[s]->touchBatch(b.ops, b.out.data());
+    });
+
+    // Gather on the calling thread after the join: scattered from the
+    // workers, the 8-byte result stores of different shards would
+    // interleave within the same cache lines of `out`.
+    for (std::size_t s = 0; s < vms_.size(); ++s) {
+        const ShardBatch &b = batches_[s];
         for (std::size_t j = 0; j < b.ops.size(); ++j)
             out[b.idx[j]] = part_.toGlobal(s, b.out[j]);
-    });
+    }
 }
 
 void

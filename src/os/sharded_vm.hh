@@ -100,9 +100,10 @@ class ShardedMosaicVm : public VirtualMemory
     /**
      * Batched touch across shards: the block is partitioned by routed
      * shard, and each shard runs its ops, in block order, through its
-     * own MosaicVm::touchBatch on the MOSAIC_THREADS pool. Shards
-     * share no state, so results are bit-identical to a scalar
-     * touch() loop for any thread count.
+     * own MosaicVm::touchBatch on the MOSAIC_THREADS pool. The
+     * calling thread gathers the shards' results into @p out after
+     * the join. Shards share no state, so results are bit-identical
+     * to a scalar touch() loop for any thread count.
      */
     void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
 

@@ -9,7 +9,8 @@
  * this structure; each key owns `width` contiguous leaves (one PTE,
  * or one ToC of `arity` CPFNs). Lookups report how many node visits
  * ("memory references") the walk took so the simulator can account
- * for walk traffic.
+ * for walk traffic. The count is the modeled walk: a lookup that the
+ * host skips through the remembered leaf node reports it unchanged.
  */
 
 #ifndef MOSAIC_PT_RADIX_TREE_HH_
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "util/log.hh"
 
@@ -28,6 +30,16 @@ namespace mosaic
 
 /**
  * @tparam Leaf payload stored per key slot; starts as the fill value.
+ *
+ * Interior nodes hold 512 child pointers; a leaf node is only its
+ * `512 * width` leaves. Nodes are never freed, so a pointer into the
+ * tree stays valid for the tree's lifetime. The tree remembers the
+ * leaf node of the last key it resolved: a lookup of a key under the
+ * same 9-bit-aligned prefix skips the interior levels and still adds
+ * levels() to its reference count, which is exactly what the descent
+ * would report, since the whole path exists. The const lookups update
+ * that memo too, so a tree must not be read from two threads at once;
+ * every page table has one owning thread (DESIGN.md §8).
  */
 template <typename Leaf>
 class RadixTree
@@ -44,14 +56,11 @@ class RadixTree
      */
     explicit RadixTree(unsigned key_bits, unsigned leaf_width = 1,
                        Leaf fill = Leaf{})
-        : levels_((key_bits + fanoutBits - 1) / fanoutBits),
+        : levels_(std::max(1u, (key_bits + fanoutBits - 1) / fanoutBits)),
           width_(leaf_width), fill_(fill)
     {
-        if (levels_ == 0)
-            levels_ = 1;
-        root_ = std::make_unique<Node>();
-        if (levels_ == 1)
-            root_->leaves = makeLeaves();
+        root_ = levels_ == 1 ? static_cast<void *>(makeLeafNode())
+                             : static_cast<void *>(makeInterior());
     }
 
     /** Number of radix levels. */
@@ -64,22 +73,7 @@ class RadixTree
     Leaf &
     getOrCreate(std::uint64_t key, unsigned *refs = nullptr)
     {
-        Node *node = root_.get();
-        for (unsigned level = levels_; level-- > 1;) {
-            if (refs)
-                ++*refs;
-            const unsigned idx = indexAt(key, level);
-            auto &child = node->children[idx];
-            if (!child) {
-                child = std::make_unique<Node>();
-                if (level == 1)
-                    child->leaves = makeLeaves();
-            }
-            node = child.get();
-        }
-        if (refs)
-            ++*refs;
-        return *runOf(*node, key);
+        return *lookup<true>(key, refs);
     }
 
     /**
@@ -89,43 +83,38 @@ class RadixTree
     Leaf *
     find(std::uint64_t key, unsigned *refs = nullptr)
     {
-        Node *node = root_.get();
-        for (unsigned level = levels_; level-- > 1;) {
-            if (refs)
-                ++*refs;
-            Node *child = node->children[indexAt(key, level)].get();
-            if (!child)
-                return nullptr;
-            node = child;
-        }
-        if (refs)
-            ++*refs;
-        return runOf(*node, key);
+        return lookup<false>(key, refs);
     }
 
     const Leaf *
     find(std::uint64_t key, unsigned *refs = nullptr) const
     {
-        return const_cast<RadixTree *>(this)->find(key, refs);
+        return const_cast<RadixTree *>(this)->lookup<false>(key, refs);
     }
 
     /**
      * Hint the cache hierarchy that a key's leaves are about to be
-     * read: descends the interior nodes (never creating one) and
-     * prefetches every cache line of the key's run. Pure performance
-     * hint; a missing path is a no-op.
+     * read: descends the interior nodes (never creating one, and
+     * skipping them when the key shares the remembered leaf node)
+     * and prefetches every cache line of the key's run. Pure
+     * performance hint; a missing path is a no-op.
      */
     void
     prefetch(std::uint64_t key) const
     {
-        const Node *node = root_.get();
-        for (unsigned level = levels_; level-- > 1;) {
-            node = node->children[indexAt(key, level)].get();
+        const Leaf *leaves = lastLeaves_;
+        if (!leaves || (key >> fanoutBits) != lastPrefix_) {
+            const void *node = root_;
+            for (unsigned level = levels_; node && level-- > 1;) {
+                node = static_cast<const Interior *>(node)
+                           ->children[indexAt(key, level)];
+            }
             if (!node)
                 return;
+            leaves = static_cast<const Leaf *>(node);
         }
         const auto *first =
-            reinterpret_cast<const char *>(runOf(*node, key));
+            reinterpret_cast<const char *>(leaves + runOffset(key));
         const char *last = first + width_ * sizeof(Leaf) - 1;
         for (const char *line = first; line < last; line += 64)
             __builtin_prefetch(line);
@@ -137,14 +126,15 @@ class RadixTree
     void
     forEach(Visitor &&visit)
     {
-        forEachImpl(*root_, 0, visit);
+        forEachImpl(root_, levels_ - 1, 0, visit);
     }
 
   private:
-    struct Node
+    /** An interior node. Children at level 1 are leaf nodes (arrays
+     *  of fanout * width_ leaves); above it, further interior nodes. */
+    struct Interior
     {
-        std::array<std::unique_ptr<Node>, fanout> children{};
-        std::unique_ptr<Leaf[]> leaves; // fanout * width_, leaf nodes only
+        std::array<void *, fanout> children{};
     };
 
     static unsigned
@@ -154,35 +144,77 @@ class RadixTree
             (key >> (level * fanoutBits)) & (fanout - 1));
     }
 
-    std::unique_ptr<Leaf[]>
-    makeLeaves() const
+    Interior *
+    makeInterior()
+    {
+        return interiors_.emplace_back(std::make_unique<Interior>()).get();
+    }
+
+    Leaf *
+    makeLeafNode()
     {
         const std::size_t n = std::size_t{fanout} * width_;
         auto leaves = std::make_unique_for_overwrite<Leaf[]>(n);
         std::fill_n(leaves.get(), n, fill_);
-        return leaves;
+        return leafNodes_.emplace_back(std::move(leaves)).get();
     }
 
-    Leaf *
-    runOf(const Node &node, std::uint64_t key) const
+    /** Offset of a key's run within its leaf node. */
+    std::size_t
+    runOffset(std::uint64_t key) const
     {
-        return node.leaves.get() + std::size_t{indexAt(key, 0)} * width_;
+        return std::size_t{indexAt(key, 0)} * width_;
+    }
+
+    /** The shared walk of find() and getOrCreate(). */
+    template <bool Create>
+    Leaf *
+    lookup(std::uint64_t key, unsigned *refs)
+    {
+        const std::uint64_t prefix = key >> fanoutBits;
+        if (lastLeaves_ && prefix == lastPrefix_) {
+            if (refs)
+                *refs += levels_;
+            return lastLeaves_ + runOffset(key);
+        }
+        void *node = root_;
+        for (unsigned level = levels_; level-- > 1;) {
+            if (refs)
+                ++*refs;
+            void *&child =
+                static_cast<Interior *>(node)->children[indexAt(key, level)];
+            if (!child) {
+                if constexpr (!Create)
+                    return nullptr;
+                child = level == 1 ? static_cast<void *>(makeLeafNode())
+                                   : static_cast<void *>(makeInterior());
+            }
+            node = child;
+        }
+        if (refs)
+            ++*refs;
+        lastPrefix_ = prefix;
+        lastLeaves_ = static_cast<Leaf *>(node);
+        return lastLeaves_ + runOffset(key);
     }
 
     template <typename Visitor>
     void
-    forEachImpl(Node &node, std::uint64_t prefix, Visitor &visit)
+    forEachImpl(void *node, unsigned level, std::uint64_t prefix,
+                Visitor &visit)
     {
-        if (node.leaves) {
+        if (level == 0) {
+            auto *leaves = static_cast<Leaf *>(node);
             for (unsigned i = 0; i < fanout; ++i) {
                 visit((prefix << fanoutBits) | i,
-                      std::span<Leaf>(&node.leaves[i * width_], width_));
+                      std::span<Leaf>(leaves + i * width_, width_));
             }
             return;
         }
+        const auto &children = static_cast<Interior *>(node)->children;
         for (unsigned i = 0; i < fanout; ++i) {
-            if (node.children[i]) {
-                forEachImpl(*node.children[i],
+            if (children[i]) {
+                forEachImpl(children[i], level - 1,
                             (prefix << fanoutBits) | i, visit);
             }
         }
@@ -191,7 +223,17 @@ class RadixTree
     unsigned levels_;
     unsigned width_;
     Leaf fill_;
-    std::unique_ptr<Node> root_;
+
+    /** Owners of every node; the tree links them by raw pointer. */
+    std::vector<std::unique_ptr<Interior>> interiors_;
+    std::vector<std::unique_ptr<Leaf[]>> leafNodes_;
+
+    /** The root: an Interior, or the leaf node of a one-level tree. */
+    void *root_ = nullptr;
+
+    /** Memo of the last resolved leaf node and its key >> 9. */
+    mutable std::uint64_t lastPrefix_ = 0;
+    mutable Leaf *lastLeaves_ = nullptr;
 };
 
 } // namespace mosaic

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <span>
 
 #include "pt/mosaic_page_table.hh"
@@ -147,6 +149,176 @@ TEST(RadixTree, SingleLevelTree)
     unsigned refs = 0;
     EXPECT_EQ(*t.find(31, &refs), 3);
     EXPECT_EQ(refs, 1u);
+}
+
+/**
+ * The walk a RadixTree would report with no remembered leaf node:
+ * one visit per level down to the first missing child, given the
+ * keys created so far. The shortcut must report exactly this.
+ */
+unsigned
+descentRefs(const std::set<std::uint64_t> &created, unsigned levels,
+            std::uint64_t key)
+{
+    constexpr unsigned bits = RadixTree<int>::fanoutBits;
+    unsigned refs = 0;
+    for (unsigned level = levels; level-- > 1;) {
+        ++refs;
+        const bool child = std::any_of(
+            created.begin(), created.end(), [&](std::uint64_t k) {
+                return k >> (level * bits) == key >> (level * bits);
+            });
+        if (!child)
+            return refs;
+    }
+    return refs + 1;
+}
+
+TEST(RadixTree, WalkShortcutReportsTheDescentsRefs)
+{
+    // Keys alternate between two leaf nodes and mix in absent slots
+    // of a remembered leaf node and paths that end at every interior
+    // level. Every lookup, hit or miss of the remembered leaf node,
+    // must report the descent's refs and the right leaf.
+    RadixTree<std::uint64_t> t(36);
+    const std::uint64_t a = 0x123456000; // leaf node A's first key
+    const std::uint64_t b = 0x9ABCDE000; // leaf node B's first key
+    std::set<std::uint64_t> created;
+    std::map<std::uint64_t, std::uint64_t> model;
+    for (const std::uint64_t k : {a + 7, b + 300}) {
+        t.getOrCreate(k) = k;
+        created.insert(k);
+        model[k] = k;
+    }
+    const std::uint64_t queries[] = {
+        a + 7, b + 300, a + 7, b + 300, // alternating hits
+        a + 8, a + 511,                 // absent slots under A
+        b + 0, a + 7,                   // absent slot under B, back to A
+        a + 512,                        // A's sibling leaf node: absent
+        a ^ (1ull << 27),               // missing at level 3
+        a ^ (1ull << 18),               // missing at level 2
+        a ^ (1ull << 9),                // missing at level 1
+        a ^ (1ull << 35), a + 7,        // missing below the root
+    };
+    for (int round = 0; round < 2; ++round) {
+        for (const std::uint64_t key : queries) {
+            unsigned refs = 0;
+            const std::uint64_t *leaf = t.find(key, &refs);
+            EXPECT_EQ(refs, descentRefs(created, t.levels(), key))
+                << std::hex << "key=" << key;
+            const bool path = refs == t.levels();
+            ASSERT_EQ(leaf != nullptr, path) << std::hex << "key=" << key;
+            if (leaf) {
+                const auto it = model.find(key);
+                EXPECT_EQ(*leaf, it == model.end() ? 0 : it->second)
+                    << std::hex << "key=" << key;
+            }
+        }
+        // Round two runs with a third leaf node in the tree.
+        t.getOrCreate(a + 512) = 99;
+        created.insert(a + 512);
+        model[a + 512] = 99;
+    }
+}
+
+TEST(RadixTree, GetOrCreateAfterARememberedFind)
+{
+    RadixTree<int> t(36);
+    t.getOrCreate(0x1000) = 1;
+    unsigned refs = 0;
+    ASSERT_NE(t.find(0x1001, &refs), nullptr); // remembers 0x1000's node
+    EXPECT_EQ(refs, 4u);
+
+    // A new leaf node elsewhere: created in full, not aliased onto
+    // the remembered one.
+    refs = 0;
+    t.getOrCreate(0x5000000, &refs) = 2;
+    EXPECT_EQ(refs, 4u);
+    // Back under the first node, then under the second: each write
+    // lands where a fresh descent finds it.
+    t.getOrCreate(0x1002) = 3;
+    t.getOrCreate(0x5000001) = 4;
+    EXPECT_EQ(*t.find(0x1000), 1);
+    EXPECT_EQ(*t.find(0x5000000), 2);
+    EXPECT_EQ(*t.find(0x1002), 3);
+    EXPECT_EQ(*t.find(0x5000001), 4);
+    EXPECT_EQ(&t.getOrCreate(0x1002), t.find(0x1002));
+    std::map<std::uint64_t, int> seen;
+    t.forEach([&](std::uint64_t key, std::span<int> run) {
+        if (run[0] != 0)
+            seen[key] = run[0];
+    });
+    EXPECT_EQ(seen, (std::map<std::uint64_t, int>{
+                        {0x1000, 1}, {0x1002, 3}, {0x5000000, 2},
+                        {0x5000001, 4}}));
+}
+
+TEST(MosaicPt, WalkRefsIgnoreTheRememberedLeaf)
+{
+    // Arity 4: 34-bit MVPNs, four levels. A present page, an absent
+    // page of the same ToC, an absent ToC of the same leaf node and
+    // paths missing at each interior level, each walked right after
+    // a walk into the other of two leaf nodes.
+    MosaicPageTable pt(4, 0x7F);
+    const Vpn a = Vpn{0x123456000} << 2;
+    const Vpn b = Vpn{0x2ABCDE000} << 2;
+    pt.setCpfn(a, 5);
+    pt.setCpfn(b + 3, 6);
+    const struct
+    {
+        Vpn vpn;
+        bool present;
+        unsigned refs;
+    } cases[] = {
+        {a, true, 4},
+        {b + 3, true, 4},
+        {a + 1, false, 4},                   // absent page, same ToC
+        {a + 4 * 9, false, 4},               // absent ToC, same node
+        {b + (Vpn{1} << (2 + 9)), false, 3}, // missing at level 1
+        {a ^ (Vpn{1} << (2 + 18)), false, 2},
+        {a ^ (Vpn{1} << (2 + 27)), false, 1},
+    };
+    for (const Vpn warm : {a, b + 3}) {
+        for (const auto &c : cases) {
+            ASSERT_TRUE(pt.walk(warm).present);
+            const MosaicWalkResult walk = pt.walk(c.vpn);
+            EXPECT_EQ(walk.present, c.present) << std::hex << c.vpn;
+            EXPECT_EQ(walk.memRefs, c.refs) << std::hex << c.vpn;
+            EXPECT_EQ(walk.toc.size(), c.refs == 4 ? 4u : 0u);
+        }
+    }
+    EXPECT_EQ(pt.walk(a).cpfn, 5);
+    EXPECT_EQ(pt.walk(b + 3).cpfn, 6);
+}
+
+TEST(VanillaPt, WalkRefsIgnoreTheRememberedLeaf)
+{
+    VanillaPageTable pt;
+    const Vpn a = 0x123456000;
+    const Vpn b = 0x9ABCDE000;
+    pt.map(a, 10);
+    pt.map(b + 1, 11);
+    pt.mapHuge(0x555555000, 4096);
+    for (const Vpn warm : {a, b + 1}) {
+        ASSERT_TRUE(pt.walk(warm).present);
+        EXPECT_EQ(pt.walk(b + 1).pfn, 11u);
+        EXPECT_EQ(pt.walk(a).pfn, 10u);
+        // Absent PTE under a remembered leaf node: the full walk.
+        ASSERT_TRUE(pt.walk(warm).present);
+        const VanillaWalkResult absent = pt.walk(warm + 2);
+        EXPECT_FALSE(absent.present);
+        EXPECT_EQ(absent.memRefs, 4u);
+        // Missing interior paths report where the walk stopped.
+        EXPECT_EQ(pt.walk(a ^ (Vpn{1} << 9)).memRefs, 3u);
+        EXPECT_EQ(pt.walk(a ^ (Vpn{1} << 18)).memRefs, 2u);
+        EXPECT_EQ(pt.walk(a ^ (Vpn{1} << 35)).memRefs, 1u);
+        // A huge mapping walks the three-level tree, with or
+        // without a remembered 4 KiB leaf node.
+        const VanillaWalkResult huge = pt.walk(0x555555000 + 7);
+        EXPECT_TRUE(huge.huge);
+        EXPECT_EQ(huge.pfn, 4096u + 7);
+        EXPECT_EQ(huge.memRefs, 3u);
+    }
 }
 
 TEST(VanillaPt, MapWalkUnmap)
