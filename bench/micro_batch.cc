@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/batch_pipeline.hh"
 #include "os/mosaic_vm.hh"
 #include "util/random.hh"
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "core/batch_pipeline.hh"
 #include "core/translation_sim.hh"
 #include "core/vm_touch_sink.hh"
 #include "os/linux_vm.hh"
@@ -61,11 +60,8 @@ runTable3Cell(WorkloadKind kind, const Table3Options &options,
     config.seed = seed;
     MosaicVm vm(config);
 
-    // Scalar or batched per MOSAIC_BATCH; results are identical by
-    // the touchBatch contract (tests/test_batch_pipeline.cc).
-    const auto sink = makeVmTouchSink(vm, 1, batchBlockFromEnv());
-    workload->run(*sink);
-    sink->flush();
+    VmTouchSink sink(vm, 1);
+    workload->run(sink);
 
     Table3Sample sample;
     sample.footprintBytes = workload->info().footprintBytes;
@@ -118,14 +114,12 @@ runTable4Cell(WorkloadKind kind, const Table4Options &options,
     mosaic_config.seed = seed;
     MosaicVm mosaic_vm(mosaic_config);
 
-    const unsigned block = batchBlockFromEnv();
-    const auto linux_sink = makeVmTouchSink(linux_vm, 1, block);
-    const auto mosaic_sink = makeVmTouchSink(mosaic_vm, 1, block);
+    VmTouchSink linux_sink(linux_vm, 1);
+    VmTouchSink mosaic_sink(mosaic_vm, 1);
     TeeSink tee;
-    tee.add(linux_sink.get());
-    tee.add(mosaic_sink.get());
+    tee.add(&linux_sink);
+    tee.add(&mosaic_sink);
     workload->run(tee);
-    tee.flush();
 
     sample.linuxSwapIo =
         static_cast<double>(linux_vm.stats().swapIns +

@@ -8,8 +8,6 @@
 #ifndef MOSAIC_CORE_VM_TOUCH_SINK_HH_
 #define MOSAIC_CORE_VM_TOUCH_SINK_HH_
 
-#include <memory>
-
 #include "os/virtual_memory.hh"
 #include "workloads/access_sink.hh"
 
@@ -35,17 +33,6 @@ class VmTouchSink : public AccessSink
     VirtualMemory &vm_;
     Asid asid_;
 };
-
-/**
- * Factory behind the MOSAIC_BATCH knob, which batches only this VM
- * touch path (the TLB sweeps ignore it): a plain VmTouchSink when
- * @p block <= 1, otherwise a BatchVmTouchSink (batch_pipeline.hh)
- * buffering @p block touches per VirtualMemory::touchBatch call.
- * Both produce bit-identical VM state; callers must flush() before
- * reading stats. Defined in batch_pipeline.cc.
- */
-std::unique_ptr<AccessSink> makeVmTouchSink(VirtualMemory &vm,
-                                            Asid asid, unsigned block);
 
 } // namespace mosaic
 

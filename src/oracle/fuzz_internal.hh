@@ -133,7 +133,7 @@ MosaicVmConfig mosaicVmCfgFromTrace(const Trace &t,
 // Component runners: build the harness (and shadow) and drive the
 // trace. fuzz_tlb.cc, fuzz_vm.cc and fuzz_shard.cc.
 void runTlbTrace(const Trace &trace, Digest &dg, FuzzResult &res);
-void runVmTrace(const Trace &trace, unsigned batch,
+void runVmTrace(const Trace &trace, std::uint64_t batch,
                 const fault::FaultPlan &plan, std::uint64_t iseed,
                 fault::FaultInjector *faults, Digest &dg,
                 FuzzResult &res);

@@ -980,18 +980,22 @@ vmStateVector(const VirtualMemory &vm, bool is_mosaic)
  * applied vm-trace op is replayed into a scalar-driven VM and a
  * touchBatch-driven VM, each built from the same trace config with
  * its own identically seeded fault injector. Touches buffer into
- * blocks of @p batch; any non-touch mutation and the end of the
- * trace flush the pipeline. At every flush boundary the per-touch
- * PFNs and the full observable state must match exactly — the
- * primary harness (and therefore the digest) is untouched, so
- * batched runs reproduce scalar goldens by construction.
+ * blocks of @p batch, clamped to [2, maxBlock]; any non-touch
+ * mutation and the end of the trace flush the pipeline. At every
+ * flush boundary the per-touch PFNs and the full observable state
+ * must match exactly — the primary harness (and therefore the
+ * digest) is untouched, so batched runs reproduce scalar goldens by
+ * construction.
  */
 class VmBatchShadow
 {
   public:
-    VmBatchShadow(const Trace &t, unsigned batch,
+    /** Upper bound on the block (keeps the scratch bounded). */
+    static constexpr std::uint64_t maxBlock = 4096;
+
+    VmBatchShadow(const Trace &t, std::uint64_t batch,
                   const fault::FaultPlan *plan, std::uint64_t iseed)
-        : batch_(std::max(batch, 2u)),
+        : batch_(std::clamp<std::uint64_t>(batch, 2, maxBlock)),
           scalarInj_(plan, iseed), batchInj_(plan, iseed),
           linux_(t.cfgValue("kind", "mosaic") == "linux")
     {
@@ -1136,7 +1140,7 @@ class VmBatchShadow
 } // namespace
 
 void
-runVmTrace(const Trace &trace, unsigned batch,
+runVmTrace(const Trace &trace, std::uint64_t batch,
            const fault::FaultPlan &plan, std::uint64_t iseed,
            fault::FaultInjector *faults, Digest &dg, FuzzResult &res)
 {

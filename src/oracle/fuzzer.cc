@@ -24,7 +24,7 @@ runTrace(const Trace &trace)
 }
 
 FuzzResult
-runTrace(const Trace &trace, unsigned batch)
+runTrace(const Trace &trace, std::uint64_t batch)
 {
     FuzzResult res;
     Digest dg;

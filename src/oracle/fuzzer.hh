@@ -138,10 +138,11 @@ FuzzResult runTrace(const Trace &trace);
  * results and full observable state are compared at every flush
  * boundary: block full, any mutating non-touch op, and end of trace.
  * Any mismatch surfaces as a divergence. @p batch <= 1 is the plain
- * scalar run; tlb traces ignore the knob (the batched TLB apply loop
- * is the scalar path itself).
+ * scalar run, and a block above 4096 runs at 4096, so an untrusted
+ * CLI value bounds the shadow's scratch; tlb and vm-shard traces
+ * ignore it.
  */
-FuzzResult runTrace(const Trace &trace, unsigned batch);
+FuzzResult runTrace(const Trace &trace, std::uint64_t batch);
 
 /**
  * Build a deterministic random trace.

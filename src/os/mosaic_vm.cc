@@ -320,13 +320,13 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
     if (!place_injected)
         placement = allocator_.place(cand, frames_, ghosts_.bits());
 
-    if (!placement &&
-            config_.recovery == ConflictRecovery::GhostReclaimRetry) {
-        // Recovery hook: reclaim anything the horizon has already
-        // ghosted and retry before escalating to a hard conflict.
+    if (!placement) {
+        // Recovery: reclaim anything the horizon has already ghosted
+        // and retry once before escalating to a hard conflict.
         // Placement is a pure function of frames_ and horizon_, so
         // the retry succeeds only when the first attempt failed
-        // transiently (fault injection) — never on a real conflict.
+        // transiently (fault injection) — never on a real conflict;
+        // recoveries are counted in VmStats::recoveredConflicts.
         reapGhosts();
         placement = allocator_.place(cand, frames_, ghosts_.bits());
         if (placement)

@@ -60,25 +60,6 @@ enum class EvictionPolicy
     ShrunkenCache,
 };
 
-/**
- * What MosaicVm::touch does when placement fails before declaring a
- * hard associativity conflict (DESIGN.md §11).
- */
-enum class ConflictRecovery
-{
-    /** Escalate immediately: evict the LRU candidate. */
-    None,
-
-    /** Reap frames the horizon has already ghosted and retry the
-     *  placement once; only an unrecovered failure escalates. A
-     *  genuine conflict is deterministic (the retry fails exactly
-     *  when the first attempt did), so this changes behaviour only
-     *  when the first attempt failed transiently — e.g. under
-     *  "vm.place" fault injection — and recoveries are counted in
-     *  VmStats::recoveredConflicts. */
-    GhostReclaimRetry,
-};
-
 /** Configuration of a MosaicVm instance. */
 struct MosaicVmConfig
 {
@@ -86,9 +67,6 @@ struct MosaicVmConfig
     unsigned arity = 4;
     SharingMode sharing = SharingMode::PageIdHash;
     EvictionPolicy policy = EvictionPolicy::HorizonLru;
-
-    /** Conflict-recovery policy consulted before a hard conflict. */
-    ConflictRecovery recovery = ConflictRecovery::GhostReclaimRetry;
 
     /** Reserved fraction for ShrunkenCache (its delta). */
     double shrinkDelta = 0.02;

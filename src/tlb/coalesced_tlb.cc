@@ -43,7 +43,7 @@ CoalescedTlb::prefetchFill(Asid asid, Vpn vpn, TranslationWalker &walker)
     return fillFromWalk(asid, vpn, walker);
 }
 
-std::optional<Pfn>
+bool
 CoalescedTlb::lookup(Asid asid, Vpn vpn)
 {
     ++stats_.accesses;
@@ -55,15 +55,15 @@ CoalescedTlb::lookup(Asid asid, Vpn vpn)
     if (auto *e = array_.find(group, tagGroup(asid, group))) {
         if (e->payload.mask & (1u << off)) {
             ++stats_.hits;
-            return e->payload.basePfn + off;
+            return true;
         }
     }
-    if (auto *e = array_.find(vpn, tagPage(asid, vpn))) {
+    if (array_.find(vpn, tagPage(asid, vpn))) {
         ++stats_.hits;
-        return e->payload.basePfn;
+        return true;
     }
     ++stats_.misses;
-    return std::nullopt;
+    return false;
 }
 
 void

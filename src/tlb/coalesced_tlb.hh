@@ -35,8 +35,9 @@ class CoalescedTlb final : public TranslationDesign
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
 
-    /** The PFN lookup(asid, vpn) would return right now; no stats,
-     *  no recency. */
+    /** The PFN a hit on (asid, vpn) would translate to right now
+     *  (a group entry's base PFN + offset, or a per-page entry's
+     *  own); no stats, no recency. */
     std::optional<Pfn> contains(Asid asid, Vpn vpn) const override;
 
     bool prefetchFill(Asid asid, Vpn vpn,
@@ -59,8 +60,10 @@ class CoalescedTlb final : public TranslationDesign
 
     unsigned validEntries() const override { return array_.validEntries(); }
 
-    /** Translate; nullopt on miss. */
-    std::optional<Pfn> lookup(Asid asid, Vpn vpn);
+    /** Probe for (asid, vpn), counting the hit or miss and
+     *  refreshing recency; true on a hit. contains() reads the
+     *  translation. */
+    bool lookup(Asid asid, Vpn vpn);
 
     /**
      * Install a translation after a walk. The walker probes the

@@ -3,13 +3,11 @@
  * The design bake-off and the TranslationSim design wiring: spec
  * coverage, tiny-run shape, the check that a designSpecs
  * vanilla/mosaic design reproduces the same-geometry grid instance
- * exactly, the mosaic ToC slice, and that MOSAIC_BATCH leaves the
- * design path alone (DESIGN.md §13/§14).
+ * exactly, and the mosaic ToC slice (DESIGN.md §14).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -209,37 +207,6 @@ TEST(Bakeoff, RegistryDesignsMatchBuiltinGrid)
     // Every miss cost one full radix walk, nothing more.
     EXPECT_EQ(sim.design(0).counters().walkRefs,
               sim.design(0).stats().misses * 4);
-}
-
-// MOSAIC_BATCH batches VM touches only: a bake-off cell run with the
-// knob set must give the scalar run's every design metric exactly.
-TEST(Bakeoff, BatchedDesignPathMatchesScalar)
-{
-    BakeoffOptions options;
-    options.scale = 0.02;
-    options.kinds = {WorkloadKind::WarpGpu};
-    options.arities = {8};
-
-    const char *saved = std::getenv("MOSAIC_BATCH");
-    const std::string saved_copy = saved ? saved : "";
-    ::unsetenv("MOSAIC_BATCH");
-    const BakeoffCell scalar =
-        runBakeoffCell(WorkloadKind::WarpGpu, options, 0);
-    ::setenv("MOSAIC_BATCH", "64", 1);
-    const BakeoffCell batched =
-        runBakeoffCell(WorkloadKind::WarpGpu, options, 0);
-    if (saved)
-        ::setenv("MOSAIC_BATCH", saved_copy.c_str(), 1);
-    else
-        ::unsetenv("MOSAIC_BATCH");
-
-    EXPECT_EQ(scalar.accesses, batched.accesses);
-    ASSERT_EQ(scalar.designs.size(), batched.designs.size());
-    for (std::size_t d = 0; d < scalar.designs.size(); ++d) {
-        EXPECT_EQ(scalar.designs[d].name, batched.designs[d].name);
-        EXPECT_EQ(scalar.designs[d].metrics, batched.designs[d].metrics)
-            << scalar.designs[d].name;
-    }
 }
 
 // Mosaic designs read their ToC as the aligned A-slot slice of one

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batch_pipeline.hh"
-#include "core/vm_touch_sink.hh"
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
 #include "util/random.hh"
@@ -489,24 +487,6 @@ TEST(BatchPipeline, LinuxVmDefaultBatchLoopIsBitIdentical)
     }
 }
 
-TEST(BatchPipeline, VmTouchSinkFactoryMatchesScalarSink)
-{
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        const auto stream = makeStream(seed, 5003, 3072, 1);
-        VmOutcome outcomes[2];
-        for (const unsigned block : {0u, 64u}) {
-            MosaicVm vm(
-                mosaicConfig(seed, EvictionPolicy::HorizonLru));
-            const auto sink = makeVmTouchSink(vm, 1, block);
-            for (const PageTouch &t : stream)
-                sink->access(t.vpn * pageSize, t.write);
-            sink->flush();
-            outcomes[block > 1] = captureOutcome(vm, 0);
-        }
-        ASSERT_EQ(outcomes[0], outcomes[1]) << "seed=" << seed;
-    }
-}
-
 TEST(BatchPipeline, DifferentialDigestsAreThreadCountInvariant)
 {
     // The batch engines are single-threaded per VM; this pins the
@@ -523,40 +503,6 @@ TEST(BatchPipeline, DifferentialDigestsAreThreadCountInvariant)
         return out;
     };
     EXPECT_EQ(digests(1), digests(4));
-}
-
-TEST(BatchPipeline, EnvKnobParsesAndClamps)
-{
-    const auto with = [](const char *value) {
-        if (value)
-            ::setenv("MOSAIC_BATCH", value, 1);
-        else
-            ::unsetenv("MOSAIC_BATCH");
-        return batchBlockFromEnv();
-    };
-    const char *saved = std::getenv("MOSAIC_BATCH");
-    const std::string saved_copy = saved ? saved : "";
-    EXPECT_EQ(with(nullptr), 0u);
-    EXPECT_EQ(with(""), 0u);
-    EXPECT_EQ(with("0"), 0u);
-    EXPECT_EQ(with("1"), 0u);
-    EXPECT_EQ(with("64"), 64u);
-    EXPECT_EQ(with("100"), 100u);
-    EXPECT_EQ(with("junk"), 0u);
-    EXPECT_EQ(with("64k"), 0u);
-    EXPECT_EQ(with("1000000"), maxBatchBlock);
-    // Regression: strtoul wrapped "-1" to ULONG_MAX, which then
-    // silently clamped to the maximum block size. Signs, trailing
-    // junk after digits, embedded spaces, and values past 2^64-1 are
-    // all malformed and mean scalar.
-    EXPECT_EQ(with("-1"), 0u);
-    EXPECT_EQ(with("-64"), 0u);
-    EXPECT_EQ(with("+8"), 0u);
-    EXPECT_EQ(with("64x"), 0u);
-    EXPECT_EQ(with("6 4"), 0u);
-    EXPECT_EQ(with(" 64"), 0u);
-    EXPECT_EQ(with("18446744073709551616"), 0u); // 2^64 overflows
-    with(saved ? saved_copy.c_str() : nullptr);
 }
 
 } // namespace

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "core/experiments.hh"
@@ -187,8 +185,6 @@ separateVmSwapIo(WorkloadKind kind, const Table4Options &o)
 
 TEST(Table4, SinglePassMatchesSeparateVmRuns)
 {
-    const char *saved = std::getenv("MOSAIC_BATCH");
-    const std::string saved_copy = saved ? saved : "";
     for (const WorkloadKind kind :
          {WorkloadKind::Gups, WorkloadKind::BTree}) {
         Table4Options o;
@@ -198,19 +194,12 @@ TEST(Table4, SinglePassMatchesSeparateVmRuns)
         const auto [linux_io, mosaic_io] = separateVmSwapIo(kind, o);
         EXPECT_GT(linux_io, 0.0);
         EXPECT_GT(mosaic_io, 0.0);
-        for (const char *batch : {"0", "64"}) {
-            ::setenv("MOSAIC_BATCH", batch, 1);
-            const Table4Row row = runTable4(kind, o);
-            EXPECT_EQ(row.linuxSwapIo.mean(), linux_io)
-                << "kind=" << static_cast<int>(kind) << " batch=" << batch;
-            EXPECT_EQ(row.mosaicSwapIo.mean(), mosaic_io)
-                << "kind=" << static_cast<int>(kind) << " batch=" << batch;
-        }
+        const Table4Row row = runTable4(kind, o);
+        EXPECT_EQ(row.linuxSwapIo.mean(), linux_io)
+            << "kind=" << static_cast<int>(kind);
+        EXPECT_EQ(row.mosaicSwapIo.mean(), mosaic_io)
+            << "kind=" << static_cast<int>(kind);
     }
-    if (saved)
-        ::setenv("MOSAIC_BATCH", saved_copy.c_str(), 1);
-    else
-        ::unsetenv("MOSAIC_BATCH");
 }
 
 } // namespace

@@ -372,26 +372,6 @@ TEST(VmRecovery, InjectedPlacementFailuresRecoverIdentically)
     EXPECT_EQ(clean.stats().minorFaults, faulty.stats().minorFaults);
 }
 
-TEST(VmRecovery, RecoveryDisabledEscalatesToConflict)
-{
-    // Warm the VM with 3000 clean placements (after=3000) so the
-    // conflict path has resident candidates to evict, then inject
-    // every remaining placement. With recovery off, none are
-    // retried: each surfaces as a hard conflict.
-    const auto plan =
-        fault::FaultPlan::parse("vm.place:every=1,after=3000").value();
-    fault::FaultInjector inj(&plan, 11);
-    MosaicVmConfig cfg;
-    cfg.geometry.numFrames = 64 * 64;
-    cfg.recovery = ConflictRecovery::None;
-    cfg.faults = &inj;
-    MosaicVm vm(cfg);
-    for (Vpn vpn = 0; vpn < 3200; ++vpn)
-        (void)vm.touch(1, vpn, false);
-    EXPECT_EQ(vm.stats().recoveredConflicts, 0u);
-    EXPECT_EQ(vm.stats().conflicts, 200u);
-}
-
 // -------------------------------- internal-invariant death tests
 
 TEST(InvariantDeathTest, IcebergImpossibleGeometryPanics)

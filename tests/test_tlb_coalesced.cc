@@ -43,13 +43,12 @@ TEST(CoalescedTlb, FullyContiguousGroupNeedsOneFill)
     for (Vpn v = 0; v < 8; ++v)
         pt.map(v, 100 + v);
 
-    EXPECT_FALSE(tlb.lookup(1, 0).has_value());
+    EXPECT_FALSE(tlb.lookup(1, 0));
     tlb.fill(1, 0, 100, pt);
 
     for (Vpn v = 0; v < 8; ++v) {
-        const auto pfn = tlb.lookup(1, v);
-        ASSERT_TRUE(pfn.has_value()) << v;
-        EXPECT_EQ(*pfn, 100 + v);
+        ASSERT_TRUE(tlb.lookup(1, v)) << v;
+        EXPECT_EQ(tlb.contains(1, v), Pfn{100 + v});
     }
     EXPECT_EQ(tlb.stats().misses, 1u);
     EXPECT_EQ(tlb.counters().regionFills, 1u);
@@ -66,9 +65,10 @@ TEST(CoalescedTlb, NonContiguousFramesDoNotCoalesce)
 
     tlb.lookup(1, 0);
     tlb.fill(1, 0, frames[0], pt);
-    EXPECT_EQ(*tlb.lookup(1, 0), 50u);
+    EXPECT_TRUE(tlb.lookup(1, 0));
+    EXPECT_EQ(tlb.contains(1, 0), Pfn{50});
     // Neighbours are not covered: each needs its own miss+fill.
-    EXPECT_FALSE(tlb.lookup(1, 1).has_value());
+    EXPECT_FALSE(tlb.lookup(1, 1));
     EXPECT_EQ(tlb.counters().regionFills, 0u);
 }
 
@@ -84,16 +84,17 @@ TEST(CoalescedTlb, PartialRunCoalescesOnlyMatchingOffsets)
         pt.map(v, 500 + v - 4);
 
     tlb.fill(1, 0, 200, pt);
-    EXPECT_TRUE(tlb.lookup(1, 3).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 4).has_value());
+    EXPECT_TRUE(tlb.lookup(1, 3));
+    EXPECT_FALSE(tlb.lookup(1, 4));
 
     // The group entry already holds an equally good run, so the
     // second run's page is cached as a regular per-page entry and
     // the first run keeps its coverage (no ping-pong).
     tlb.fill(1, 4, 500, pt);
-    EXPECT_EQ(*tlb.lookup(1, 4), 500u);
-    EXPECT_TRUE(tlb.lookup(1, 0).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 7).has_value());
+    EXPECT_TRUE(tlb.lookup(1, 4));
+    EXPECT_EQ(tlb.contains(1, 4), Pfn{500});
+    EXPECT_TRUE(tlb.lookup(1, 0));
+    EXPECT_FALSE(tlb.lookup(1, 7));
 }
 
 TEST(CoalescedTlb, UnmappedNeighboursSkipped)
@@ -103,10 +104,10 @@ TEST(CoalescedTlb, UnmappedNeighboursSkipped)
     pt.map(2, 300);
     pt.map(3, 301);
     tlb.fill(1, 2, 300, pt);
-    EXPECT_TRUE(tlb.lookup(1, 2).has_value());
-    EXPECT_TRUE(tlb.lookup(1, 3).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 0).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 4).has_value());
+    EXPECT_TRUE(tlb.lookup(1, 2));
+    EXPECT_TRUE(tlb.lookup(1, 3));
+    EXPECT_FALSE(tlb.lookup(1, 0));
+    EXPECT_FALSE(tlb.lookup(1, 4));
 }
 
 TEST(CoalescedTlb, RunNotAlignedToGroupStart)
@@ -119,7 +120,7 @@ TEST(CoalescedTlb, RunNotAlignedToGroupStart)
         pt.map(v, 40 + v);
     tlb.fill(1, 5, 45, pt);
     for (Vpn v = 3; v < 8; ++v)
-        EXPECT_TRUE(tlb.lookup(1, v).has_value()) << v;
+        EXPECT_TRUE(tlb.lookup(1, v)) << v;
 }
 
 TEST(CoalescedTlb, BasePfnUnderflowHandled)
@@ -131,8 +132,8 @@ TEST(CoalescedTlb, BasePfnUnderflowHandled)
     pt.map(5, 2);
     pt.map(6, 3);
     tlb.fill(1, 5, 2, pt);
-    EXPECT_TRUE(tlb.lookup(1, 5).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 6).has_value());
+    EXPECT_TRUE(tlb.lookup(1, 5));
+    EXPECT_FALSE(tlb.lookup(1, 6));
 }
 
 TEST(CoalescedTlb, InvalidateDropsSinglePage)
@@ -143,9 +144,9 @@ TEST(CoalescedTlb, InvalidateDropsSinglePage)
         pt.map(v, 100 + v);
     tlb.fill(1, 0, 100, pt);
     tlb.invalidatePage(1, 3);
-    EXPECT_FALSE(tlb.lookup(1, 3).has_value());
-    EXPECT_TRUE(tlb.lookup(1, 2).has_value());
-    EXPECT_TRUE(tlb.lookup(1, 4).has_value());
+    EXPECT_FALSE(tlb.lookup(1, 3));
+    EXPECT_TRUE(tlb.lookup(1, 2));
+    EXPECT_TRUE(tlb.lookup(1, 4));
     EXPECT_EQ(tlb.stats().invalidations, 1u);
 }
 
@@ -156,7 +157,7 @@ TEST(CoalescedTlb, AsidsIsolated)
     for (Vpn v = 0; v < 8; ++v)
         pt.map(v, 100 + v);
     tlb.fill(1, 0, 100, pt);
-    EXPECT_FALSE(tlb.lookup(2, 0).has_value());
+    EXPECT_FALSE(tlb.lookup(2, 0));
 }
 
 TEST(CoalescedTlb, DifferentialAgainstVanillaOnScatteredFrames)
@@ -183,7 +184,7 @@ TEST(CoalescedTlb, DifferentialAgainstVanillaOnScatteredFrames)
         auto &set = model[vpn % model.size()];
         const auto it = std::find(set.begin(), set.end(), vpn);
         const bool model_hit = it != set.end();
-        const bool colt_hit = colt.lookup(1, vpn).has_value();
+        const bool colt_hit = colt.lookup(1, vpn);
         ASSERT_EQ(colt_hit, model_hit) << "step " << step;
         if (model_hit) {
             set.erase(it);

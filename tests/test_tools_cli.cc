@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 
@@ -42,15 +44,29 @@ class TempDir
     fs::path path_;
 };
 
-/** Run a shell command, return its exit code (-1 on signal). */
+/** Run a shell command with its output redirected as @p redirect
+ *  says; return its exit code (-1 on signal). */
 int
-exitCodeOf(const std::string &command)
+exitCodeOf(const std::string &command,
+           const std::string &redirect = ">/dev/null")
 {
     const int raw =
-        std::system((command + " >/dev/null 2>&1").c_str());
+        std::system((command + " " + redirect + " 2>/dev/null").c_str());
     if (raw == -1 || !WIFEXITED(raw))
         return -1;
     return WEXITSTATUS(raw);
+}
+
+/** Run @p command with stdout kept in file @p out and read back into
+ *  @p text; return its exit code. */
+int
+stdoutOf(const std::string &command, const std::string &out,
+         std::string *text)
+{
+    const int code = exitCodeOf(command, ">" + out);
+    std::ifstream in(out);
+    text->assign(std::istreambuf_iterator<char>(in), {});
+    return code;
 }
 
 } // namespace
@@ -102,6 +118,31 @@ TEST(ToolsCli, ReplayUsageErrorsExitTwo)
     EXPECT_EQ(exitCodeOf(std::string(MOSAIC_REPLAY_BIN) +
                          " --batch=notanumber whatever.trace"),
               2);
+}
+
+TEST(ToolsCli, ReplayBatchShadowKeepsCorpusDigests)
+{
+    // The batched-pipeline shadow compares touchBatch against scalar
+    // touches beside the primary run, so digests cannot move; an
+    // oversized block is clamped, not refused.
+    const TempDir dir("tools_cli_replay_batch");
+    const std::string out = dir.str() + "/digests";
+    const std::string traces =
+        std::string(" " MOSAIC_FUZZ_CORPUS_DIR "/vm_seed1.trace") +
+        " " MOSAIC_FUZZ_CORPUS_DIR "/vm-shard_seed1.trace";
+    const std::string replay =
+        std::string(MOSAIC_REPLAY_BIN) + " --digest";
+    std::string scalar, batched, clamped;
+    ASSERT_EQ(stdoutOf(replay + traces, out, &scalar), 0);
+    ASSERT_EQ(stdoutOf(replay + " --batch=64" + traces, out, &batched),
+              0);
+    ASSERT_EQ(stdoutOf(replay + " --batch=1000000" + traces, out,
+                       &clamped),
+              0);
+    EXPECT_EQ(std::count(scalar.begin(), scalar.end(), '\n'), 2);
+    EXPECT_EQ(batched, scalar);
+    EXPECT_EQ(clamped, scalar);
+    EXPECT_EQ(exitCodeOf(replay + " --batch=notanumber" + traces), 2);
 }
 
 TEST(ToolsCli, MosaicdUsageErrorsExitTwo)

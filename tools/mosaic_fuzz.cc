@@ -13,7 +13,7 @@
  * NAME is any fuzzComponents entry (oracle/fuzzer.hh); `all` runs
  * each of them.
  *
- * --batch N (default $MOSAIC_BATCH) engages the batched-pipeline
+ * --batch N (N > 1, at most 4096 used) engages the batched-pipeline
  * shadow (DESIGN.md §13): every applied vm op also drives a
  * touchBatch-driven VM pair, with scalar/batched state compared at
  * every flush boundary.
@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_pipeline.hh"
 #include "oracle/fuzzer.hh"
 #include "oracle/trace.hh"
 #include "util/parse.hh"
@@ -53,7 +52,7 @@ struct Options
     std::size_t ops = 20000;
     std::string outDir = ".";
     bool emit = false;
-    unsigned batch = batchBlockFromEnv();
+    std::uint64_t batch = 0;
 };
 
 int
@@ -136,11 +135,8 @@ parseArgs(int argc, char **argv, Options *opts)
         } else if (arg == "--emit") {
             opts->emit = true;
         } else if (arg == "--batch") {
-            std::uint64_t batch = 0;
-            if (!parseCount("--batch", next(), &batch))
+            if (!parseCount("--batch", next(), &opts->batch))
                 return false;
-            opts->batch = static_cast<unsigned>(
-                std::min<std::uint64_t>(batch, maxBatchBlock));
         } else {
             return false;
         }

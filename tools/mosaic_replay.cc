@@ -10,11 +10,11 @@
  *                                   MOSAIC_THREADS settings)
  *   mosaic_replay --batch=N TRACE.. additionally run the batched-
  *                                   pipeline shadow at block size N
- *                                   (DESIGN.md §13); a scalar /
+ *                                   (at most 4096 used; DESIGN.md
+ *                                   §13); a scalar /
  *                                   batched mismatch reports as a
  *                                   divergence while digests stay
  *                                   identical to the scalar run.
- *                                   Defaults to $MOSAIC_BATCH.
  *
  * Exit status (each condition distinct, so CI logs are actionable):
  *   0  every trace replayed cleanly
@@ -30,12 +30,11 @@
  * injected.
  */
 
-#include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "core/batch_pipeline.hh"
 #include "fault/fault.hh"
 #include "oracle/fuzzer.hh"
 #include "oracle/trace.hh"
@@ -61,7 +60,7 @@ int
 main(int argc, char **argv)
 {
     bool digestOnly = false;
-    unsigned batch = batchBlockFromEnv();
+    std::uint64_t batch = 0;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -75,8 +74,7 @@ main(int argc, char **argv)
                           << parsed.status().toString() << "\n";
                 return 2;
             }
-            batch = static_cast<unsigned>(std::min<std::uint64_t>(
-                parsed.value(), maxBatchBlock));
+            batch = parsed.value();
         } else {
             paths.push_back(arg);
         }
