@@ -21,17 +21,6 @@ TabulationHash::TabulationHash(std::uint64_t seed)
     }
 }
 
-std::uint32_t
-TabulationHash::hash(std::uint64_t key, unsigned k) const
-{
-    std::uint32_t h = 0;
-    for (unsigned i = 0; i < numTables; ++i) {
-        const auto byte = static_cast<unsigned>((key >> (8 * i)) & 0xFF);
-        h ^= tables_[i][(byte + k) & 0xFF];
-    }
-    return h;
-}
-
 void
 TabulationHash::hashMany(std::uint64_t key, std::span<std::uint32_t> out) const
 {

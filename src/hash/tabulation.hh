@@ -49,7 +49,16 @@ class TabulationHash
     explicit TabulationHash(std::uint64_t seed = 1);
 
     /** Hash output k of the given key (probed lookup). */
-    std::uint32_t hash(std::uint64_t key, unsigned k = 0) const;
+    std::uint32_t
+    hash(std::uint64_t key, unsigned k = 0) const
+    {
+        std::uint32_t h = 0;
+        for (unsigned i = 0; i < numTables; ++i) {
+            const auto byte = static_cast<unsigned>((key >> (8 * i)) & 0xFF);
+            h ^= tables_[i][(byte + k) & 0xFF];
+        }
+        return h;
+    }
 
     /**
      * Compute outputs 0..out.size()-1 of the key in one pass.

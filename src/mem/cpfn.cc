@@ -49,24 +49,4 @@ CpfnCodec::encodeBack(unsigned choice, unsigned offset) const
     return static_cast<Cpfn>(msb | (choice << backOffsetBits_) | offset);
 }
 
-CpfnCodec::Decoded
-CpfnCodec::decode(Cpfn cpfn) const
-{
-    ensure(isValid(cpfn), "cpfn: decoding the unmapped sentinel");
-    Decoded out;
-    const unsigned msb = 1u << (bits_ - 1);
-    if ((cpfn & msb) == 0) {
-        out.front = true;
-        out.offset = cpfn & (msb - 1);
-        ensure(out.offset < frontSlots_, "cpfn: corrupt front encoding");
-    } else {
-        out.front = false;
-        out.choice = (cpfn & (msb - 1)) >> backOffsetBits_;
-        out.offset = cpfn & ((1u << backOffsetBits_) - 1);
-        ensure(out.choice < backChoices_, "cpfn: corrupt backyard choice");
-        ensure(out.offset < backSlots_, "cpfn: corrupt backyard offset");
-    }
-    return out;
-}
-
 } // namespace mosaic

@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "mem/geometry.hh"
+#include "util/log.hh"
 #include "util/types.hh"
 
 namespace mosaic
@@ -59,7 +60,26 @@ class CpfnCodec
     Cpfn encodeBack(unsigned choice, unsigned offset) const;
 
     /** Decode a valid CPFN. */
-    Decoded decode(Cpfn cpfn) const;
+    Decoded
+    decode(Cpfn cpfn) const
+    {
+        ensure(isValid(cpfn), "cpfn: decoding the unmapped sentinel");
+        Decoded out;
+        const unsigned msb = 1u << (bits_ - 1);
+        if ((cpfn & msb) == 0) {
+            out.front = true;
+            out.offset = cpfn & (msb - 1);
+            ensure(out.offset < frontSlots_, "cpfn: corrupt front encoding");
+        } else {
+            out.front = false;
+            out.choice = (cpfn & (msb - 1)) >> backOffsetBits_;
+            out.offset = cpfn & ((1u << backOffsetBits_) - 1);
+            ensure(out.choice < backChoices_,
+                   "cpfn: corrupt backyard choice");
+            ensure(out.offset < backSlots_, "cpfn: corrupt backyard offset");
+        }
+        return out;
+    }
 
   private:
     unsigned frontOffsetBits_;

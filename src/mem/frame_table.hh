@@ -74,6 +74,20 @@ class FrameTable
      *  used-bit mirror. */
     bool isUsed(Pfn pfn) const { return usedBits_.test(pfn); }
 
+    /**
+     * True when @p pfn is a frame in use by @p page. A VM that keeps
+     * a page's owning frame mapped for exactly as long as the frame
+     * is used by it may skip the walk for such a pair: the page is
+     * resident in that frame. Any @p pfn is accepted, so a stale or
+     * invalidPfn guess just answers false.
+     */
+    bool
+    holds(Pfn pfn, PageId page) const
+    {
+        return pfn < frames_.size() && frames_[pfn].used &&
+               frames_[pfn].owner == page;
+    }
+
     /** Used bits of frames [base, base + width), width in [1, 64]
      *  (bit k set iff frame base + k holds a page). Lets placement
      *  find free slots with countr_zero and count bucket occupancy

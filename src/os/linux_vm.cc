@@ -19,13 +19,14 @@ LinuxVm::LinuxVm(const LinuxVmConfig &config)
 }
 
 VanillaPageTable &
-LinuxVm::pageTable(Asid asid)
+LinuxVm::lookupTable(Asid asid)
 {
-    auto it = tables_.find(asid);
-    if (it == tables_.end())
-        it = tables_.emplace(asid,
-                             std::make_unique<VanillaPageTable>()).first;
-    return *it->second;
+    auto [table, inserted] = tables_.emplace(asid);
+    if (inserted)
+        table = std::make_unique<VanillaPageTable>();
+    lastAsid_ = asid;
+    lastTable_ = table.get();
+    return *lastTable_;
 }
 
 void
@@ -68,15 +69,23 @@ Pfn
 LinuxVm::touch(Asid asid, Vpn vpn, bool write)
 {
     ++clock_;
-    VanillaPageTable &pt = pageTable(asid);
-
-    if (const VanillaWalkResult walk = pt.walk(vpn); walk.present) {
-        frames_.touch(walk.pfn, clock_, write);
-        lru_.append(frames_, walk.pfn);
-        return walk.pfn;
+    // Reclaim and unmapRange free a frame as they unmap its page, so
+    // a frame still used by this page is the one its PTE names.
+    if (!frames_.holds(lastPfn_, PageId{asid, vpn})) {
+        VanillaPageTable &pt = pageTable(asid);
+        const VanillaWalkResult walk = pt.walk(vpn);
+        if (!walk.present)
+            return lastPfn_ = fault(pt, asid, vpn, write);
+        lastPfn_ = walk.pfn;
     }
+    frames_.touch(lastPfn_, clock_, write);
+    lru_.append(frames_, lastPfn_);
+    return lastPfn_;
+}
 
-    // Page fault.
+Pfn
+LinuxVm::fault(VanillaPageTable &pt, Asid asid, Vpn vpn, bool write)
+{
     const std::uint64_t key = packPageId(PageId{asid, vpn});
     const bool major = swap_.contains(key);
 

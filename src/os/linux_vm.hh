@@ -11,7 +11,6 @@
 #ifndef MOSAIC_OS_LINUX_VM_HH_
 #define MOSAIC_OS_LINUX_VM_HH_
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -21,6 +20,7 @@
 #include "os/swap_device.hh"
 #include "os/virtual_memory.hh"
 #include "pt/vanilla_page_table.hh"
+#include "util/flat_map.hh"
 
 namespace mosaic
 {
@@ -44,7 +44,7 @@ struct LinuxVmConfig
 };
 
 /** Fully-associative demand paging with global LRU reclaim. */
-class LinuxVm : public VirtualMemory
+class LinuxVm final : public VirtualMemory
 {
   public:
     explicit LinuxVm(const LinuxVmConfig &config);
@@ -59,7 +59,13 @@ class LinuxVm : public VirtualMemory
     std::string name() const override { return "linux"; }
 
     /** The page table of an address space (created on demand). */
-    VanillaPageTable &pageTable(Asid asid);
+    VanillaPageTable &
+    pageTable(Asid asid)
+    {
+        if (lastTable_ && lastAsid_ == asid)
+            return *lastTable_;
+        return lookupTable(asid);
+    }
 
     /**
      * Release a range of pages (munmap): resident frames return to
@@ -76,7 +82,14 @@ class LinuxVm : public VirtualMemory
     std::size_t reserveFrames() const { return reserve_; }
 
   private:
+    /** pageTable() past its memo: find or create, then remember. */
+    VanillaPageTable &lookupTable(Asid asid);
+
     void reclaim();
+
+    /** A touch of a page the walk found absent: reclaim if at the
+     *  watermark, then map it into a free frame. */
+    Pfn fault(VanillaPageTable &pt, Asid asid, Vpn vpn, bool write);
 
     LinuxVmConfig config_;
     FreeListAllocator free_;
@@ -88,7 +101,15 @@ class LinuxVm : public VirtualMemory
     Tick clock_ = 0;
     std::size_t reserve_;
 
-    std::map<Asid, std::unique_ptr<VanillaPageTable>> tables_;
+    FlatMap<Asid, std::unique_ptr<VanillaPageTable>> tables_;
+
+    /** Memo of the last pageTable() lookup; tables are never freed. */
+    Asid lastAsid_ = 0;
+    VanillaPageTable *lastTable_ = nullptr;
+
+    /** Frame of the last touch: a repeat touch that finds its page
+     *  still there skips the walk (DESIGN.md §12.1). */
+    Pfn lastPfn_ = invalidPfn;
 };
 
 } // namespace mosaic

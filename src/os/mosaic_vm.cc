@@ -23,14 +23,16 @@ MosaicVm::MosaicVm(const MosaicVmConfig &config)
 }
 
 MosaicPageTable &
-MosaicVm::pageTable(Asid asid)
+MosaicVm::lookupTable(Asid asid)
 {
     auto [table, inserted] = tables_.emplace(asid);
     if (inserted) {
         table = std::make_unique<MosaicPageTable>(
             config_.arity, allocator_.mapper().codec().invalid());
     }
-    return *table;
+    lastAsid_ = asid;
+    lastTable_ = table.get();
+    return *lastTable_;
 }
 
 std::size_t
@@ -236,6 +238,12 @@ Pfn
 MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
     ++clock_;
+    // A page keeps a frame it owns mapped for as long as the frame is
+    // used by it, in both sharing modes (DESIGN.md §12.1), so the
+    // last touch's frame, still owned by this page, is where the walk
+    // would lead.
+    if (frames_.holds(lastPfn_, PageId{asid, vpn}))
+        return touchResident(lastPfn_, write);
     // Walk before hashing: a resident page's CPFN names the one hash
     // output its PFN needs, so only a fault computes the full
     // candidate set. An unbound LocationId ToC has nothing mapped,
@@ -244,12 +252,13 @@ MosaicVm::touch(Asid asid, Vpn vpn, bool write)
             hashInputIfBound(asid, vpn)) {
         const MosaicWalkResult walk = pageTable(asid).walk(vpn);
         if (walk.present) {
-            return touchResident(
-                allocator_.mapper().pfnOf(*bound, walk.cpfn), write);
+            lastPfn_ = allocator_.mapper().pfnOf(*bound, walk.cpfn);
+            return touchResident(lastPfn_, write);
         }
-        return touchAbsent(asid, vpn, write, *bound);
+        return lastPfn_ = touchAbsent(asid, vpn, write, *bound);
     }
-    return touchAbsent(asid, vpn, write, hashInputFor(asid, vpn));
+    return lastPfn_ =
+               touchAbsent(asid, vpn, write, hashInputFor(asid, vpn));
 }
 
 Pfn
@@ -454,8 +463,7 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
             walk_op(walked);
         const PageTouch &t = block[i];
         const Pfn pfn = walk_of(i);
-        if (pfn != invalidPfn && frames_.frame(pfn).used &&
-                frames_.frame(pfn).owner == PageId{t.asid, t.vpn}) {
+        if (frames_.holds(pfn, PageId{t.asid, t.vpn})) {
             ++clock_;
             out[i] = touchResident(pfn, t.write);
         } else {

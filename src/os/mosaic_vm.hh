@@ -81,7 +81,7 @@ struct MosaicVmConfig
 };
 
 /** Mosaic paging: iceberg allocation + Horizon LRU. */
-class MosaicVm : public VirtualMemory
+class MosaicVm final : public VirtualMemory
 {
   public:
     explicit MosaicVm(const MosaicVmConfig &config);
@@ -111,7 +111,13 @@ class MosaicVm : public VirtualMemory
     std::string name() const override { return "mosaic"; }
 
     /** The page table of an address space (created on demand). */
-    MosaicPageTable &pageTable(Asid asid);
+    MosaicPageTable &
+    pageTable(Asid asid)
+    {
+        if (lastTable_ && lastAsid_ == asid)
+            return *lastTable_;
+        return lookupTable(asid);
+    }
 
     /** Frame-level metadata (for inspection and tests). */
     const FrameTable &frameTable() const { return frames_; }
@@ -210,6 +216,9 @@ class MosaicVm : public VirtualMemory
         }
     };
 
+    /** pageTable() past its memo: find or create, then remember. */
+    MosaicPageTable &lookupTable(Asid asid);
+
     /**
      * A touch of a page resident in @p pfn at the current clock:
      * ghost rescue, frame timestamp, and the recency-log append.
@@ -289,6 +298,14 @@ class MosaicVm : public VirtualMemory
     GhostTracker ghosts_;
 
     FlatMap<Asid, std::unique_ptr<MosaicPageTable>> tables_;
+
+    /** Memo of the last pageTable() lookup; tables are never freed. */
+    Asid lastAsid_ = 0;
+    MosaicPageTable *lastTable_ = nullptr;
+
+    /** Frame of the last touch: a repeat touch that finds its page
+     *  still owning it skips the walk (DESIGN.md §12.1). */
+    Pfn lastPfn_ = invalidPfn;
 
     /** LocationId mode: ToC -> location ID. */
     FlatMap<TocKey, std::uint64_t, TocKeyHash> locationIds_;

@@ -27,16 +27,4 @@ MosaicPageTable::setCpfn(Vpn vpn, Cpfn cpfn)
     slot = cpfn;
 }
 
-MosaicWalkResult
-MosaicPageTable::walk(Vpn vpn) const
-{
-    MosaicWalkResult out;
-    const Cpfn *toc = tree_.find(mvpnOf(vpn), &out.memRefs);
-    if (toc)
-        out.toc = std::span<const Cpfn>(toc, arity_);
-    out.cpfn = toc ? toc[offsetOf(vpn)] : unmapped_;
-    out.present = out.cpfn != unmapped_;
-    return out;
-}
-
 } // namespace mosaic

@@ -57,7 +57,17 @@ class MosaicPageTable
     void clearCpfn(Vpn vpn) { setCpfn(vpn, unmapped_); }
 
     /** Walk for a VPN; also yields the whole ToC for TLB fill. */
-    MosaicWalkResult walk(Vpn vpn) const;
+    MosaicWalkResult
+    walk(Vpn vpn) const
+    {
+        MosaicWalkResult out;
+        const Cpfn *toc = tree_.find(mvpnOf(vpn), &out.memRefs);
+        if (toc)
+            out.toc = std::span<const Cpfn>(toc, arity_);
+        out.cpfn = toc ? toc[offsetOf(vpn)] : unmapped_;
+        out.present = out.cpfn != unmapped_;
+        return out;
+    }
 
     /** Prefetch the ToC a walk of @p vpn will read; creates nothing. */
     void prefetch(Vpn vpn) const { tree_.prefetch(mvpnOf(vpn)); }

@@ -10,7 +10,7 @@
  * or one ToC of `arity` CPFNs). Lookups report how many node visits
  * ("memory references") the walk took so the simulator can account
  * for walk traffic. The count is the modeled walk: a lookup that the
- * host skips through the remembered leaf node reports it unchanged.
+ * host skips through a remembered leaf node reports it unchanged.
  */
 
 #ifndef MOSAIC_PT_RADIX_TREE_HH_
@@ -33,13 +33,15 @@ namespace mosaic
  *
  * Interior nodes hold 512 child pointers; a leaf node is only its
  * `512 * width` leaves. Nodes are never freed, so a pointer into the
- * tree stays valid for the tree's lifetime. The tree remembers the
- * leaf node of the last key it resolved: a lookup of a key under the
- * same 9-bit-aligned prefix skips the interior levels and still adds
- * levels() to its reference count, which is exactly what the descent
- * would report, since the whole path exists. The const lookups update
- * that memo too, so a tree must not be read from two threads at once;
- * every page table has one owning thread (DESIGN.md §8).
+ * tree stays valid for the tree's lifetime. The tree remembers up to
+ * memoSlots leaf nodes it resolved, one per slot of a direct-mapped
+ * memo indexed by the key's 9-bit-aligned prefix (key >> 9) modulo
+ * memoSlots: a lookup whose prefix is in its slot skips the interior
+ * levels and still adds levels() to its reference count, which is
+ * exactly what the descent would report, since the whole path
+ * exists. The const lookups update that memo too, so a tree must not
+ * be read from two threads at once; every page table has one owning
+ * thread (DESIGN.md §8).
  */
 template <typename Leaf>
 class RadixTree
@@ -47,6 +49,9 @@ class RadixTree
   public:
     static constexpr unsigned fanoutBits = 9;
     static constexpr unsigned fanout = 1u << fanoutBits;
+
+    /** Leaf nodes the lookup memo remembers (a power of two). */
+    static constexpr unsigned memoSlots = 16;
 
     /**
      * @param key_bits significant key width; determines the number
@@ -95,15 +100,15 @@ class RadixTree
     /**
      * Hint the cache hierarchy that a key's leaves are about to be
      * read: descends the interior nodes (never creating one, and
-     * skipping them when the key shares the remembered leaf node)
+     * skipping them when the key's leaf node is remembered)
      * and prefetches every cache line of the key's run. Pure
      * performance hint; a missing path is a no-op.
      */
     void
     prefetch(std::uint64_t key) const
     {
-        const Leaf *leaves = lastLeaves_;
-        if (!leaves || (key >> fanoutBits) != lastPrefix_) {
+        const Leaf *leaves = remembered(key >> fanoutBits);
+        if (!leaves) {
             const void *node = root_;
             for (unsigned level = levels_; node && level-- > 1;) {
                 node = static_cast<const Interior *>(node)
@@ -172,10 +177,10 @@ class RadixTree
     lookup(std::uint64_t key, unsigned *refs)
     {
         const std::uint64_t prefix = key >> fanoutBits;
-        if (lastLeaves_ && prefix == lastPrefix_) {
+        if (Leaf *leaves = remembered(prefix)) {
             if (refs)
                 *refs += levels_;
-            return lastLeaves_ + runOffset(key);
+            return leaves + runOffset(key);
         }
         void *node = root_;
         for (unsigned level = levels_; level-- > 1;) {
@@ -193,9 +198,19 @@ class RadixTree
         }
         if (refs)
             ++*refs;
-        lastPrefix_ = prefix;
-        lastLeaves_ = static_cast<Leaf *>(node);
-        return lastLeaves_ + runOffset(key);
+        MemoSlot &slot = memo_[prefix & (memoSlots - 1)];
+        slot.prefix = prefix;
+        slot.leaves = static_cast<Leaf *>(node);
+        return slot.leaves + runOffset(key);
+    }
+
+    /** The remembered leaf node of a prefix, or nullptr. */
+    Leaf *
+    remembered(std::uint64_t prefix) const
+    {
+        const MemoSlot &slot = memo_[prefix & (memoSlots - 1)];
+        return slot.leaves && slot.prefix == prefix ? slot.leaves
+                                                    : nullptr;
     }
 
     template <typename Visitor>
@@ -231,9 +246,15 @@ class RadixTree
     /** The root: an Interior, or the leaf node of a one-level tree. */
     void *root_ = nullptr;
 
-    /** Memo of the last resolved leaf node and its key >> 9. */
-    mutable std::uint64_t lastPrefix_ = 0;
-    mutable Leaf *lastLeaves_ = nullptr;
+    /** A remembered leaf node and its key >> 9. */
+    struct MemoSlot
+    {
+        std::uint64_t prefix = 0;
+        Leaf *leaves = nullptr;
+    };
+
+    /** Leaf nodes resolved so far, slotted by prefix % memoSlots. */
+    mutable std::array<MemoSlot, memoSlots> memo_{};
 };
 
 } // namespace mosaic

@@ -40,18 +40,9 @@ VanillaPageTable::unmap(Vpn vpn)
     }
 }
 
-VanillaWalkResult
-VanillaPageTable::walk(Vpn vpn) const
+void
+VanillaPageTable::walkHuge(Vpn vpn, VanillaWalkResult &out) const
 {
-    VanillaWalkResult out;
-
-    const Pte *pte = tree4k_.find(vpn, &out.memRefs);
-    if (pte && pte->present) {
-        out.pfn = pte->pfn;
-        out.present = true;
-        return out;
-    }
-
     // A real walk would have found a huge PTE at the L2 level of the
     // same tree; modeling it as a second, shorter tree keeps the ref
     // count right (3 node visits) without a variant node type.
@@ -62,10 +53,7 @@ VanillaPageTable::walk(Vpn vpn) const
         out.present = true;
         out.huge = true;
         out.memRefs = huge_refs;
-        return out;
     }
-
-    return out;
 }
 
 } // namespace mosaic

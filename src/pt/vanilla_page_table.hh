@@ -59,7 +59,19 @@ class VanillaPageTable
     void unmap(Vpn vpn);
 
     /** Walk the tree for a VPN. */
-    VanillaWalkResult walk(Vpn vpn) const;
+    VanillaWalkResult
+    walk(Vpn vpn) const
+    {
+        VanillaWalkResult out;
+        const Pte *pte = tree4k_.find(vpn, &out.memRefs);
+        if (pte && pte->present) {
+            out.pfn = pte->pfn;
+            out.present = true;
+            return out;
+        }
+        walkHuge(vpn, out);
+        return out;
+    }
 
     /** Number of present 4 KiB mappings. */
     std::uint64_t mapped4k() const { return mapped4k_; }
@@ -68,6 +80,11 @@ class VanillaPageTable
     std::uint64_t mappedHuge() const { return mappedHuge_; }
 
   private:
+    /** The rest of a walk that found no 4 KiB mapping: a 2 MiB
+     *  mapping, if any, replaces @p out; otherwise @p out keeps the
+     *  4 KiB descent's refs. */
+    void walkHuge(Vpn vpn, VanillaWalkResult &out) const;
+
     /** Leaf granule: 512 4 KiB PTEs, or one huge mapping. */
     RadixTree<Pte> tree4k_;
     RadixTree<Pte> treeHuge_;

@@ -45,6 +45,8 @@ struct CorpusGolden
 constexpr CorpusGolden corpusGoldens[] = {
     {"ghost_rescue_adoption.trace", 14674125878381882746ull, 126},
     {"ghost_rescue_adoption_long.trace", 7267721577211409804ull, 577},
+    {"repeat_touch_hint.trace", 7833615143583530119ull, 98},
+    {"repeat_touch_hint_linux.trace", 9828091013828289825ull, 99},
     {"tlb_seed1.trace", 8989511554147415485ull, 2000},
     {"tlb_seed13.trace", 8984735817782752560ull, 2000},
     {"tlb_seed2.trace", 11030404164527443136ull, 1882},

@@ -45,12 +45,17 @@ TEST(FuzzVm, CoversBothVmKinds)
 // Regression: the sharer-adoption path of MosaicVm::touch rescued
 // resident ghost frames without counting the rescue, so ghostPages()
 // and stats().ghostRescues drifted apart under LocationId sharing.
-// These traces were minimized from fuzzer-found divergences.
+// These traces were minimized from fuzzer-found divergences. The
+// repeat_touch_hint ones are hand-written: runs of touches of one page
+// broken by a conflict that hands its frame to another page, an
+// unmap, a sharer adoption and a ghost rescue (mosaic), or by reclaim
+// and unmaps (linux), since a repeat touch may skip the walk.
 TEST(FuzzVm, GhostRescueAdoptionRegression)
 {
     for (const char *name :
          {"/ghost_rescue_adoption.trace",
-          "/ghost_rescue_adoption_long.trace"}) {
+          "/ghost_rescue_adoption_long.trace",
+          "/repeat_touch_hint.trace", "/repeat_touch_hint_linux.trace"}) {
         const Trace trace =
             readTraceFile(std::string(MOSAIC_FUZZ_CORPUS_DIR) + name);
         const FuzzResult result = runTrace(trace);

@@ -68,6 +68,26 @@ TEST(FrameTable, UnmapClearsFrame)
     EXPECT_EQ(ft.frame(2).owner.asid, 2);
 }
 
+TEST(FrameTable, HoldsOnlyItsOwnerWhileUsed)
+{
+    FrameTable ft(8);
+    const PageId page{1, 42};
+    // A free frame holds nothing, not even the default PageId its
+    // owner field is reset to; PFNs past the table answer false.
+    EXPECT_FALSE(ft.holds(3, PageId{}));
+    EXPECT_FALSE(ft.holds(3, page));
+    EXPECT_FALSE(ft.holds(8, page));
+    EXPECT_FALSE(ft.holds(invalidPfn, page));
+    ft.map(3, page, 1);
+    EXPECT_TRUE(ft.holds(3, page));
+    EXPECT_FALSE(ft.holds(3, PageId{2, 42}));
+    EXPECT_FALSE(ft.holds(3, PageId{1, 43}));
+    EXPECT_FALSE(ft.holds(4, page));
+    ft.unmap(3);
+    EXPECT_FALSE(ft.holds(3, page));
+    EXPECT_FALSE(ft.holds(3, ft.frame(3).owner));
+}
+
 TEST(FrameTable, UtilizationTracksMappings)
 {
     FrameTable ft(10);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/oracle_vm.hh"
 #include "os/linux_vm.hh"
 
 namespace mosaic
@@ -169,6 +170,84 @@ TEST(LinuxVm, UnmapDropsSwapIdentity)
     const auto majors = vm.stats().majorFaults;
     vm.touch(1, 0, false);
     EXPECT_EQ(vm.stats().majorFaults, majors);
+}
+
+/**
+ * A repeat touch of the last page touched skips the walk while that
+ * page still owns its frame. Page A is touched in runs, and between
+ * runs reclaim or unmapRange takes its frame away and another page
+ * takes the frame. After every op, the returned frame must be the one
+ * A's page table names and hold the page, and the stats, dirty bit
+ * and access tick must be the oracle's.
+ */
+TEST(LinuxVm, RepeatTouchesFollowTheirPageAcrossReclaimAndUnmap)
+{
+    LinuxVmConfig cfg = config(64);
+    cfg.reclaimBatch = 8;
+    LinuxVm vm(cfg);
+    OracleVm oracle(
+        OracleVmConfig{cfg.numFrames, cfg.watermarkFraction,
+                       cfg.reclaimBatch});
+    const auto check = [&](const char *what) {
+        const VmStats &r = vm.stats();
+        const VmStats &o = oracle.stats();
+        EXPECT_EQ(r.minorFaults, o.minorFaults) << what;
+        EXPECT_EQ(r.majorFaults, o.majorFaults) << what;
+        EXPECT_EQ(r.swapIns, o.swapIns) << what;
+        EXPECT_EQ(r.swapOuts, o.swapOuts) << what;
+        EXPECT_EQ(vm.residentPages(), oracle.resident()) << what;
+    };
+    const auto touch = [&](Asid asid, Vpn vpn, bool write) {
+        oracle.touch(asid, vpn, write);
+        const Pfn pfn = vm.touch(asid, vpn, write);
+        const VanillaWalkResult walk = vm.pageTable(asid).walk(vpn);
+        EXPECT_TRUE(walk.present) << vpn;
+        EXPECT_EQ(pfn, walk.pfn) << vpn;
+        const Frame &f = vm.frameTable().frame(pfn);
+        const PageId page{asid, vpn};
+        EXPECT_TRUE(f.used && f.owner == page) << vpn;
+        EXPECT_EQ(f.dirty, oracle.isDirty(page)) << vpn;
+        EXPECT_EQ(f.lastAccess, oracle.lastAccessOf(page)) << vpn;
+        check("touch");
+        return pfn;
+    };
+    const Asid a_asid = 1;
+    const Vpn a_vpn = 7;
+    const auto run_a = [&] {
+        const Pfn pfn = touch(a_asid, a_vpn, false);
+        EXPECT_EQ(touch(a_asid, a_vpn, true), pfn);
+        EXPECT_EQ(touch(a_asid, a_vpn, false), pfn);
+        return pfn;
+    };
+
+    // Reclaim: fill with other pages until reclaim has freed A's frame
+    // and a later fault has taken it.
+    Vpn next = 100;
+    Pfn frame = run_a();
+    for (int round = 0; round < 2; ++round) {
+        Pfn taken = invalidPfn;
+        for (; taken != frame && next < 1000; ++next)
+            taken = touch(2, next, next % 3 == 0);
+        ASSERT_EQ(taken, frame) << "round " << round;
+        EXPECT_FALSE(oracle.isResident(PageId{a_asid, a_vpn}));
+        const std::uint64_t majors = vm.stats().majorFaults;
+        frame = run_a();
+        EXPECT_EQ(vm.stats().majorFaults, majors + 1); // A was dirty
+    }
+
+    // unmapRange: re-touch A right after its frame is freed, and after
+    // another page has taken it.
+    for (const bool reuse : {false, true}) {
+        oracle.unmapRange(a_asid, a_vpn, 1);
+        vm.unmapRange(a_asid, a_vpn, 1);
+        check("unmap");
+        if (reuse) {
+            EXPECT_EQ(touch(2, next++, true), frame);
+        }
+        const std::uint64_t minors = vm.stats().minorFaults;
+        frame = run_a();
+        EXPECT_EQ(vm.stats().minorFaults, minors + 1);
+    }
 }
 
 TEST(LinuxVm, DeterministicAcrossInstances)

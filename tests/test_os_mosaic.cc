@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "os/mosaic_vm.hh"
 
@@ -416,6 +417,133 @@ TEST(MosaicVm, UnmapOfUntouchedRangeCreatesNoBindings)
     vm.unmapRange(1, 500, 64);
     EXPECT_EQ(vm.locationBindings(), 0u);
     EXPECT_EQ(vm.locationUsers(), 0u);
+}
+
+/** One op of the repeat-touch test: a touch, or an unmap of one page. */
+struct HintOp
+{
+    bool unmap = false;
+    Asid asid = 0;
+    Vpn vpn = 0;
+    bool write = false;
+};
+
+/**
+ * Replay @p ops on a fresh VM, each run of touches as one touchBatch
+ * block, and return the last op's PFN (invalidPfn after an unmap) and
+ * the VM's stats. touchBatch checks each walk it gathered against its
+ * frame, so this replays resident touches without the scalar hint.
+ */
+std::pair<Pfn, VmStats>
+batchReplay(const MosaicVmConfig &config, const std::vector<HintOp> &ops)
+{
+    MosaicVm vm(config);
+    std::vector<PageTouch> block;
+    std::vector<Pfn> out;
+    Pfn last = invalidPfn;
+    const auto flush = [&] {
+        out.resize(block.size());
+        vm.touchBatch(block, out.data());
+        if (!out.empty())
+            last = out.back();
+        block.clear();
+    };
+    for (const HintOp &op : ops) {
+        if (op.unmap) {
+            flush();
+            vm.unmapRange(op.asid, op.vpn, 1);
+            last = invalidPfn;
+        } else {
+            block.push_back(PageTouch{op.asid, op.vpn, op.write});
+        }
+    }
+    flush();
+    return {last, vm.stats()};
+}
+
+/**
+ * A repeat touch of the last page touched skips the walk while that
+ * page still owns its frame. Under the batch-pipeline tests' conflict
+ * geometry (eight candidate frames per page in 48), page A is touched
+ * in runs; between runs a conflict evicts A and hands its frame to
+ * another page, or unmapRange frees it and another page may take it.
+ * After every op, the PFN and stats must equal a touchBatch replay's,
+ * and the frame must be the one A's CPFN names and hold the page.
+ */
+TEST(MosaicVm, RepeatTouchesFollowTheirPageAcrossConflictAndUnmap)
+{
+    MosaicVmConfig cfg;
+    cfg.geometry.frontSlots = 4;
+    cfg.geometry.backSlots = 2;
+    cfg.geometry.backChoices = 2;
+    cfg.geometry.numFrames = 8 * cfg.geometry.slotsPerBucket();
+    MosaicVm vm(cfg);
+    std::vector<HintOp> ops;
+    const auto check = [&](Pfn pfn) {
+        const auto [replay_pfn, replay] = batchReplay(cfg, ops);
+        const VmStats &r = vm.stats();
+        EXPECT_EQ(pfn, replay_pfn) << "op " << ops.size();
+        EXPECT_EQ(r.minorFaults, replay.minorFaults);
+        EXPECT_EQ(r.majorFaults, replay.majorFaults);
+        EXPECT_EQ(r.swapIns, replay.swapIns);
+        EXPECT_EQ(r.swapOuts, replay.swapOuts);
+        EXPECT_EQ(r.conflicts, replay.conflicts);
+        EXPECT_EQ(r.ghostEvictions, replay.ghostEvictions);
+        EXPECT_EQ(r.ghostRescues, replay.ghostRescues);
+    };
+    const auto touch = [&](Asid asid, Vpn vpn, bool write) {
+        ops.push_back(HintOp{false, asid, vpn, write});
+        const Pfn pfn = vm.touch(asid, vpn, write);
+        const PageId page{asid, vpn};
+        const MosaicWalkResult walk = vm.pageTable(asid).walk(vpn);
+        EXPECT_TRUE(walk.present) << vpn;
+        EXPECT_EQ(vm.allocator().mapper().pfnOf(packPageId(page),
+                                                walk.cpfn),
+                  pfn)
+            << vpn;
+        EXPECT_TRUE(vm.frameTable().holds(pfn, page)) << vpn;
+        check(pfn);
+        return pfn;
+    };
+    const auto unmap = [&](Asid asid, Vpn vpn) {
+        ops.push_back(HintOp{true, asid, vpn, false});
+        vm.unmapRange(asid, vpn, 1);
+        check(invalidPfn);
+    };
+    const PageId a{1, 7};
+    const auto run_a = [&] {
+        const Pfn pfn = touch(a.asid, a.vpn, false);
+        EXPECT_EQ(touch(a.asid, a.vpn, true), pfn);
+        EXPECT_EQ(touch(a.asid, a.vpn, false), pfn);
+        return pfn;
+    };
+
+    // A conflict evicts A and places the faulting page in its frame.
+    Vpn next = 100;
+    Pfn frame = run_a();
+    for (; next < 1000 && vm.frameTable().holds(frame, a); ++next) {
+        const std::uint64_t conflicts = vm.stats().conflicts;
+        const Pfn pfn = touch(2, next, next % 3 == 0);
+        if (!vm.frameTable().holds(frame, a)) {
+            ASSERT_EQ(pfn, frame);
+            ASSERT_EQ(vm.stats().conflicts, conflicts + 1);
+        }
+    }
+    ASSERT_FALSE(vm.frameTable().holds(frame, a));
+    const std::uint64_t majors = vm.stats().majorFaults;
+    frame = run_a();
+    EXPECT_EQ(vm.stats().majorFaults, majors + 1); // A was dirty
+
+    // Unmap A, then re-touch it at once; unmap it again and let other
+    // pages fault until one takes its frame, then re-touch it.
+    unmap(a.asid, a.vpn);
+    frame = run_a();
+    unmap(a.asid, a.vpn);
+    Pfn taken = invalidPfn;
+    for (; taken != frame && next < 2000; ++next)
+        taken = touch(3, next, true);
+    ASSERT_EQ(taken, frame);
+    run_a();
 }
 
 TEST(MosaicVm, DeterministicAcrossInstances)

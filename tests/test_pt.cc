@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <vector>
 
 #include "pt/mosaic_page_table.hh"
 #include "pt/radix_tree.hh"
@@ -253,6 +254,77 @@ TEST(RadixTree, GetOrCreateAfterARememberedFind)
                         {0x5000001, 4}}));
 }
 
+TEST(RadixTree, AliasedMemoSlotsReportTheDescentsRefs)
+{
+    // Leaf nodes whose prefixes (key >> 9) differ by multiples of
+    // memoSlots share one memo slot. More of them are live than the
+    // memo has slots, so every lookup below may find its slot holding
+    // another node; each must still return its own leaf and report
+    // the descent's refs.
+    constexpr unsigned slots = RadixTree<int>::memoSlots;
+    constexpr unsigned bits = RadixTree<int>::fanoutBits;
+    RadixTree<std::uint64_t> t(36);
+    const std::uint64_t p = 0x123456; // a leaf-node prefix
+    std::set<std::uint64_t> created;
+    std::map<std::uint64_t, std::uint64_t> model;
+    const auto create = [&](std::uint64_t key, std::uint64_t value) {
+        t.getOrCreate(key) = value;
+        created.insert(key);
+        model[key] = value;
+    };
+    // 2 * slots + 3 leaf nodes: p + slots * i alias p's slot; p + 1..3
+    // take neighbouring slots.
+    std::vector<std::uint64_t> keys;
+    for (unsigned i = 0; i < 2 * slots; ++i)
+        keys.push_back(((p + slots * i) << bits) | (i * 7 % 512));
+    for (unsigned j = 1; j <= 3; ++j)
+        keys.push_back(((p + j) << bits) | j);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        create(keys[i], 1000 + i);
+
+    const auto check = [&](std::uint64_t key) {
+        unsigned refs = 0;
+        const std::uint64_t *leaf = t.find(key, &refs);
+        EXPECT_EQ(refs, descentRefs(created, t.levels(), key))
+            << std::hex << "key=" << key;
+        ASSERT_EQ(leaf != nullptr, refs == t.levels())
+            << std::hex << "key=" << key;
+        if (leaf) {
+            const auto it = model.find(key);
+            EXPECT_EQ(*leaf, it == model.end() ? 0 : it->second)
+                << std::hex << "key=" << key;
+        }
+    };
+    const std::uint64_t absent_node = (p + slots * 2 * slots) << bits;
+    for (int round = 0; round < 2; ++round) {
+        // Forwards, backwards, then p and p + slots alternating.
+        for (const std::uint64_t key : keys)
+            check(key);
+        for (auto it = keys.rbegin(); it != keys.rend(); ++it)
+            check(*it);
+        for (int i = 0; i < 4; ++i) {
+            check(keys[0]);
+            check(keys[1]);
+        }
+        // Absent leaves under an aliased node, and a missing node
+        // that aliases p's slot, each right after its slot's owner.
+        check(keys[1]);
+        check(keys[1] + 1);
+        check(keys[0]);
+        check(absent_node);
+        check(absent_node + 5);
+        check(keys[0] ^ (std::uint64_t{1} << 35));
+        // getOrCreate right after a find of an aliasing node writes
+        // where a fresh descent finds it.
+        check(keys[1]);
+        create(keys[0] + 1 + round, 77 + round);
+        check(keys[1]);
+        create(absent_node + round, 88 + round); // a new aliased node
+        check(keys[0] + 1 + round);
+        check(absent_node + round);
+    }
+}
+
 TEST(MosaicPt, WalkRefsIgnoreTheRememberedLeaf)
 {
     // Arity 4: 34-bit MVPNs, four levels. A present page, an absent
@@ -319,6 +391,113 @@ TEST(VanillaPt, WalkRefsIgnoreTheRememberedLeaf)
         EXPECT_EQ(huge.pfn, 4096u + 7);
         EXPECT_EQ(huge.memRefs, 3u);
     }
+}
+
+TEST(MosaicPt, AliasedLeafNodesWalkLikeTheDescent)
+{
+    // Arity 4: an MVPN's leaf node is mvpn >> 9. ToCs in 24 leaf
+    // nodes aliasing one memo slot, walked in interleaved order:
+    // present pages, an absent page of a set ToC, an unset ToC of an
+    // aliased node, and a missing node aliasing the same slot. All
+    // share one level-1 interior node, so a missing node is a
+    // three-reference walk.
+    constexpr unsigned slots = RadixTree<Cpfn>::memoSlots;
+    constexpr unsigned live = 24;
+    MosaicPageTable pt(4, 0x7F);
+    const auto vpn_of = [](std::uint64_t node, unsigned toc, unsigned sub) {
+        return (((Vpn{node} << 9) | toc) << 2) | sub;
+    };
+    const std::uint64_t p = 0x2AA00; // 512-aligned
+    std::vector<Vpn> set;
+    for (unsigned i = 0; i < live; ++i) {
+        set.push_back(vpn_of(p + slots * i, i, i % 4));
+        pt.setCpfn(set.back(), static_cast<Cpfn>(i % 0x7F));
+    }
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const std::size_t j = (i * 7) % set.size(); // interleaved
+            const MosaicWalkResult hit = pt.walk(set[j]);
+            EXPECT_TRUE(hit.present) << j;
+            EXPECT_EQ(hit.cpfn, static_cast<Cpfn>(j % 0x7F)) << j;
+            EXPECT_EQ(hit.memRefs, 4u) << j;
+            EXPECT_EQ(hit.toc.size(), 4u) << j;
+
+            const MosaicWalkResult page = pt.walk(set[j] ^ 1);
+            EXPECT_FALSE(page.present) << j;
+            EXPECT_EQ(page.memRefs, 4u) << j;
+
+            const MosaicWalkResult toc = pt.walk(set[j] + 4 * 3);
+            EXPECT_FALSE(toc.present) << j;
+            EXPECT_EQ(toc.memRefs, 4u) << j;
+            EXPECT_EQ(toc.toc.size(), 4u) << j;
+
+            const MosaicWalkResult node =
+                pt.walk(vpn_of(p + slots * (live + j % 8), 0, 0));
+            EXPECT_FALSE(node.present) << j;
+            EXPECT_EQ(node.memRefs, 3u) << j;
+            EXPECT_TRUE(node.toc.empty()) << j;
+        }
+        // Set a page right after walking an aliasing node; both keep
+        // their own CPFNs.
+        ASSERT_TRUE(pt.walk(set[1]).present);
+        pt.setCpfn(set[0] ^ 2, 0x33);
+        EXPECT_EQ(pt.walk(set[1]).cpfn, 1);
+        EXPECT_EQ(pt.walk(set[0] ^ 2).cpfn, 0x33);
+        pt.clearCpfn(set[0] ^ 2);
+    }
+    EXPECT_EQ(pt.mappedPages(), set.size());
+}
+
+TEST(VanillaPt, AliasedLeafNodesWalkLikeTheDescent)
+{
+    // 4 KiB PTEs in 24 leaf nodes (vpn >> 9) aliasing one memo slot
+    // under one level-1 interior node, plus a 2 MiB mapping whose
+    // region aliases the slot too. An absent 4 KiB page reports the
+    // 4 KiB descent's refs, however far that got; a huge hit reports
+    // the three-level walk.
+    constexpr unsigned slots = RadixTree<Pte>::memoSlots;
+    constexpr unsigned live = 24;
+    VanillaPageTable pt;
+    const Vpn p = 0x4D200; // 512-aligned
+    std::vector<Vpn> set;
+    for (unsigned i = 0; i < live; ++i) {
+        set.push_back(((p + slots * i) << 9) | (i * 31 % 512));
+        pt.map(set.back(), 100 + i);
+    }
+    const Vpn huge_region = p + slots * (live + 7);
+    pt.mapHuge(huge_region << 9, 8192);
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const std::size_t j = (i * 5) % set.size();
+            const VanillaWalkResult hit = pt.walk(set[j]);
+            EXPECT_TRUE(hit.present) << j;
+            EXPECT_FALSE(hit.huge) << j;
+            EXPECT_EQ(hit.pfn, 100 + j) << j;
+            EXPECT_EQ(hit.memRefs, 4u) << j;
+
+            const VanillaWalkResult absent = pt.walk(set[j] ^ 1);
+            EXPECT_FALSE(absent.present) << j;
+            EXPECT_EQ(absent.memRefs, 4u) << j;
+
+            const VanillaWalkResult no_node =
+                pt.walk((p + slots * (live + j % 7)) << 9);
+            EXPECT_FALSE(no_node.present) << j;
+            EXPECT_EQ(no_node.memRefs, 3u) << j;
+
+            const VanillaWalkResult huge = pt.walk((huge_region << 9) | j);
+            EXPECT_TRUE(huge.huge) << j;
+            EXPECT_EQ(huge.pfn, 8192 + j) << j;
+            EXPECT_EQ(huge.memRefs, 3u) << j;
+        }
+        // Map right after walking an aliasing node: the new PTE lands
+        // in its own node and the aliasing one keeps its PFN.
+        ASSERT_TRUE(pt.walk(set[1]).present);
+        pt.map(set[0] ^ 2, 55);
+        EXPECT_EQ(pt.walk(set[1]).pfn, 101u);
+        EXPECT_EQ(pt.walk(set[0] ^ 2).pfn, 55u);
+        pt.unmap(set[0] ^ 2);
+    }
+    EXPECT_EQ(pt.mapped4k(), set.size());
 }
 
 TEST(VanillaPt, MapWalkUnmap)
