@@ -1,9 +1,8 @@
 /**
  * @file
  * Microbenchmarks for the sharded VM engine (DESIGN.md §17): the
- * Lemire route itself, the resident-touch hot path at 1 and 8 shards
- * (the sharding tax on the common case), and a cross-shard adoption
- * round trip (mailbox post + drain + forwarded share).
+ * Lemire route itself and the resident-touch hot path at 1 and 8
+ * shards (the sharding tax on the common case).
  */
 
 #include <benchmark/benchmark.h>
@@ -43,8 +42,8 @@ BENCHMARK(BM_ShardRoute);
 void
 BM_ShardTouchResident(benchmark::State &state)
 {
-    // The hot path at N shards: every touch routes, misses the
-    // forward map, and hits a resident page in its home shard.
+    // The hot path at N shards: every touch routes to its home shard
+    // and hits a resident page there.
     // Compare the /1 and /8 series for the sharding tax over a plain
     // MosaicVm (micro_vm's BM_MosaicVmTouchResident).
     const auto shards = static_cast<std::size_t>(state.range(0));
@@ -66,33 +65,6 @@ BM_ShardTouchResident(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardTouchResident)->Arg(1)->Arg(8);
-
-void
-BM_ShardAdopt(benchmark::State &state)
-{
-    // One cross-shard adoption round trip per iteration: share a ToC
-    // from its owner to a tenant homed elsewhere (mailbox post +
-    // drain + forwarded share), then unmap the destination so the
-    // binding is reusable.
-    ShardedVmConfig config = shardedConfig(4, 64 * 16);
-    config.base.sharing = SharingMode::LocationId;
-    ShardedMosaicVm vm(config);
-    const unsigned arity = config.base.arity;
-    Asid src = 1;
-    while (vm.homeShard(src) != 0)
-        ++src;
-    Asid dst = static_cast<Asid>(src + 1);
-    while (vm.homeShard(dst) == 0)
-        ++dst;
-    for (Vpn v = 0; v < arity; ++v)
-        vm.touch(src, v, true);
-    for (auto _ : state) {
-        vm.shareRange(src, 0, dst, 0, arity);
-        vm.unmapRange(dst, 0, arity);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardAdopt);
 
 } // namespace
 

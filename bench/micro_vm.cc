@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks for the virtual-memory models: resident-page
- * touches (the hot path), first-touch fault/allocation cost, and
+ * touches (the hot path, with and without back-to-back repeats of
+ * one page), first-touch fault/allocation cost, and
  * eviction-path cost under pressure, for both the mosaic VM and the
  * Linux-like baseline.
  */
@@ -10,6 +11,7 @@
 
 #include "bench_gbench.hh"
 
+#include <cstdint>
 #include <vector>
 
 #include "os/linux_vm.hh"
@@ -88,6 +90,44 @@ BM_LinuxVmTouchResident(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinuxVmTouchResident);
+
+/**
+ * The repeat-touch path (DESIGN.md §12.1): the resident series'
+ * working set, each page touched 8 times back to back, so 7 of 8
+ * touches repeat the previous page and take the last-touch hint.
+ */
+template <typename Vm>
+void
+touchRepeat(benchmark::State &state, Vm &vm)
+{
+    constexpr Vpn ws = 4096;
+    for (Vpn v = 0; v < ws; ++v)
+        vm.touch(1, v, true);
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(vm.touch(1, (i / 8) % ws, false));
+        ++i;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+BM_MosaicVmTouchRepeat(benchmark::State &state)
+{
+    MosaicVm vm(mosaicConfig(64 * 256));
+    touchRepeat(state, vm);
+}
+BENCHMARK(BM_MosaicVmTouchRepeat);
+
+void
+BM_LinuxVmTouchRepeat(benchmark::State &state)
+{
+    LinuxVmConfig config;
+    config.numFrames = 64 * 256;
+    LinuxVm vm(config);
+    touchRepeat(state, vm);
+}
+BENCHMARK(BM_LinuxVmTouchRepeat);
 
 void
 BM_MosaicVmFirstTouch(benchmark::State &state)

@@ -1,14 +1,10 @@
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.hh"
 #include "oracle/fuzz_internal.hh"
-#include "oracle/oracle_vm.hh"
 #include "oracle/shard_oracle.hh"
 #include "os/mosaic_vm.hh"
 #include "os/sharded_vm.hh"
@@ -25,13 +21,13 @@ namespace
 /**
  * Differential harness for the sharded multi-tenant engine
  * (DESIGN.md §17). The engine under test is a ShardedMosaicVm; the
- * mirror independently replays the routing and adoption protocol
- * over its own per-shard scalar MosaicVms — built
- * from ShardedMosaicVm::shardConfig with an identically seeded fault
- * injector — and every op must land on the same global frame. With
- * one shard a plain scalar MosaicVm is additionally locked in step,
- * proving the engine degenerates to MosaicVm over the whole corpus.
- * Deep checkpoints run the whole-machine conservation oracle and a
+ * mirror independently replays its routing over its own per-shard
+ * scalar MosaicVms — built from ShardedMosaicVm::shardConfig with an
+ * identically seeded fault injector and fed by shardRoute — and
+ * every op must land on the same global frame. With one shard a
+ * plain scalar MosaicVm is additionally locked in step, proving the
+ * engine degenerates to MosaicVm over the whole corpus. Deep
+ * checkpoints run the whole-machine conservation oracle and a
  * field-for-field per-shard state comparison.
  */
 class ShardHarness
@@ -45,9 +41,6 @@ class ShardHarness
         ShardedVmConfig cfg;
         cfg.base = mosaicVmCfgFromTrace(t, faults);
         cfg.shards = t.cfgUint("shards", 1);
-        locMode_ = cfg.base.sharing == SharingMode::LocationId;
-        arity_ = cfg.base.arity;
-        log2Arity_ = ceilLog2(arity_);
         shards_ = cfg.shards;
         part_ = PoolPartition::split(cfg.base.geometry, cfg.shards);
         vm_ = std::make_unique<ShardedMosaicVm>(cfg);
@@ -77,89 +70,23 @@ class ShardHarness
         case 'u':
             bad = shardUnmap(op, idx, dg);
             break;
-        case 's':
-            bad = shardShare(op, idx, applied, dg);
-            break;
         default:
             *applied = false;
             return std::nullopt;
         }
-        if (bad || !*applied)
+        if (bad)
             return bad;
-        if (MaybeDivergence c = compareCounters(idx))
-            return c;
         if (deep_ > 0 && (idx + 1) % deep_ == 0)
             return deepCheck(idx);
         return std::nullopt;
     }
 
   private:
-    // ------------------------------------------------ mirror engine
-    //
-    // An independent replay of the sharded engine's routing layer:
-    // same protocol, separately written state, driven only through
-    // the scalar MosaicVm public API.
-
-    std::uint64_t
-    tocKey(Asid asid, Vpn vpn) const
-    {
-        return (std::uint64_t{asid} << 48) | (vpn >> log2Arity_);
-    }
-
-    /** Home shard, unless an adoption forwarded the page's ToC (only
-     *  LocationId-mode shares create forwards). */
+    /** Home shard of @p asid, computed independently of the engine. */
     std::size_t
-    mirrorRoute(Asid asid, Vpn vpn) const
+    homeOf(Asid asid) const
     {
-        const auto it = mforward_.find(tocKey(asid, vpn));
-        if (it != mforward_.end())
-            return it->second;
         return shardRoute(asid, static_cast<std::uint32_t>(shards_));
-    }
-
-    Pfn
-    mirrorTouch(Asid asid, Vpn vpn, bool write)
-    {
-        const std::size_t s = mirrorRoute(asid, vpn);
-        return part_.toGlobal(s, mirror_[s]->touch(asid, vpn, write));
-    }
-
-    void
-    mirrorUnmap(Asid asid, Vpn vpn, std::size_t npages)
-    {
-        const std::uint64_t arity = std::uint64_t{1} << log2Arity_;
-        std::size_t run_start = 0;
-        std::size_t run_shard = mirrorRoute(asid, vpn);
-        std::size_t i = 0;
-        while (i < npages) {
-            i = std::min(npages, i + (arity - ((vpn + i) & (arity - 1))));
-            if (i >= npages)
-                break;
-            const std::size_t s = mirrorRoute(asid, vpn + i);
-            if (s != run_shard) {
-                mirror_[run_shard]->unmapRange(asid, vpn + run_start,
-                                               i - run_start);
-                run_start = i;
-                run_shard = s;
-            }
-        }
-        mirror_[run_shard]->unmapRange(asid, vpn + run_start,
-                                       npages - run_start);
-    }
-
-    void
-    mirrorShare(Asid sa, Vpn sv, Asid da, Vpn dv, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; i += arity_) {
-            const std::size_t owner = mirrorRoute(sa, sv + i);
-            const std::uint64_t dkey = tocKey(da, dv + i);
-            if (owner !=
-                    shardRoute(da, static_cast<std::uint32_t>(shards_)))
-                mforward_[dkey] = static_cast<std::uint32_t>(owner);
-            else
-                mforward_.erase(dkey);
-            mirror_[owner]->shareRange(sa, sv + i, da, dv + i, arity_);
-        }
     }
 
     // --------------------------------------------------------- ops
@@ -173,7 +100,9 @@ class ShardHarness
         const Pfn got = vm_->touch(asid, vpn, write);
         dg.mix('t');
         dg.mix(got);
-        const Pfn want = mirrorTouch(asid, vpn, write);
+        const std::size_t home = homeOf(asid);
+        const Pfn want =
+            part_.toGlobal(home, mirror_[home]->touch(asid, vpn, write));
         if (got != want) {
             return diverge(idx, "sharded touch " + pageStr(asid, vpn) +
                 ": engine frame " + std::to_string(got) +
@@ -202,7 +131,7 @@ class ShardHarness
         const Vpn vpn = op.arg(1);
         const std::size_t n = op.arg(2);
         vm_->unmapRange(asid, vpn, n);
-        mirrorUnmap(asid, vpn, n);
+        mirror_[homeOf(asid)]->unmapRange(asid, vpn, n);
         if (scalar_)
             scalar_->unmapRange(asid, vpn, n);
         dg.mix('u');
@@ -221,75 +150,7 @@ class ShardHarness
         return std::nullopt;
     }
 
-    MaybeDivergence
-    shardShare(const TraceOp &op, std::size_t idx, bool *applied,
-               Digest &dg)
-    {
-        const Asid sa = static_cast<Asid>(op.arg(0));
-        const Vpn sv = op.arg(1);
-        const Asid da = static_cast<Asid>(op.arg(2));
-        const Vpn dv = op.arg(3);
-        const std::size_t n = op.arg(4);
-
-        // Deterministic validity rules (mirrors VmHarness): the skip
-        // decision depends only on prior applied ops, so every
-        // subsequence of a trace replays identically. The
-        // destination-unbound probe is route-aware — the engine's own
-        // precondition for posting an adoption.
-        bool valid = locMode_ && sa != da && n > 0 && n % arity_ == 0 &&
-                     (sv & (arity_ - 1)) == 0 && (dv & (arity_ - 1)) == 0;
-        for (std::size_t i = 0; valid && i < n; i += arity_) {
-            if (vm_->hasLocationBinding(da, dv + i))
-                valid = false;
-        }
-        if (!valid) {
-            *applied = false;
-            return std::nullopt;
-        }
-        vm_->shareRange(sa, sv, da, dv, n);
-        mirrorShare(sa, sv, da, dv, n);
-        if (scalar_)
-            scalar_->shareRange(sa, sv, da, dv, n);
-        dg.mix('s');
-        dg.mix(mix(sa, sv, da, dv));
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t owner = vm_->routeOf(sa, sv + i);
-            const MosaicWalkResult src =
-                vm_->shard(owner).pageTable(sa).walk(sv + i);
-            const MosaicWalkResult dst =
-                vm_->shard(owner).pageTable(da).walk(dv + i);
-            if (src.present != dst.present ||
-                    (src.present && src.cpfn != dst.cpfn)) {
-                return diverge(idx, "sharded share: destination "
-                    "mapping of " + pageStr(da, dv + i) +
-                    " does not mirror the source at the owner shard");
-            }
-        }
-        if (!vm_->hasLocationBinding(da, dv)) {
-            return diverge(idx, "sharded share left the destination "
-                "ToC unbound");
-        }
-        return std::nullopt;
-    }
-
     // ------------------------------------------------------ checks
-
-    MaybeDivergence
-    compareCounters(std::size_t idx)
-    {
-        const ShardCounters &c = vm_->counters();
-        if (c.msgsPosted != c.msgsDrained) {
-            return diverge(idx, "sharded adoption mailboxes not fully "
-                "drained between ops");
-        }
-        if (vm_->forwardEntries() != mforward_.size()) {
-            return diverge(idx, "sharded forward map size: engine " +
-                std::to_string(vm_->forwardEntries()) + " != mirror " +
-                std::to_string(mforward_.size()));
-        }
-        return std::nullopt;
-    }
 
     MaybeDivergence
     deepCheck(std::size_t idx)
@@ -298,20 +159,6 @@ class ShardHarness
                 checkShardConservation(*vm_)) {
             return diverge(idx, "sharded conservation: " + *bad);
         }
-        MaybeDivergence bad;
-        vm_->forEachForward(
-            [&](std::uint64_t key, std::uint32_t target) {
-                if (bad)
-                    return;
-                const auto it = mforward_.find(key);
-                if (it == mforward_.end() || it->second != target) {
-                    bad = diverge(idx, "sharded forward entry for key " +
-                        std::to_string(key) +
-                        " disagrees with the mirror");
-                }
-            });
-        if (bad)
-            return bad;
         for (std::size_t s = 0; s < shards_; ++s) {
             if (MaybeDivergence d =
                     compareVms(idx, vm_->shard(s), *mirror_[s],
@@ -348,26 +195,17 @@ class ShardHarness
             return diverge(idx, "sharded deep: " + what +
                 " residency/clock state disagrees with the replica");
         }
-        if (a.locationBindings() != b.locationBindings() ||
-                a.locationUsers() != b.locationUsers()) {
-            return diverge(idx, "sharded deep: " + what +
-                " location-ID population disagrees with the replica");
-        }
         return std::nullopt;
     }
 
     std::size_t deep_;
     fault::FaultInjector mirrorInj_;
     fault::FaultInjector scalarInj_;
-    bool locMode_ = false;
-    unsigned arity_ = 1;
-    unsigned log2Arity_ = 0;
     std::size_t shards_ = 1;
     PoolPartition part_;
     std::unique_ptr<ShardedMosaicVm> vm_;
     std::vector<std::unique_ptr<MosaicVm>> mirror_;
     std::unique_ptr<MosaicVm> scalar_;
-    std::map<std::uint64_t, std::uint32_t> mforward_;
 };
 
 } // namespace
@@ -413,8 +251,7 @@ generateShardedVm(Rng &rng, std::size_t numOps)
     static constexpr unsigned arities[] = {1, 2, 4, 8};
     const unsigned arity = arities[rng.below(4)];
     t.setCfgUint("arity", arity);
-    const bool locMode = rng.chance(0.35);
-    t.setCfg("sharing", locMode ? "locid" : "pageid");
+    t.setCfg("sharing", "pageid");
     static constexpr const char *policies[] = {"horizon", "local",
                                                "shrunken"};
     t.setCfg("policy", policies[rng.pickWeighted({0.6, 0.2, 0.2})]);
@@ -429,13 +266,9 @@ generateShardedVm(Rng &rng, std::size_t numOps)
         2, frames * (120 + rng.below(180)) / 100 / arity / numAsids);
     const std::uint64_t universe = numTocs * arity;
 
-    std::set<std::pair<Asid, std::uint64_t>> bound;
     for (std::size_t i = 0; i < numOps; ++i) {
         TraceOp op;
-        const double shareWeight =
-            (locMode && numAsids >= 2) ? 0.06 : 0.0;
-        const unsigned which =
-            rng.pickWeighted({0.82, 0.12, shareWeight});
+        const unsigned which = rng.pickWeighted({0.82, 0.12});
         const Asid asid = static_cast<Asid>(1 + rng.below(numAsids));
         if (which == 0) {
             op.kind = 't';
@@ -446,34 +279,12 @@ generateShardedVm(Rng &rng, std::size_t numOps)
             op.args[0] = asid;
             op.args[1] = mvpn * arity + rng.below(arity);
             op.args[2] = rng.chance(0.35) ? 1 : 0;
-            if (locMode)
-                bound.insert({asid, mvpn});
-        } else if (which == 1) {
+        } else {
             op.kind = 'u';
             op.nargs = 3;
             op.args[0] = asid;
             op.args[1] = rng.below(universe);
             op.args[2] = 1 + rng.below(2 * std::uint64_t{arity});
-        } else {
-            op.kind = 's';
-            op.nargs = 5;
-            Asid da = static_cast<Asid>(1 + rng.below(numAsids));
-            while (da == asid)
-                da = static_cast<Asid>(1 + rng.below(numAsids));
-            const std::uint64_t srcMvpn = rng.below(numTocs);
-            std::uint64_t dstMvpn = rng.below(numTocs);
-            for (unsigned tries = 0;
-                 tries < 8 && bound.contains({da, dstMvpn}); ++tries)
-                dstMvpn = rng.below(numTocs);
-            const std::uint64_t span = 1 + rng.below(2);
-            op.args[0] = asid;
-            op.args[1] = srcMvpn * arity;
-            op.args[2] = da;
-            op.args[3] = dstMvpn * arity;
-            op.args[4] = span * arity;
-            bound.insert({asid, srcMvpn});
-            for (std::uint64_t j = 0; j < span; ++j)
-                bound.insert({da, dstMvpn + j});
         }
         t.ops.push_back(op);
     }

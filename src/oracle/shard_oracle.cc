@@ -38,8 +38,6 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
     // table when deep) sum to the machine-wide figures.
     std::size_t sum_resident = 0;
     std::size_t sum_ghosts = 0;
-    std::size_t sum_bindings = 0;
-    std::size_t sum_users = 0;
     for (std::size_t s = 0; s < shards; ++s) {
         const MosaicVm &sv = vm.shard(s);
         if (deep) {
@@ -52,6 +50,15 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
                 ++used;
                 if (f.lastAccess < sv.horizon())
                     ++ghosts;
+                // Routing: every page lives at its ASID's home shard.
+                const std::size_t home = vm.homeShard(f.owner.asid);
+                if (home != s) {
+                    std::ostringstream out;
+                    out << "page (" << f.owner.asid << ", "
+                        << f.owner.vpn << ") resident at shard " << s
+                        << " but its home shard is " << home;
+                    return fail(out.str());
+                }
             }
             if (used != sv.residentPages()) {
                 std::ostringstream out;
@@ -68,19 +75,11 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
         }
         sum_resident += sv.residentPages();
         sum_ghosts += sv.ghostPages();
-        sum_bindings += sv.locationBindings();
-        sum_users += sv.locationUsers();
     }
     if (sum_resident != vm.residentPages())
         return fail("resident-page sum != machine residentPages()");
     if (sum_ghosts != vm.ghostPages())
         return fail("ghost-page sum != machine ghostPages()");
-    if (sum_bindings != vm.locationBindings())
-        return fail("binding sum != machine locationBindings()");
-    if (sum_users != vm.locationUsers())
-        return fail("location-user sum != machine locationUsers()");
-    if (sum_users < sum_bindings)
-        return fail("fewer location users than bindings");
 
     // Stat conservation: an independent fold of the per-shard stats
     // must reproduce the machine aggregate field for field.
@@ -124,49 +123,6 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
                 agg.steadyUtilization.count() ||
             fold.steadyUtilization.sum() != agg.steadyUtilization.sum())
         return fail("aggregate stats != fold of per-shard stats");
-
-    // Routing validity: forwarding entries target a real shard other
-    // than the key's home (entries pointing home are erased, never
-    // written).
-    std::optional<std::string> bad;
-    vm.forEachForward([&](std::uint64_t key, std::uint32_t target) {
-        if (bad)
-            return;
-        const Asid asid = static_cast<Asid>(key >> 48);
-        if (target >= shards) {
-            bad = "forward entry targets a nonexistent shard";
-        } else if (target == vm.homeShard(asid)) {
-            std::ostringstream out;
-            out << "forward entry for asid " << asid
-                << " points at its home shard " << target;
-            bad = out.str();
-        }
-    });
-    if (bad)
-        return bad;
-
-    // Every resident page's owner must route (forward-aware) to the
-    // shard actually holding it — adoption may move pages off home,
-    // but never off the books.
-    if (deep) {
-        for (std::size_t s = 0; s < shards; ++s) {
-            const MosaicVm &sv = vm.shard(s);
-            for (Pfn pfn = 0; pfn < sv.numFrames(); ++pfn) {
-                const Frame &f = sv.frameTable().frame(pfn);
-                if (!f.used)
-                    continue;
-                const std::size_t routed =
-                    vm.routeOf(f.owner.asid, f.owner.vpn);
-                if (routed != s) {
-                    std::ostringstream out;
-                    out << "page (" << f.owner.asid << ", "
-                        << f.owner.vpn << ") resident at shard " << s
-                        << " but routes to shard " << routed;
-                    return fail(out.str());
-                }
-            }
-        }
-    }
 
     return std::nullopt;
 }

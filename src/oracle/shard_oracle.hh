@@ -7,14 +7,13 @@
  * counted across the shard boundary:
  *
  *  - partition exactness: Σ per-shard frames == global frames;
- *  - conservation: Σ per-shard resident / ghost / binding / user
- *    counts == the machine-wide figures, with the per-shard resident
- *    and ghost counts themselves recomputed from a frame-table scan;
+ *  - conservation: Σ per-shard resident / ghost counts == the
+ *    machine-wide figures, with the per-shard counts themselves
+ *    recomputed from a frame-table scan;
  *  - stat conservation: the aggregate VmStats equals an independent
  *    fold of the per-shard stats;
- *  - routing validity: every ToC forwarding entry targets an
- *    existing shard other than the key's home, and every resident
- *    page's owner routes (forward-aware) to the shard holding it.
+ *  - routing validity: every resident page lives at its owner ASID's
+ *    home shard.
  */
 
 #ifndef MOSAIC_ORACLE_SHARD_ORACLE_HH_

@@ -185,10 +185,19 @@ tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
         text.resize(nl == std::string::npos ? 0 : nl + 1);
     }
     Result<Trace> parsed = tryParseTrace(text);
-    if (parsed.ok() && !isTraceComponent(parsed.value().component))
+    if (!parsed.ok())
+        return parsed;
+    const Trace &trace = parsed.value();
+    if (!isTraceComponent(trace.component))
         return Status::invalidArgument(
-            "trace: unknown component '" + parsed.value().component +
-            "' in '" + path + "'");
+            "trace: unknown component '" + trace.component + "' in '" +
+            path + "'");
+    // The sharded engine refuses location-ID sharing (DESIGN.md §17).
+    if (trace.component == "vm-shard" &&
+            trace.cfgValue("sharing", "pageid") == "locid")
+        return Status::invalidArgument(
+            "trace: vm-shard does not support 'cfg sharing locid' in '" +
+            path + "'");
     return parsed;
 }
 

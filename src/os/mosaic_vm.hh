@@ -149,19 +149,6 @@ class MosaicVm final : public VirtualMemory
     /** Live ToC -> location-ID bindings (LocationId mode; tests). */
     std::size_t locationBindings() const { return locationIds_.size(); }
 
-    /** True when the ToC containing (asid, vpn) has a location-ID
-     *  binding. Never creates tables or bindings, so callers (the
-     *  sharded engine's share routing, the fuzz harnesses) can probe
-     *  freely. Always false in PageIdHash mode. */
-    bool
-    hasLocationBinding(Asid asid, Vpn vpn) const
-    {
-        if (config_.sharing != SharingMode::LocationId)
-            return false;
-        const Mvpn mvpn = vpn >> ceilLog2(config_.arity);
-        return locationIds_.contains(TocKey{asid, mvpn});
-    }
-
     /** Total ToC entries across all location-ID user lists (tests).
      *  Equals locationBindings() when no ToCs are shared. */
     std::size_t

@@ -1,7 +1,5 @@
 #include "os/sharded_vm.hh"
 
-#include <algorithm>
-
 #include "util/thread_pool.hh"
 
 namespace mosaic
@@ -25,31 +23,20 @@ ShardedMosaicVm::shardConfig(const ShardedVmConfig &config,
 
 ShardedMosaicVm::ShardedMosaicVm(const ShardedVmConfig &config)
     : part_(PoolPartition::split(config.base.geometry, config.shards)),
-      locMode_(config.base.sharing == SharingMode::LocationId),
-      log2Arity_(ceilLog2(config.base.arity)),
-      mailboxes_(config.shards),
       batches_(config.shards)
 {
+    if (config.base.sharing != SharingMode::PageIdHash)
+        fatal("sharded_vm: only PageIdHash sharing is supported; "
+              "location-ID sharing needs a single-pool MosaicVm");
     vms_.reserve(config.shards);
     for (std::size_t s = 0; s < config.shards; ++s)
         vms_.push_back(std::make_unique<MosaicVm>(shardConfig(config, s)));
 }
 
-std::size_t
-ShardedMosaicVm::routeOf(Asid asid, Vpn vpn) const
-{
-    if (locMode_) {
-        if (const std::uint32_t *target =
-                forward_.find(tocKeyOf(asid, vpn, log2Arity_)))
-            return *target;
-    }
-    return homeShard(asid);
-}
-
 Pfn
 ShardedMosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
-    const std::size_t s = routeOf(asid, vpn);
+    const std::size_t s = homeShard(asid);
     return part_.toGlobal(s, vms_[s]->touch(asid, vpn, write));
 }
 
@@ -68,7 +55,7 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
         b.idx.clear();
     }
     for (std::size_t i = 0; i < block.size(); ++i) {
-        ShardBatch &b = batches_[routeOf(block[i].asid, block[i].vpn)];
+        ShardBatch &b = batches_[homeShard(block[i].asid)];
         b.ops.push_back(block[i]);
         b.idx.push_back(static_cast<std::uint32_t>(i));
     }
@@ -95,92 +82,7 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
 void
 ShardedMosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
 {
-    if (vms_.size() == 1) {
-        vms_[0]->unmapRange(asid, vpn, npages);
-        return;
-    }
-    if (npages == 0)
-        return;
-
-    // Split the range into per-shard runs at ToC granularity, the
-    // unit a cross-shard adoption forwards.
-    const std::uint64_t arity = std::uint64_t{1} << log2Arity_;
-    std::size_t run_start = 0;
-    std::size_t run_shard = routeOf(asid, vpn);
-    std::size_t i = 0;
-    while (i < npages) {
-        i = std::min(npages, i + (arity - ((vpn + i) & (arity - 1))));
-        if (i >= npages)
-            break;
-        const std::size_t s = routeOf(asid, vpn + i);
-        if (s != run_shard) {
-            vms_[run_shard]->unmapRange(asid, vpn + run_start,
-                                        i - run_start);
-            run_start = i;
-            run_shard = s;
-        }
-    }
-    vms_[run_shard]->unmapRange(asid, vpn + run_start, npages - run_start);
-}
-
-void
-ShardedMosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
-                            Vpn dst_vpn, std::size_t npages)
-{
-    if (vms_.size() == 1) {
-        vms_[0]->shareRange(src_asid, src_vpn, dst_asid, dst_vpn,
-                            npages);
-        return;
-    }
-    ensure(locMode_, "sharded_vm: sharing requires LocationId mode");
-    const std::uint64_t arity = std::uint64_t{1} << log2Arity_;
-    ensure((src_vpn & (arity - 1)) == 0 && (dst_vpn & (arity - 1)) == 0,
-           "sharded_vm: share range must be mosaic-aligned");
-    ensure(npages % arity == 0,
-           "sharded_vm: share range must cover whole mosaic pages");
-
-    // Post one adoption message per chunk to the shard owning the
-    // source ToC, and point the destination ToC at that owner so both
-    // sides of the share resolve to the same shard from now on.
-    for (std::size_t i = 0; i < npages; i += arity) {
-        const std::size_t owner = routeOf(src_asid, src_vpn + i);
-        ensure(!hasLocationBinding(dst_asid, dst_vpn + i),
-               "sharded_vm: destination ToC already bound");
-        mailboxes_[owner].push_back(
-            AdoptMsg{src_asid, src_vpn + i, dst_asid, dst_vpn + i});
-        ++counters_.msgsPosted;
-        const std::uint64_t dkey =
-            tocKeyOf(dst_asid, dst_vpn + i, log2Arity_);
-        if (owner != homeShard(dst_asid)) {
-            forward_[dkey] = static_cast<std::uint32_t>(owner);
-            ++counters_.crossShardAdoptions;
-        } else {
-            // A stale sticky entry (from a share whose binding later
-            // died) must not outlive the re-home.
-            forward_.erase(dkey);
-        }
-    }
-
-    // Drain in shard order. Messages within one mailbox stay in
-    // posting order, so same-shard chunks execute in the same
-    // relative order as the scalar loop.
-    for (std::size_t s = 0; s < vms_.size(); ++s) {
-        for (const AdoptMsg &m : mailboxes_[s]) {
-            vms_[s]->shareRange(m.srcAsid, m.srcVpn, m.dstAsid,
-                                m.dstVpn,
-                                static_cast<std::size_t>(arity));
-            ++counters_.msgsDrained;
-        }
-        mailboxes_[s].clear();
-    }
-}
-
-bool
-ShardedMosaicVm::hasLocationBinding(Asid asid, Vpn vpn) const
-{
-    if (!locMode_)
-        return false;
-    return vms_[routeOf(asid, vpn)]->hasLocationBinding(asid, vpn);
+    vms_[homeShard(asid)]->unmapRange(asid, vpn, npages);
 }
 
 std::size_t
@@ -204,24 +106,6 @@ ShardedMosaicVm::ghostPages() const
     std::size_t n = 0;
     for (const auto &vm : vms_)
         n += vm->ghostPages();
-    return n;
-}
-
-std::size_t
-ShardedMosaicVm::locationBindings() const
-{
-    std::size_t n = 0;
-    for (const auto &vm : vms_)
-        n += vm->locationBindings();
-    return n;
-}
-
-std::size_t
-ShardedMosaicVm::locationUsers() const
-{
-    std::size_t n = 0;
-    for (const auto &vm : vms_)
-        n += vm->locationUsers();
     return n;
 }
 

@@ -8,17 +8,13 @@
  *
  * Routing. ASIDs are hash-routed to a home shard with a Lemire
  * multiply-shift (shardRoute), and every page of an ASID lives in its
- * home shard. The one exception is cross-shard sharing: a ToC adopted
- * from another shard's location ID is forwarded there (sticky).
- *
- * Cross-shard sharing (LocationId). shareRange posts one adoption
- * message per mosaic-page chunk to the mailbox of the shard owning
- * the source ToC; mailboxes are drained in shard order, executing
- * the scalar shareRange at the owner, and the destination ToC is
- * forwarded to the owner so both sides of the share resolve there.
+ * home shard. The engine accepts only SharingMode::PageIdHash:
+ * location-ID sharing (paper §2.5) binds ToCs across ASIDs, which
+ * would let a page live away from its home shard, so it stays a
+ * feature of the single-pool MosaicVm.
  *
  * Determinism contract: the engine is exactly N independent MosaicVms
- * built from shardConfig(), each fed its routed ops in order. So a
+ * built from shardConfig(), each fed its ASIDs' ops in order. So a
  * sharded machine equals N plain MosaicVms, touchBatch equals a scalar
  * touch() loop, and both hold at any MOSAIC_THREADS. With shards=1
  * the engine is a pure delegate: stat-for-stat and
@@ -36,7 +32,6 @@
 #include "mem/shard_view.hh"
 #include "os/mosaic_vm.hh"
 #include "os/virtual_memory.hh"
-#include "util/flat_map.hh"
 
 namespace mosaic
 {
@@ -54,25 +49,13 @@ struct ShardedVmConfig
     std::size_t shards = 1;
 };
 
-/** Cross-shard protocol counters (telemetry and tests). */
+/** Per-machine counters. Both are always 0: shards never steal
+ *  frames from each other and touchBatch defers nothing. They are
+ *  kept because perfbench/tenants_churn.cc reads and digests them;
+ *  they go with that benchmark's next revision. */
 struct ShardCounters
 {
-    /** Always 0: shards never steal frames from each other. Kept,
-     *  with deferredBatchOps, because perfbench/tenants_churn.cc
-     *  reads and digests both; they go with that benchmark's next
-     *  revision. */
     std::uint64_t steals = 0;
-
-    /** Adoption messages posted to shard mailboxes. */
-    std::uint64_t msgsPosted = 0;
-
-    /** Adoption messages executed at their owner shard. */
-    std::uint64_t msgsDrained = 0;
-
-    /** Adoptions that forwarded a destination ToC off its home. */
-    std::uint64_t crossShardAdoptions = 0;
-
-    /** Always 0: touchBatch defers nothing (see steals). */
     std::uint64_t deferredBatchOps = 0;
 };
 
@@ -83,6 +66,7 @@ struct ShardCounters
 class ShardedMosaicVm : public VirtualMemory
 {
   public:
+    /** fatal() unless config.base.sharing is PageIdHash. */
     explicit ShardedMosaicVm(const ShardedVmConfig &config);
 
     /**
@@ -98,7 +82,7 @@ class ShardedMosaicVm : public VirtualMemory
     Pfn touch(Asid asid, Vpn vpn, bool write) override;
 
     /**
-     * Batched touch across shards: the block is partitioned by routed
+     * Batched touch across shards: the block is partitioned by home
      * shard, and each shard runs its ops, in block order, through its
      * own MosaicVm::touchBatch on the MOSAIC_THREADS pool. The
      * calling thread gathers the shards' results into @p out after
@@ -117,17 +101,8 @@ class ShardedMosaicVm : public VirtualMemory
 
     std::string name() const override { return "sharded-mosaic"; }
 
-    /** unmapRange, routed: the range is split into per-shard runs
-     *  at ToC granularity (forwarded ToCs run at their owner). */
+    /** unmapRange at the ASID's home shard. */
     void unmapRange(Asid asid, Vpn vpn, std::size_t npages);
-
-    /** shareRange via the adoption-message protocol (class docs). */
-    void shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
-                    Vpn dst_vpn, std::size_t npages);
-
-    /** Route-aware binding probe: does the shard owning (asid, vpn)'s
-     *  ToC hold a location-ID binding for it? */
-    bool hasLocationBinding(Asid asid, Vpn vpn) const;
 
     std::size_t numShards() const { return vms_.size(); }
     const PoolPartition &partition() const { return part_; }
@@ -140,64 +115,20 @@ class ShardedMosaicVm : public VirtualMemory
         return shardRoute(asid, static_cast<std::uint32_t>(vms_.size()));
     }
 
-    /** Shard holding (asid, vpn): the home shard, unless the page's
-     *  ToC was forwarded by a cross-shard adoption. */
-    std::size_t routeOf(Asid asid, Vpn vpn) const;
-
     MosaicVm &shard(std::size_t s) { return *vms_[s]; }
     const MosaicVm &shard(std::size_t s) const { return *vms_[s]; }
 
     /** Ghost pages summed over shards. */
     std::size_t ghostPages() const;
 
-    /** Location-ID bindings summed over shards. */
-    std::size_t locationBindings() const;
-
-    /** ToC entries across all shards' location-ID user lists. */
-    std::size_t locationUsers() const;
-
-    /** Live ToC forwarding entries. */
-    std::size_t forwardEntries() const { return forward_.size(); }
-
-    /** Visit every forwarding entry as (ToC key, target shard); the
-     *  key is (asid << 48) | mvpn. */
-    template <typename Fn>
-    void
-    forEachForward(Fn &&fn) const
-    {
-        for (const auto &[key, target] : forward_)
-            fn(key, target);
-    }
+    /** Always 0: no page lives away from its home shard. Kept
+     *  because perfbench/tenants_churn.cc reads and digests it; it
+     *  goes with that benchmark's next revision. */
+    std::size_t forwardEntries() const { return 0; }
 
   private:
-    /** One queued cross-shard adoption (one mosaic-page chunk). */
-    struct AdoptMsg
-    {
-        Asid srcAsid = 0;
-        Vpn srcVpn = 0;
-        Asid dstAsid = 0;
-        Vpn dstVpn = 0;
-    };
-
-    static std::uint64_t
-    tocKeyOf(Asid asid, Vpn vpn, unsigned log2_arity)
-    {
-        return (std::uint64_t{asid} << 48) | (vpn >> log2_arity);
-    }
-
     PoolPartition part_;
     std::vector<std::unique_ptr<MosaicVm>> vms_;
-    bool locMode_ = false;
-    unsigned log2Arity_ = 0;
-
-    /** ToCs ((asid << 48) | mvpn) living away from their ASID's home
-     *  shard; only LocationId-mode adoptions create them. */
-    FlatMap<std::uint64_t, std::uint32_t> forward_;
-
-    /** Per-shard adoption mailboxes; drained before shareRange
-     *  returns, so they are empty between public calls. */
-    std::vector<std::vector<AdoptMsg>> mailboxes_;
-
     ShardCounters counters_;
 
     /** Aggregate rebuilt on demand by stats(). */

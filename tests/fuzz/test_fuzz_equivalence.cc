@@ -54,8 +54,6 @@ constexpr CorpusGolden corpusGoldens[] = {
     {"tlb_seed4.trace", 3663744691645384934ull, 2000},
     {"vm-shard_seed1.trace", 7354204406591376375ull, 2000},
     {"vm-shard_seed11.trace", 9328550632844078930ull, 2000},
-    {"vm-shard_seed13.trace", 13357099176557344888ull, 1884},
-    {"vm-shard_seed29.trace", 13300108742336519232ull, 1906},
     {"vm-shard_seed4.trace", 6269676809091984375ull, 2000},
     {"vm_seed1.trace", 16453423457793323468ull, 2000},
     {"vm_seed13.trace", 4380896405506859887ull, 1872},
@@ -93,10 +91,10 @@ constexpr FreshGolden freshGoldens[] = {
     {"vm", 6ull, 4000u, 12199113887720736735ull, 4000u},
     {"vm", 7ull, 4000u, 15069368938410500506ull, 4000u},
     {"vm", 8ull, 4000u, 4558736807962956266ull, 4000u},
-    {"vm-shard", 1ull, 4000u, 8571212845453879594ull, 3802u},
-    {"vm-shard", 2ull, 4000u, 18412944092187819907ull, 4000u},
-    {"vm-shard", 3ull, 4000u, 17576827964146887582ull, 4000u},
-    {"vm-shard", 4ull, 4000u, 16584354164570952334ull, 3794u},
+    {"vm-shard", 1ull, 4000u, 3747477134948378175ull, 4000u},
+    {"vm-shard", 2ull, 4000u, 6811566868125455444ull, 4000u},
+    {"vm-shard", 3ull, 4000u, 14858606069638029286ull, 4000u},
+    {"vm-shard", 4ull, 4000u, 15551417586694870211ull, 4000u},
     {"tlb", 1ull, 4000u, 2117653091505080974ull, 4000u},
     {"tlb", 2ull, 4000u, 17987959156886865393ull, 4000u},
     {"tlb", 3ull, 4000u, 18058812808874252700ull, 4000u},

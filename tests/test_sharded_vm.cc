@@ -3,12 +3,12 @@
  * Differential tests for the sharded multi-tenant VM engine
  * (DESIGN.md §17): a one-shard ShardedMosaicVm must be stat-for-stat
  * and placement-for-placement identical to a plain MosaicVm over 24
- * seeds × every eviction policy × both sharing modes, and multi-shard
- * machines must preserve the whole-machine conservation invariants
- * checked by the shard oracle while exercising cross-shard adoption.
- * The contract: a sharded machine is N independent MosaicVms built
- * from shardConfig and fed by route, and touchBatch ≡ scalar touch at
- * any worker count.
+ * seeds × every eviction policy, and multi-shard machines must
+ * preserve the whole-machine conservation invariants checked by the
+ * shard oracle. The contract: a sharded machine is N independent
+ * MosaicVms built from shardConfig and fed by home shard, touchBatch
+ * ≡ scalar touch at any worker count, and location-ID sharing is
+ * refused.
  */
 
 #include <gtest/gtest.h>
@@ -45,12 +45,10 @@ tinyGeometry(std::size_t buckets)
 struct OpStream
 {
     /** One deterministic multi-tenant op mix: mostly touches with an
-     *  overcommitted footprint, some unmaps, and (LocationId mode)
-     *  cross-ASID shares of whole mosaic pages. */
+     *  overcommitted footprint, and some unmaps. */
     OpStream(std::uint64_t seed, unsigned num_asids, std::uint64_t tocs,
-             unsigned arity, bool loc_mode)
-        : rng(seed), numAsids(num_asids), numTocs(tocs), arity(arity),
-          locMode(loc_mode)
+             unsigned arity)
+        : rng(seed), numAsids(num_asids), numTocs(tocs), arity(arity)
     {
     }
 
@@ -59,26 +57,13 @@ struct OpStream
     step(Vm &vm)
     {
         const Asid asid = static_cast<Asid>(1 + rng.below(numAsids));
-        const double share_w = (locMode && numAsids >= 2) ? 0.06 : 0.0;
-        const unsigned which = rng.pickWeighted({0.82, 0.12, share_w});
-        if (which == 0) {
+        if (rng.pickWeighted({0.82, 0.12}) == 0) {
             const std::uint64_t mvpn = rng.below(numTocs);
             const Vpn vpn = mvpn * arity + rng.below(arity);
             return vm.touch(asid, vpn, rng.chance(0.35));
         }
-        if (which == 1) {
-            vm.unmapRange(asid, rng.below(numTocs * arity),
-                          1 + rng.below(2 * std::uint64_t{arity}));
-            return invalidPfn;
-        }
-        Asid da = static_cast<Asid>(1 + rng.below(numAsids));
-        while (da == asid)
-            da = static_cast<Asid>(1 + rng.below(numAsids));
-        const Vpn sv = rng.below(numTocs) * arity;
-        const Vpn dv = rng.below(numTocs) * arity;
-        // Skip rule mirrors the fuzz harness: destination unbound.
-        if (!vm.hasLocationBinding(da, dv))
-            vm.shareRange(asid, sv, da, dv, arity);
+        vm.unmapRange(asid, rng.below(numTocs * arity),
+                      1 + rng.below(2 * std::uint64_t{arity}));
         return invalidPfn;
     }
 
@@ -86,7 +71,6 @@ struct OpStream
     unsigned numAsids;
     std::uint64_t numTocs;
     unsigned arity;
-    bool locMode;
 };
 
 void
@@ -109,13 +93,12 @@ expectStatsEqual(const VmStats &a, const VmStats &b)
 
 ShardedVmConfig
 shardedConfig(std::size_t shards, EvictionPolicy policy,
-              SharingMode sharing, std::uint64_t seed)
+              std::uint64_t seed)
 {
     ShardedVmConfig cfg;
     cfg.base.geometry = tinyGeometry(4 * shards);
     cfg.base.arity = 4;
     cfg.base.policy = policy;
-    cfg.base.sharing = sharing;
     cfg.base.seed = seed;
     cfg.shards = shards;
     return cfg;
@@ -168,34 +151,24 @@ TEST(ShardedVm, OneShardMatchesScalarStatForStat)
     constexpr EvictionPolicy policies[] = {EvictionPolicy::HorizonLru,
                                            EvictionPolicy::LocalLru,
                                            EvictionPolicy::ShrunkenCache};
-    constexpr SharingMode modes[] = {SharingMode::PageIdHash,
-                                     SharingMode::LocationId};
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         for (const EvictionPolicy policy : policies) {
-            for (const SharingMode sharing : modes) {
-                const ShardedVmConfig cfg =
-                    shardedConfig(1, policy, sharing, seed * 977);
-                ASSERT_EQ(ShardedMosaicVm::shardConfig(cfg, 0).seed,
-                          cfg.base.seed);
-                MosaicVm scalar(cfg.base);
-                ShardedMosaicVm sharded(cfg);
-                const bool loc = sharing == SharingMode::LocationId;
-                OpStream a(seed, 3, 40, 4, loc);
-                OpStream b(seed, 3, 40, 4, loc);
-                for (int i = 0; i < 1500; ++i) {
-                    const Pfn want = a.step(scalar);
-                    const Pfn got = b.step(sharded);
-                    ASSERT_EQ(got, want)
-                        << "seed " << seed << " op " << i;
-                }
-                expectStatsEqual(sharded.stats(), scalar.stats());
-                EXPECT_EQ(sharded.residentPages(),
-                          scalar.residentPages());
-                EXPECT_EQ(sharded.ghostPages(), scalar.ghostPages());
-                EXPECT_EQ(sharded.locationBindings(),
-                          scalar.locationBindings());
-                EXPECT_EQ(sharded.forwardEntries(), 0u);
+            const ShardedVmConfig cfg =
+                shardedConfig(1, policy, seed * 977);
+            ASSERT_EQ(ShardedMosaicVm::shardConfig(cfg, 0).seed,
+                      cfg.base.seed);
+            MosaicVm scalar(cfg.base);
+            ShardedMosaicVm sharded(cfg);
+            OpStream a(seed, 3, 40, 4);
+            OpStream b(seed, 3, 40, 4);
+            for (int i = 0; i < 1500; ++i) {
+                const Pfn want = a.step(scalar);
+                const Pfn got = b.step(sharded);
+                ASSERT_EQ(got, want) << "seed " << seed << " op " << i;
             }
+            expectStatsEqual(sharded.stats(), scalar.stats());
+            EXPECT_EQ(sharded.residentPages(), scalar.residentPages());
+            EXPECT_EQ(sharded.ghostPages(), scalar.ghostPages());
         }
     }
 }
@@ -204,25 +177,30 @@ TEST(ShardedVm, MultiShardPreservesConservation)
 {
     for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
                                      std::size_t{8}}) {
-        for (const SharingMode sharing : {SharingMode::PageIdHash,
-                                          SharingMode::LocationId}) {
-            const ShardedVmConfig cfg = shardedConfig(
-                shards, EvictionPolicy::HorizonLru, sharing, 11);
-            ShardedMosaicVm vm(cfg);
-            const bool loc = sharing == SharingMode::LocationId;
-            OpStream ops(7, 12, 30 * shards, 4, loc);
-            for (int i = 0; i < 4000; ++i) {
-                ops.step(vm);
-                if (i % 256 == 255) {
-                    const auto bad = checkShardConservation(vm);
-                    ASSERT_FALSE(bad.has_value())
-                        << shards << " shards, op " << i << ": "
-                        << *bad;
-                }
+        const ShardedVmConfig cfg =
+            shardedConfig(shards, EvictionPolicy::HorizonLru, 11);
+        ShardedMosaicVm vm(cfg);
+        OpStream ops(7, 12, 30 * shards, 4);
+        for (int i = 0; i < 4000; ++i) {
+            ops.step(vm);
+            if (i % 256 == 255) {
+                const auto bad = checkShardConservation(vm);
+                ASSERT_FALSE(bad.has_value())
+                    << shards << " shards, op " << i << ": " << *bad;
             }
-            const auto bad = checkShardConservation(vm);
-            ASSERT_FALSE(bad.has_value()) << *bad;
         }
+        const auto bad = checkShardConservation(vm);
+        ASSERT_FALSE(bad.has_value()) << *bad;
+    }
+}
+
+TEST(ShardedVmDeathTest, LocationIdSharingIsFatal)
+{
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+        ShardedVmConfig cfg =
+            shardedConfig(shards, EvictionPolicy::HorizonLru, 3);
+        cfg.base.sharing = SharingMode::LocationId;
+        EXPECT_DEATH(ShardedMosaicVm vm(cfg), "only PageIdHash");
     }
 }
 
@@ -239,8 +217,7 @@ namespace
 struct DryHomeShard
 {
     DryHomeShard()
-        : cfg(shardedConfig(2, EvictionPolicy::HorizonLru,
-                            SharingMode::PageIdHash, 5)),
+        : cfg(shardedConfig(2, EvictionPolicy::HorizonLru, 5)),
           probe(cfg)
     {
         Asid asid = 1;
@@ -315,85 +292,52 @@ TEST(ShardedVm, DryHomeShardBatchMatchesIndependentShards)
     }
 }
 
-TEST(ShardedVm, CrossShardAdoptionSharesFrames)
-{
-    const ShardedVmConfig cfg = shardedConfig(
-        4, EvictionPolicy::HorizonLru, SharingMode::LocationId, 21);
-    ShardedMosaicVm vm(cfg);
-    // Pick a source and destination ASID homed on different shards.
-    Asid src = 1;
-    Asid dst = 2;
-    while (vm.homeShard(dst) == vm.homeShard(src))
-        ++dst;
-    for (Vpn vpn = 0; vpn < 8; ++vpn)
-        vm.touch(src, vpn, true);
-    vm.shareRange(src, 0, dst, 0, 8);
-    EXPECT_EQ(vm.counters().msgsPosted, 2u);
-    EXPECT_EQ(vm.counters().msgsDrained, 2u);
-    EXPECT_EQ(vm.counters().crossShardAdoptions, 2u);
-    // Both mappings resolve to the same global frames, at the source
-    // owner's shard.
-    for (Vpn vpn = 0; vpn < 8; ++vpn) {
-        const Pfn via_src = vm.touch(src, vpn, false);
-        const Pfn via_dst = vm.touch(dst, vpn, false);
-        EXPECT_EQ(via_dst, via_src);
-        EXPECT_EQ(vm.partition().shardOf(via_dst),
-                  vm.homeShard(src));
-    }
-    EXPECT_TRUE(vm.hasLocationBinding(dst, 0));
-    ASSERT_FALSE(checkShardConservation(vm).has_value());
-}
-
 TEST(ShardedVm, BatchMatchesScalarLoopAndIsThreadInvariant)
 {
-    for (const SharingMode sharing : {SharingMode::PageIdHash,
-                                      SharingMode::LocationId}) {
-        const ShardedVmConfig cfg = shardedConfig(
-            4, EvictionPolicy::HorizonLru, sharing, 31);
-        // Build the touch stream once: overcommitted enough to fault
-        // and evict across every shard.
-        Rng rng(99);
-        std::vector<PageTouch> stream;
-        for (int i = 0; i < 3000; ++i) {
-            stream.push_back(
-                PageTouch{static_cast<Asid>(1 + rng.below(16)),
-                          rng.below(120), rng.chance(0.3)});
-        }
-
-        ShardedMosaicVm scalar(cfg);
-        std::vector<Pfn> want(stream.size());
-        for (std::size_t i = 0; i < stream.size(); ++i) {
-            want[i] = scalar.touch(stream[i].asid, stream[i].vpn,
-                                   stream[i].write);
-        }
-
-        std::vector<Pfn> serial(stream.size());
-        std::vector<Pfn> threaded(stream.size());
-        for (const unsigned workers : {1u, 4u}) {
-            ThreadPool pool(workers);
-            ShardedMosaicVm vm(cfg);
-            std::vector<Pfn> &out = workers == 1 ? serial : threaded;
-            // Drive through the pool so the engine's parallelFor
-            // nests under an explicit worker count.
-            parallelFor(pool, 1, [&](std::size_t) {
-                for (std::size_t i = 0; i < stream.size(); i += 64) {
-                    const std::size_t n =
-                        std::min<std::size_t>(64, stream.size() - i);
-                    vm.touchBatch({stream.data() + i, n}, out.data() + i);
-                }
-            });
-            EXPECT_EQ(out, want);
-            expectStatsEqual(vm.stats(), scalar.stats());
-            ASSERT_FALSE(checkShardConservation(vm).has_value());
-        }
-        EXPECT_EQ(serial, threaded);
+    const ShardedVmConfig cfg =
+        shardedConfig(4, EvictionPolicy::HorizonLru, 31);
+    // Build the touch stream once: overcommitted enough to fault and
+    // evict across every shard.
+    Rng rng(99);
+    std::vector<PageTouch> stream;
+    for (int i = 0; i < 3000; ++i) {
+        stream.push_back(PageTouch{static_cast<Asid>(1 + rng.below(16)),
+                                   rng.below(120), rng.chance(0.3)});
     }
+
+    ShardedMosaicVm scalar(cfg);
+    std::vector<Pfn> want(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        want[i] = scalar.touch(stream[i].asid, stream[i].vpn,
+                               stream[i].write);
+    }
+
+    std::vector<Pfn> serial(stream.size());
+    std::vector<Pfn> threaded(stream.size());
+    for (const unsigned workers : {1u, 4u}) {
+        ThreadPool pool(workers);
+        ShardedMosaicVm vm(cfg);
+        std::vector<Pfn> &out = workers == 1 ? serial : threaded;
+        // Drive through the pool so the engine's parallelFor nests
+        // under an explicit worker count.
+        parallelFor(pool, 1, [&](std::size_t) {
+            for (std::size_t i = 0; i < stream.size(); i += 64) {
+                const std::size_t n =
+                    std::min<std::size_t>(64, stream.size() - i);
+                vm.touchBatch({stream.data() + i, n}, out.data() + i);
+            }
+        });
+        EXPECT_EQ(out, want);
+        expectStatsEqual(vm.stats(), scalar.stats());
+        ASSERT_FALSE(checkShardConservation(vm).has_value());
+    }
+    EXPECT_EQ(serial, threaded);
 }
 
 TEST(ShardedVm, ShardConfigSlicesPoolAndMixesSeeds)
 {
-    const ShardedVmConfig cfg = shardedConfig(
-        4, EvictionPolicy::HorizonLru, SharingMode::PageIdHash, 123);
+    const ShardedVmConfig cfg =
+        shardedConfig(4, EvictionPolicy::HorizonLru, 123);
     const MosaicVmConfig s0 = ShardedMosaicVm::shardConfig(cfg, 0);
     const MosaicVmConfig s1 = ShardedMosaicVm::shardConfig(cfg, 1);
     EXPECT_EQ(s0.seed, cfg.base.seed);

@@ -112,6 +112,19 @@ TEST(ToolsCli, ReplayUnknownComponentExitsThree)
               3);
 }
 
+TEST(ToolsCli, ReplayLocationIdShardTraceExitsThree)
+{
+    // The sharded engine refuses location-ID sharing, so such a trace
+    // is unreadable input, not a crash.
+    const TempDir dir("tools_cli_replay_shard_locid");
+    const std::string path = dir.str() + "/vm-shard.trace";
+    Trace trace = generateTrace("vm-shard", 1, 50);
+    trace.setCfg("sharing", "locid");
+    writeTraceFile(path, trace);
+    EXPECT_EQ(exitCodeOf(std::string(MOSAIC_REPLAY_BIN) + " " + path),
+              3);
+}
+
 TEST(ToolsCli, ReplayUsageErrorsExitTwo)
 {
     EXPECT_EQ(exitCodeOf(MOSAIC_REPLAY_BIN), 2);
@@ -233,13 +246,20 @@ class FakeBench
             << baseline << "}}\n";
     }
 
+    /** perf_gate's exit code with @p flags, under the environment
+     *  assignments @p env. */
+    int
+    run(const std::string &flags, const std::string &env = "") const
+    {
+        return exitCodeOf(env + " " + PERF_GATE_BIN + " --baseline-dir " +
+                          dir_ + " " + flags + " " + binary_);
+    }
+
     /** perf_gate's exit code with one --max-ratio spec. */
     int
     gate(const std::string &spec) const
     {
-        return exitCodeOf(std::string(PERF_GATE_BIN) +
-                          " --runs 1 --baseline-dir " + dir_ +
-                          " --max-ratio '" + spec + "' " + binary_);
+        return run("--runs 1 --max-ratio '" + spec + "'");
     }
 
   private:
@@ -265,4 +285,28 @@ TEST(ToolsCli, PerfGateRatioSpecsSplitAtTheDenominator)
     EXPECT_EQ(bench.gate("BM_A:2.0"), 2);
     EXPECT_EQ(bench.gate("BM_A/BM_B"), 2);
     EXPECT_EQ(bench.gate("BM_A/BM_B:0"), 2);
+    EXPECT_EQ(bench.gate("BM_A/BM_B:2x"), 2);
+}
+
+TEST(ToolsCli, PerfGateNumericOptionsAreStrict)
+{
+    const TempDir dir("tools_cli_perf_gate_numeric");
+    const FakeBench bench(dir);
+    EXPECT_EQ(bench.run("--runs 1 --tolerance 0.5"), 0);
+    EXPECT_EQ(bench.run("--runs 1", "MOSAIC_PERF_TOL=0.5"), 0);
+    EXPECT_EQ(bench.run("", "MOSAIC_PERF_RUNS=1"), 0);
+    // A run count must be an integer >= 1: "-1" must not wrap to
+    // 2^32-1 runs.
+    EXPECT_EQ(bench.run("--runs -1"), 2);
+    EXPECT_EQ(bench.run("--runs 0"), 2);
+    EXPECT_EQ(bench.run("--runs 2x"), 2);
+    // A tolerance must be a finite number >= 0.
+    EXPECT_EQ(bench.run("--runs 1 --tolerance abc"), 2);
+    EXPECT_EQ(bench.run("--runs 1 --tolerance -0.1"), 2);
+    EXPECT_EQ(bench.run("--runs 1 --tolerance nan"), 2);
+    // Malformed environment values are usage errors too, not
+    // truncated ("0.6x" as 0.6) or silently replaced by the default.
+    EXPECT_EQ(bench.run("--runs 1", "MOSAIC_PERF_TOL=0.6x"), 2);
+    EXPECT_EQ(bench.run("", "MOSAIC_PERF_RUNS=abc"), 2);
+    EXPECT_EQ(bench.run("", "MOSAIC_PERF_RUNS=0"), 2);
 }

@@ -14,12 +14,13 @@
  * missing from either side, which means the baseline is stale —
  * fails the gate with exit code 1.
  *
- * Knobs (flag overrides env overrides default):
- *   --tolerance F | MOSAIC_PERF_TOL   allowed slowdown fraction
+ * Knobs (flag overrides env overrides default; a malformed value,
+ * a negative tolerance or zero runs is a usage error, exit 2):
+ *   --tolerance F | MOSAIC_PERF_TOL   allowed slowdown fraction, >= 0
  *                                     (default 0.30; CI machines are
  *                                     noisy, pick per-runner)
- *   --runs N      | MOSAIC_PERF_RUNS  repetitions per binary, best
- *                                     time wins (default 3)
+ *   --runs N      | MOSAIC_PERF_RUNS  repetitions per binary, >= 1,
+ *                                     best time wins (default 3)
  *   --filter RE                       forwarded as
  *                                     --benchmark_filter=RE
  *   --min-time S                      forwarded as
@@ -67,6 +68,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/parse.hh"
 
 namespace fs = std::filesystem;
 
@@ -377,24 +380,41 @@ writeBaseline(const fs::path &path, const std::string &bench,
     out << "  }\n}\n";
 }
 
-double
-envDouble(const char *name, double fallback)
+/** Parse a --runs / MOSAIC_PERF_RUNS value: an integer >= 1. */
+bool
+parseRuns(const std::string &what, const std::string &text,
+          std::uint64_t *out)
 {
-    const char *s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    try {
-        return std::stod(s);
-    } catch (...) {
-        std::cerr << "perf_gate: ignoring bad " << name << "='" << s
-                  << "'\n";
-        return fallback;
+    const mosaic::Result<std::uint64_t> v =
+        mosaic::parseUnsigned(what, text);
+    if (!v.ok() || v.value() == 0) {
+        std::cerr << "perf_gate: " << what << " wants an integer >= 1,"
+                  << " got '" << text << "'\n";
+        return false;
     }
+    *out = v.value();
+    return true;
+}
+
+/** Parse a --tolerance / MOSAIC_PERF_TOL value: a finite number
+ *  >= 0. */
+bool
+parseTolerance(const std::string &what, const std::string &text,
+               double *out)
+{
+    const mosaic::Result<double> v = mosaic::parseFinite(what, text);
+    if (!v.ok() || v.value() < 0) {
+        std::cerr << "perf_gate: " << what << " wants a number >= 0,"
+                  << " got '" << text << "'\n";
+        return false;
+    }
+    *out = v.value();
+    return true;
 }
 
 /** Run one bench binary, return per-benchmark best CPU ns. */
 std::map<std::string, double>
-measure(const std::string &binary, unsigned runs,
+measure(const std::string &binary, std::uint64_t runs,
         const std::string &filter, const std::string &min_time)
 {
     std::map<std::string, double> best;
@@ -402,7 +422,7 @@ measure(const std::string &binary, unsigned runs,
         fs::temp_directory_path() /
         ("perf_gate_" + fs::path(binary).filename().string() +
          ".json");
-    for (unsigned r = 0; r < runs; ++r) {
+    for (std::uint64_t r = 0; r < runs; ++r) {
         std::string cmd = binary +
                           " --benchmark_out_format=json"
                           " --benchmark_out=" +
@@ -451,13 +471,11 @@ parseRatioSpec(const std::string &spec)
     RatioSpec r;
     r.num = spec.substr(0, slash);
     r.den = spec.substr(slash + 1, colon - slash - 1);
-    try {
-        r.max = std::stod(spec.substr(colon + 1));
-    } catch (...) {
+    const mosaic::Result<double> max =
+        mosaic::parseFinite("--max-ratio", spec.substr(colon + 1));
+    if (!max.ok() || !(max.value() > 0))
         return std::nullopt;
-    }
-    if (!(r.max > 0))
-        return std::nullopt;
+    r.max = max.value();
     return r;
 }
 
@@ -465,7 +483,7 @@ struct Options
 {
     fs::path baselineDir = "bench/baselines";
     double tolerance = 0.30;
-    unsigned runs = 3;
+    std::uint64_t runs = 3;
     bool update = false;
     std::string filter;
     std::string minTime;
@@ -491,9 +509,13 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    opt.tolerance = envDouble("MOSAIC_PERF_TOL", opt.tolerance);
-    opt.runs = static_cast<unsigned>(
-        envDouble("MOSAIC_PERF_RUNS", opt.runs));
+    if (const char *env = std::getenv("MOSAIC_PERF_TOL");
+            env && *env &&
+            !parseTolerance("MOSAIC_PERF_TOL", env, &opt.tolerance))
+        return 2;
+    if (const char *env = std::getenv("MOSAIC_PERF_RUNS");
+            env && *env && !parseRuns("MOSAIC_PERF_RUNS", env, &opt.runs))
+        return 2;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -507,11 +529,13 @@ main(int argc, char **argv)
         };
         if (arg == "--baseline-dir")
             opt.baselineDir = next();
-        else if (arg == "--tolerance")
-            opt.tolerance = std::stod(next());
-        else if (arg == "--runs")
-            opt.runs = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--filter")
+        else if (arg == "--tolerance") {
+            if (!parseTolerance(arg, next(), &opt.tolerance))
+                return 2;
+        } else if (arg == "--runs") {
+            if (!parseRuns(arg, next(), &opt.runs))
+                return 2;
+        } else if (arg == "--filter")
             opt.filter = next();
         else if (arg == "--min-time")
             opt.minTime = next();
@@ -535,7 +559,7 @@ main(int argc, char **argv)
         } else
             opt.binaries.push_back(arg);
     }
-    if (opt.binaries.empty() || opt.runs == 0)
+    if (opt.binaries.empty())
         return usage();
 
     bool failed = false;
