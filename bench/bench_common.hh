@@ -138,7 +138,7 @@ finishReport(telemetry::BenchReport &report, std::ostream &os,
  * report and on stdout.
  *
  * Everything lands in the manifest *config* section, never in
- * metrics: failure manifests, retry counts, and resume counters are
+ * metrics: failure manifests and resume counters are
  * run-shape data, and keeping them out of the metrics object is what
  * lets an interrupted-and-resumed run's metrics compare byte-for-byte
  * against an uninterrupted one (DESIGN.md §11). Counters are only
@@ -156,19 +156,11 @@ recordSweep(telemetry::BenchReport &report, std::ostream &os,
         std::size_t idx = 0;
         for (const fault::CellFailure &f : stats.failures) {
             report.config(base + ".failure" + std::to_string(idx++),
-                          f.cell + " (attempts=" +
-                              std::to_string(f.attempts) +
-                              "): " + f.error);
+                          f.cell + ": " + f.error);
             os << "sweep " << runner.name() << ": cell " << f.cell
-               << " FAILED after " << f.attempts
-               << " attempts: " << f.error << "\n";
+               << " FAILED: " << f.error << "\n";
         }
     }
-    if (stats.retries > 0)
-        report.config(base + ".retries", stats.retries);
-    if (stats.watchdogTimeouts > 0)
-        report.config(base + ".watchdogTimeouts",
-                      stats.watchdogTimeouts);
     if (stats.resumedCells > 0)
         report.config(base + ".resumedCells", stats.resumedCells);
     if (stats.checkpointedCells > 0)

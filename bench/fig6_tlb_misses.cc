@@ -116,7 +116,7 @@ main()
                   static_cast<std::uint64_t>(options.tlbEntries));
 
     // Resilient sweep (DESIGN.md §11): each (workload × ways) cell
-    // is isolated, retried, and — with MOSAIC_RESUME_DIR — resumable.
+    // is isolated and — with MOSAIC_RESUME_DIR — resumable.
     fault::SweepOptions sweep_options = fault::SweepOptions::fromEnv();
     {
         char fp[120];

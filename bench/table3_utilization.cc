@@ -68,8 +68,8 @@ main()
     report.config("memFrames", static_cast<std::uint64_t>(frames));
     report.config("runs", static_cast<std::uint64_t>(runs));
 
-    // Resilient sweep (DESIGN.md §11): per-row isolation, retries,
-    // and MOSAIC_RESUME_DIR checkpoint/resume.
+    // Resilient sweep (DESIGN.md §11): per-row isolation and
+    // MOSAIC_RESUME_DIR checkpoint/resume.
     fault::SweepOptions sweep_options = fault::SweepOptions::fromEnv();
     {
         char fp[120];

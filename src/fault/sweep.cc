@@ -2,13 +2,9 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "fault/checkpoint.hh"
 #include "hash/mix.hh"
@@ -52,17 +48,10 @@ describeException()
 SweepOptions
 SweepOptions::fromEnv()
 {
-    // Strict parsing (util/parse.hh): a set-but-malformed knob —
-    // including a negative retry count — is an unusable
-    // configuration and exits with the offender quoted, never a
-    // silent default.
+    // Strict parsing (util/parse.hh): a set-but-malformed knob is an
+    // unusable configuration and exits with the offender quoted,
+    // never a silent default.
     SweepOptions options;
-    options.maxAttempts = 1 + static_cast<unsigned>(
-        envUnsigned("MOSAIC_CELL_RETRIES", 2));
-    options.backoffMs = static_cast<unsigned>(
-        envUnsigned("MOSAIC_CELL_BACKOFF_MS", 0));
-    options.watchdogSeconds =
-        std::max(0.0, envFinite("MOSAIC_CELL_TIMEOUT", 0.0));
     if (const char *dir = std::getenv("MOSAIC_RESUME_DIR");
             dir != nullptr && *dir != '\0') {
         options.resumeDir = dir;
@@ -76,7 +65,6 @@ SweepRunner::SweepRunner(std::string name, SweepOptions options)
     : name_(std::move(name)), options_(std::move(options)),
       plan_(FaultPlan::fromEnv())
 {
-    ensure(options_.maxAttempts >= 1, "sweep: need at least one attempt");
 }
 
 std::string
@@ -92,8 +80,6 @@ SweepRunner::run(ThreadPool &pool, std::size_t n,
                  const std::function<void(std::size_t)> &body,
                  const SaveFn &save, const LoadFn &load)
 {
-    using Clock = std::chrono::steady_clock;
-
     const bool checkpointing = !options_.resumeDir.empty() &&
                                save != nullptr && load != nullptr;
     if (checkpointing) {
@@ -109,55 +95,10 @@ SweepRunner::run(ThreadPool &pool, std::size_t n,
     // Per-index slots (written only by the claimant of the index)
     // keep the manifest deterministic without locking.
     std::vector<std::optional<CellFailure>> failed(n);
-    std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> resumed{0};
     std::atomic<std::uint64_t> checkpointed{0};
     std::atomic<std::uint64_t> injected{0};
-    std::atomic<std::uint64_t> timeouts{0};
     std::atomic<unsigned> freshDone{0};
-
-    // Watchdog state: per-cell start time (steady nanos; 0 = idle)
-    // and a flagged bit so each overrun is counted once.
-    std::vector<std::atomic<std::int64_t>> startedNs(n);
-    std::vector<std::atomic<bool>> flagged(n);
-    std::mutex watchdogMutex;
-    std::condition_variable watchdogWake;
-    bool watchdogStop = false;
-    std::thread watchdog;
-    if (options_.watchdogSeconds > 0.0) {
-        watchdog = std::thread([&] {
-            const auto threshold = std::chrono::duration<double>(
-                options_.watchdogSeconds);
-            std::unique_lock<std::mutex> lock(watchdogMutex);
-            while (!watchdogStop) {
-                watchdogWake.wait_for(
-                    lock, std::chrono::milliseconds(50),
-                    [&] { return watchdogStop; });
-                if (watchdogStop)
-                    return;
-                const std::int64_t now =
-                    Clock::now().time_since_epoch().count();
-                for (std::size_t i = 0; i < n; ++i) {
-                    const std::int64_t started =
-                        startedNs[i].load(std::memory_order_acquire);
-                    if (started == 0 ||
-                            flagged[i].load(std::memory_order_relaxed))
-                        continue;
-                    const auto elapsed =
-                        std::chrono::nanoseconds(now - started);
-                    if (elapsed >= threshold &&
-                            !flagged[i].exchange(true)) {
-                        ++timeouts;
-                        warn("sweep " + name_ + ": cell index " +
-                             std::to_string(i) +
-                             " exceeded the watchdog timeout (" +
-                             std::to_string(options_.watchdogSeconds) +
-                             "s) and is still running");
-                    }
-                }
-            }
-        });
-    }
 
     parallelFor(pool, n, [&](std::size_t i) {
         const std::string cell = cellId(i);
@@ -186,51 +127,24 @@ SweepRunner::run(ThreadPool &pool, std::size_t n,
             }
         }
 
-        std::string last_error;
-        unsigned attempt = 0;
-        for (attempt = 1; attempt <= options_.maxAttempts; ++attempt) {
-            if (attempt > 1) {
-                ++retries;
-                if (options_.backoffMs > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            std::uint64_t{options_.backoffMs}
-                            << (attempt - 2)));
-                }
+        // One injector per (sweep, cell): bit-identical firing at
+        // any thread count. The body runs at most once; a failed
+        // cell is recovered by re-running with the same resume
+        // directory, which recomputes exactly the cells that left no
+        // checkpoint.
+        FaultInjector inj(&plan_, mix64(hashString(name_) ^
+                                        mix64(hashString(cell))));
+        try {
+            if (inj.shouldFail("cell.run")) {
+                ++injected;
+                throw FaultInjectedError("cell.run");
             }
-            // One injector per (sweep, cell, attempt): bit-identical
-            // firing at any thread count, and retries of a
-            // probabilistic fault get fresh draws while cell.run:p=1
-            // keeps failing forever (the always-failing cell).
-            FaultInjector inj(
-                &plan_, mix64(hashString(name_) ^
-                              mix64(hashString(cell) ^
-                                    mix64(attempt))));
-            startedNs[i].store(
-                Clock::now().time_since_epoch().count(),
-                std::memory_order_release);
-            try {
-                if (inj.shouldFail("cell.run")) {
-                    ++injected;
-                    throw FaultInjectedError("cell.run");
-                }
-                body(i);
-                startedNs[i].store(0, std::memory_order_release);
-                last_error.clear();
-                break;
-            } catch (...) {
-                startedNs[i].store(0, std::memory_order_release);
-                last_error = describeException();
-                warn("sweep " + name_ + ": cell '" + cell +
-                     "' attempt " + std::to_string(attempt) + "/" +
-                     std::to_string(options_.maxAttempts) +
-                     " failed: " + last_error);
-            }
-        }
-
-        if (!last_error.empty()) {
-            failed[i] = CellFailure{
-                cell, options_.maxAttempts, last_error};
+            body(i);
+        } catch (...) {
+            const std::string error = describeException();
+            warn("sweep " + name_ + ": cell '" + cell +
+                 "' failed: " + error);
+            failed[i] = CellFailure{cell, error};
             return;
         }
 
@@ -269,18 +183,7 @@ SweepRunner::run(ThreadPool &pool, std::size_t n,
         }
     });
 
-    if (watchdog.joinable()) {
-        {
-            const std::lock_guard<std::mutex> lock(watchdogMutex);
-            watchdogStop = true;
-        }
-        watchdogWake.notify_all();
-        watchdog.join();
-    }
-
     SweepStats stats;
-    stats.retries = retries.load();
-    stats.watchdogTimeouts = timeouts.load();
     stats.resumedCells = resumed.load();
     stats.checkpointedCells = checkpointed.load();
     stats.injectedCellFaults = injected.load();

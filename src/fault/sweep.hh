@@ -3,35 +3,32 @@
  * Crash-resilient, resumable execution of experiment sweeps
  * (DESIGN.md §11).
  *
- * A sweep is n independent cells run on the thread pool. The seed
- * behavior (PR 1) was all-or-nothing: one throwing cell aborted the
- * whole run. SweepRunner instead gives every cell:
+ * A sweep is n independent cells run on the thread pool. A bare
+ * parallelFor is all-or-nothing: one throwing cell aborts the whole
+ * run. SweepRunner instead gives every cell:
  *
- *  - isolation: a cell that throws is recorded — cell id, attempt
- *    count, error text — in a failure manifest instead of killing
- *    the sweep; the remaining cells still run and report;
- *  - retries: each failed cell is re-attempted up to
- *    MOSAIC_CELL_RETRIES more times (default 2) with a deterministic
- *    backoff schedule (MOSAIC_CELL_BACKOFF_MS << attempt, default 0);
- *  - a watchdog: when MOSAIC_CELL_TIMEOUT (seconds) is set, a
- *    monitor thread flags cells that exceed it — cooperative, the
- *    cell is not killed, but the overrun is warned about live and
- *    counted;
+ *  - isolation: a cell that throws is recorded — cell id and error
+ *    text — in a failure manifest instead of killing the sweep; the
+ *    remaining cells still run and report. Each cell body runs at
+ *    most once per run: a cell is a pure function of (options, cell
+ *    index), so running it again in the same process would only
+ *    throw again;
  *  - checkpoint/resume: when MOSAIC_RESUME_DIR is set, every
  *    completed cell's result is serialized to
  *    <dir>/<sweep>.<cell>.cell as soon as it finishes, and a rerun
  *    with the same directory loads those results instead of
  *    recomputing — so an interrupted sweep (SIGINT, SIGKILL, power
  *    loss) resumes where it left off and produces the same merged
- *    results as an uninterrupted run. Checkpoints embed a
- *    fingerprint of the sweep configuration; a mismatch forces
- *    recomputation rather than silently merging stale results.
+ *    results as an uninterrupted run. Failed cells leave no
+ *    checkpoint, so the rerun is also how they are recovered.
+ *    Checkpoints embed a fingerprint of the sweep configuration; a
+ *    mismatch forces recomputation rather than silently merging
+ *    stale results.
  *
  * The injection site "cell.run" (a thread-pool task crash) is
- * consulted once per attempt with an injector seeded from
- * (sweep, cell, attempt), so injected cell failures — including
- * always-failing cells via cell.run:p=1 — replay identically at any
- * thread count.
+ * consulted once per cell with an injector seeded from
+ * (sweep, cell), so injected cell failures replay identically at
+ * any thread count.
  *
  * Failure manifests and resume counters are *run-shape* data, not
  * results: benches record them in the BENCH_*.json manifest, keeping
@@ -58,22 +55,12 @@ namespace mosaic::fault
 struct CellFailure
 {
     std::string cell;
-    unsigned attempts = 0;
     std::string error;
 };
 
 /** Knobs of one resilient sweep (see file comment for env names). */
 struct SweepOptions
 {
-    /** Attempts per cell (1 + retries). */
-    unsigned maxAttempts = 3;
-
-    /** Backoff before retry r (1-based): backoffMs << (r - 1). */
-    unsigned backoffMs = 0;
-
-    /** Watchdog threshold in seconds; 0 disables the monitor. */
-    double watchdogSeconds = 0.0;
-
     /** Checkpoint directory; empty disables checkpoint/resume. */
     std::string resumeDir;
 
@@ -92,14 +79,8 @@ struct SweepOptions
 /** What happened across one sweep (the failure manifest + counters). */
 struct SweepStats
 {
-    /** Permanently failed cells, in cell-index order. */
+    /** Failed cells, in cell-index order. */
     std::vector<CellFailure> failures;
-
-    /** Retry attempts that ran (beyond each cell's first). */
-    std::uint64_t retries = 0;
-
-    /** Cells flagged by the watchdog. */
-    std::uint64_t watchdogTimeouts = 0;
 
     /** Cells restored from checkpoints instead of recomputed. */
     std::uint64_t resumedCells = 0;
@@ -107,13 +88,13 @@ struct SweepStats
     /** Fresh results checkpointed to the resume directory. */
     std::uint64_t checkpointedCells = 0;
 
-    /** "cell.run" faults injected across all attempts. */
+    /** "cell.run" faults injected across all cells. */
     std::uint64_t injectedCellFaults = 0;
 
     bool allOk() const { return failures.empty(); }
 };
 
-/** Runs one sweep's cells with isolation/retry/watchdog/resume. */
+/** Runs one sweep's cells with isolation and checkpoint/resume. */
 class SweepRunner
 {
   public:

@@ -16,7 +16,7 @@
  * the sites "swap.read" and "swap.write" model transient I/O errors
  * — the errored transfer is retried once and the retry succeeds, so
  * the logical page state and the read/write counters are unchanged
- * while ioErrors/ioRetries record the exposure — and "swap.latency"
+ * while ioErrors records the exposure — and "swap.latency"
  * models a device latency spike, accumulating stallTicks. A read of
  * a page with no swap copy is never performed: it is counted as
  * spuriousReads (and panics in debug builds, since the VMs always
@@ -61,10 +61,8 @@ class SwapDevice
     writeOut(std::uint64_t key)
     {
         if (faults_ != nullptr) {
-            if (faults_->shouldFail("swap.write")) {
-                ++ioErrors_;
-                ++ioRetries_; // transient: one retry, which succeeds
-            }
+            if (faults_->shouldFail("swap.write"))
+                ++ioErrors_; // transient: one retry, which succeeds
             if (faults_->shouldFail("swap.latency"))
                 stallTicks_ += latencySpikeTicks;
         }
@@ -86,10 +84,8 @@ class SwapDevice
             return;
         }
         if (faults_ != nullptr) {
-            if (faults_->shouldFail("swap.read")) {
-                ++ioErrors_;
-                ++ioRetries_; // transient: one retry, which succeeds
-            }
+            if (faults_->shouldFail("swap.read"))
+                ++ioErrors_; // transient: one retry, which succeeds
             if (faults_->shouldFail("swap.latency"))
                 stallTicks_ += latencySpikeTicks;
         }
@@ -110,11 +106,9 @@ class SwapDevice
     /** Reads requested for pages with no swap copy (caller bugs). */
     std::uint64_t spuriousReads() const { return spuriousReads_; }
 
-    /** Injected transient I/O errors observed (and retried). */
+    /** Injected transient I/O errors observed; each was retried
+     *  once, so this is also the retry count. */
     std::uint64_t ioErrors() const { return ioErrors_; }
-
-    /** Retries performed after transient I/O errors. */
-    std::uint64_t ioRetries() const { return ioRetries_; }
 
     /** Simulated ticks lost to injected latency spikes. */
     std::uint64_t stallTicks() const { return stallTicks_; }
@@ -140,8 +134,6 @@ class SwapDevice
             fn("spuriousReads", spuriousReads_);
         if (ioErrors_ > 0)
             fn("ioErrors", ioErrors_);
-        if (ioRetries_ > 0)
-            fn("ioRetries", ioRetries_);
         if (stallTicks_ > 0)
             fn("stallTicks", stallTicks_);
     }
@@ -158,7 +150,6 @@ class SwapDevice
     std::uint64_t writes_ = 0;
     std::uint64_t spuriousReads_ = 0;
     std::uint64_t ioErrors_ = 0;
-    std::uint64_t ioRetries_ = 0;
     std::uint64_t stallTicks_ = 0;
 };
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the resilient experiment engine (DESIGN.md §11):
- * SweepRunner cell isolation, retry accounting, injected cell
- * crashes, checkpoint/resume correctness (including fingerprint
- * mismatches and corrupt checkpoints), the mid-sweep-kill test hook,
- * and the experiment checkpoint codecs.
+ * SweepRunner cell isolation, injected cell crashes,
+ * checkpoint/resume correctness (including fingerprint mismatches,
+ * corrupt checkpoints and the recovery of failed cells), the
+ * mid-sweep-kill test hook, and the experiment checkpoint codecs.
  */
 
 #include <gtest/gtest.h>
@@ -28,15 +28,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-fault::SweepOptions
-quietOptions()
-{
-    fault::SweepOptions options;
-    options.maxAttempts = 3;
-    options.backoffMs = 0;
-    return options;
-}
 
 std::string
 cellName(std::size_t i)
@@ -64,13 +55,12 @@ class TempDir
 TEST(SweepRunner, AllCellsSucceedCleanly)
 {
     ThreadPool pool(4);
-    fault::SweepRunner runner("t.clean", quietOptions());
+    fault::SweepRunner runner("t.clean", fault::SweepOptions{});
     std::vector<int> out(16, 0);
     const fault::SweepStats stats = runner.run(
         pool, out.size(), cellName,
         [&](std::size_t i) { out[i] = static_cast<int>(i) * 10; });
     EXPECT_TRUE(stats.allOk());
-    EXPECT_EQ(stats.retries, 0u);
     EXPECT_EQ(stats.resumedCells, 0u);
     EXPECT_EQ(stats.checkpointedCells, 0u);
     for (std::size_t i = 0; i < out.size(); ++i)
@@ -80,59 +70,43 @@ TEST(SweepRunner, AllCellsSucceedCleanly)
 TEST(SweepRunner, ThrowingCellIsIsolatedAndManifested)
 {
     ThreadPool pool(4);
-    fault::SweepRunner runner("t.isolate", quietOptions());
+    fault::SweepRunner runner("t.isolate", fault::SweepOptions{});
     std::vector<int> out(8, 0);
+    std::atomic<int> bodies{0};
     const fault::SweepStats stats = runner.run(
         pool, out.size(), cellName, [&](std::size_t i) {
+            ++bodies;
             if (i == 3)
                 throw std::runtime_error("cell 3 always explodes");
             out[i] = 1;
         });
     ASSERT_EQ(stats.failures.size(), 1u);
     EXPECT_EQ(stats.failures[0].cell, "cell3");
-    EXPECT_EQ(stats.failures[0].attempts, 3u);
     EXPECT_NE(stats.failures[0].error.find("always explodes"),
               std::string::npos);
-    EXPECT_EQ(stats.retries, 2u); // 2 retries beyond the first try
     EXPECT_FALSE(stats.allOk());
+    // Each body ran exactly once: the failed cell is not retried.
+    EXPECT_EQ(bodies.load(), static_cast<int>(out.size()));
     // Every other cell still ran.
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i == 3 ? 0 : 1) << i;
 }
 
-TEST(SweepRunner, TransientFailureSucceedsOnRetry)
-{
-    ThreadPool pool(2);
-    fault::SweepRunner runner("t.retry", quietOptions());
-    std::atomic<int> attempts{0};
-    std::vector<int> out(1, 0);
-    const fault::SweepStats stats = runner.run(
-        pool, 1, cellName, [&](std::size_t i) {
-            if (attempts.fetch_add(1) == 0)
-                throw std::runtime_error("first attempt flakes");
-            out[i] = 7;
-        });
-    EXPECT_TRUE(stats.allOk());
-    EXPECT_EQ(stats.retries, 1u);
-    EXPECT_EQ(attempts.load(), 2);
-    EXPECT_EQ(out[0], 7);
-}
-
 TEST(SweepRunner, InjectedAlwaysFailingCellCompletesTheSweep)
 {
-    // cell.run:p=1 makes every attempt of every cell fail by
-    // injection — the acceptance shape for "a cell that always
-    // fails": the sweep still completes and reports.
+    // cell.run:p=1 makes every cell fail by injection — the
+    // acceptance shape for "a cell that always fails": the sweep
+    // still completes and reports.
     ::setenv("MOSAIC_FAULTS", "cell.run:p=1", 1);
     ThreadPool pool(4);
-    fault::SweepRunner runner("t.inject", quietOptions());
+    fault::SweepRunner runner("t.inject", fault::SweepOptions{});
     ::unsetenv("MOSAIC_FAULTS");
     std::vector<int> out(5, 0);
     const fault::SweepStats stats = runner.run(
         pool, out.size(), cellName,
         [&](std::size_t i) { out[i] = 1; });
     EXPECT_EQ(stats.failures.size(), out.size());
-    EXPECT_EQ(stats.injectedCellFaults, out.size() * 3);
+    EXPECT_EQ(stats.injectedCellFaults, out.size()); // one per cell
     for (const fault::CellFailure &f : stats.failures)
         EXPECT_NE(f.error.find("cell.run"), std::string::npos);
     for (const int v : out)
@@ -142,7 +116,7 @@ TEST(SweepRunner, InjectedAlwaysFailingCellCompletesTheSweep)
 TEST(SweepRunner, CheckpointThenResumeSkipsRecompute)
 {
     const TempDir dir("mosaic_sweep_resume_test");
-    fault::SweepOptions options = quietOptions();
+    fault::SweepOptions options;
     options.resumeDir = dir.str();
     options.fingerprint = "fp-v1";
 
@@ -208,10 +182,77 @@ TEST(SweepRunner, CheckpointThenResumeSkipsRecompute)
     EXPECT_EQ(recomputed.load(), static_cast<int>(out.size()));
 }
 
+TEST(SweepRunner, FailedCellIsRecomputedOnResume)
+{
+    // Resume is the one recovery path: a failed cell leaves no
+    // checkpoint, so re-running with the same directory recomputes
+    // exactly that cell and merges it with the checkpointed rest.
+    const TempDir dir("mosaic_sweep_recover_test");
+    fault::SweepOptions options;
+    options.resumeDir = dir.str();
+    options.fingerprint = "fp";
+    const auto value = [](std::size_t i) {
+        return static_cast<int>(i) * 7 + 1;
+    };
+
+    ThreadPool pool(2);
+    std::vector<int> out(4, 0);
+    const auto save = [&](std::size_t i) {
+        return std::to_string(out[i]);
+    };
+    const auto load = [&](std::size_t i, const std::string &payload) {
+        out[i] = std::atoi(payload.c_str());
+        return true;
+    };
+    {
+        fault::SweepRunner runner("t.recover", options);
+        const fault::SweepStats stats = runner.run(
+            pool, out.size(), cellName,
+            [&](std::size_t i) {
+                if (i == 2)
+                    throw std::runtime_error("cell 2 explodes");
+                out[i] = value(i);
+            },
+            save, load);
+        ASSERT_EQ(stats.failures.size(), 1u);
+        EXPECT_EQ(stats.failures[0].cell, "cell2");
+        EXPECT_EQ(stats.checkpointedCells, 3u);
+        EXPECT_EQ(stats.resumedCells, 0u);
+    }
+
+    // Second run, same dir + fingerprint, nothing throws: the three
+    // good cells resume and only cell 2's body runs.
+    out.assign(out.size(), 0);
+    std::vector<int> bodies(out.size(), 0); // per-index: race-free
+    {
+        fault::SweepRunner runner("t.recover", options);
+        const fault::SweepStats stats = runner.run(
+            pool, out.size(), cellName,
+            [&](std::size_t i) {
+                ++bodies[i];
+                out[i] = value(i);
+            },
+            save, load);
+        EXPECT_TRUE(stats.allOk());
+        EXPECT_EQ(stats.resumedCells, 3u);
+        EXPECT_EQ(stats.checkpointedCells, 1u);
+    }
+    EXPECT_EQ(bodies, (std::vector<int>{0, 0, 1, 0}));
+
+    // The merged results equal an uninterrupted run's.
+    std::vector<int> clean(out.size(), 0);
+    fault::SweepRunner runner("t.recover.clean", fault::SweepOptions{});
+    const fault::SweepStats stats = runner.run(
+        pool, clean.size(), cellName,
+        [&](std::size_t i) { clean[i] = value(i); });
+    EXPECT_TRUE(stats.allOk());
+    EXPECT_EQ(out, clean);
+}
+
 TEST(SweepRunner, CorruptCheckpointIsDiscardedAndRecomputed)
 {
     const TempDir dir("mosaic_sweep_corrupt_test");
-    fault::SweepOptions options = quietOptions();
+    fault::SweepOptions options;
     options.resumeDir = dir.str();
     options.fingerprint = "fp";
 
@@ -260,7 +301,6 @@ TEST(SweepRunnerDeathTest, DieAfterCellsExitsLikeAKilledRun)
     EXPECT_EXIT(
         {
             fault::SweepOptions options;
-            options.maxAttempts = 1;
             options.resumeDir = dir.str();
             options.fingerprint = "fp";
             options.dieAfterCells = 2;

@@ -2,8 +2,8 @@
  * @file
  * Tests for the telemetry subsystem: the JSON writer's escaping and
  * deterministic number formatting, the metric registry's naming and
- * stat expansion, the BENCH_*.json schema (checked with a small JSON
- * parser), and the golden serial-vs-parallel property: a fixed-seed
+ * stat expansion, the BENCH_*.json schema (checked with
+ * telemetry/json_reader.hh), and the golden serial-vs-parallel property: a fixed-seed
  * Fig 6 run must serialize to byte-identical metrics JSON whether the
  * cells ran on one thread or many.
  */
@@ -11,12 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +22,7 @@
 
 #include "core/experiment_export.hh"
 #include "core/experiments.hh"
+#include "telemetry/json_reader.hh"
 #include "telemetry/json_writer.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/report.hh"
@@ -36,262 +35,11 @@ namespace
 {
 
 using telemetry::BenchReport;
+using telemetry::JsonParser;
+using telemetry::JsonValue;
 using telemetry::JsonWriter;
 using telemetry::MetricValue;
 using telemetry::Registry;
-
-// ---------------------------------------------------------------
-// A deliberately small JSON parser, just enough to validate the
-// schema of the writer's output. Parses into a tagged tree.
-// ---------------------------------------------------------------
-
-struct JsonValue
-{
-    enum Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-    Kind kind = Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> members;
-
-    bool
-    has(const std::string &name) const
-    {
-        return members.contains(name);
-    }
-    const JsonValue &
-    at(const std::string &name) const
-    {
-        return members.at(name);
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        const JsonValue v = parseValue();
-        skipSpace();
-        if (pos_ != text_.size())
-            fail("trailing characters");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why)
-    {
-        throw std::runtime_error("json parse error at offset " +
-                                 std::to_string(pos_) + ": " + why);
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            fail("unexpected end");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        switch (peek()) {
-        case '{':
-            return parseObject();
-        case '[':
-            return parseArray();
-        case '"':
-            return parseString();
-        case 't':
-        case 'f':
-            return parseBool();
-        case 'n':
-            return parseNull();
-        default:
-            return parseNumber();
-        }
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Object;
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            const JsonValue key = parseString();
-            expect(':');
-            if (!v.members.emplace(key.text, parseValue()).second)
-                fail("duplicate key " + key.text);
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Array;
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.items.push_back(parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::String;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return v;
-            if (c != '\\') {
-                v.text += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            const char e = text_[pos_++];
-            switch (e) {
-            case '"':
-            case '\\':
-            case '/':
-                v.text += e;
-                break;
-            case 'n':
-                v.text += '\n';
-                break;
-            case 't':
-                v.text += '\t';
-                break;
-            case 'r':
-                v.text += '\r';
-                break;
-            case 'b':
-                v.text += '\b';
-                break;
-            case 'f':
-                v.text += '\f';
-                break;
-            case 'u': {
-                if (pos_ + 4 > text_.size())
-                    fail("short \\u escape");
-                const unsigned code = static_cast<unsigned>(std::stoul(
-                    std::string(text_.substr(pos_, 4)), nullptr, 16));
-                pos_ += 4;
-                // Only ASCII escapes are produced by our writer.
-                v.text += static_cast<char>(code);
-                break;
-            }
-            default:
-                fail("bad escape");
-            }
-        }
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Bool;
-        if (text_.substr(pos_, 4) == "true") {
-            pos_ += 4;
-            v.boolean = true;
-        } else if (text_.substr(pos_, 5) == "false") {
-            pos_ += 5;
-        } else {
-            fail("bad literal");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNull()
-    {
-        if (text_.substr(pos_, 4) != "null")
-            fail("bad literal");
-        pos_ += 4;
-        return JsonValue{};
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(
-                    static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected number");
-        JsonValue v;
-        v.kind = JsonValue::Number;
-        v.number =
-            std::stod(std::string(text_.substr(start, pos_ - start)));
-        return v;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
 
 JsonValue
 parseJson(const std::string &text)

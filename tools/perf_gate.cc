@@ -55,7 +55,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -69,6 +68,7 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/json_reader.hh"
 #include "util/parse.hh"
 
 namespace fs = std::filesystem;
@@ -76,231 +76,8 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/**
- * A minimal recursive-descent JSON reader, just enough for the
- * google-benchmark output and our own baseline files. Numbers are
- * doubles, objects are ordered maps; parse errors throw.
- */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        for (const auto &[k, v] : members)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = value();
-        skipSpace();
-        if (pos_ != text_.size())
-            fail("trailing content");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw std::runtime_error("json: " + what + " at offset " +
-                                 std::to_string(pos_));
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            fail("unexpected end");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consume(std::string_view word)
-    {
-        if (text_.substr(pos_, word.size()) != word)
-            return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    JsonValue
-    value()
-    {
-        switch (peek()) {
-        case '{': return object();
-        case '[': return array();
-        case '"': return string();
-        case 't':
-            if (!consume("true"))
-                fail("bad literal");
-            return makeBool(true);
-        case 'f':
-            if (!consume("false"))
-                fail("bad literal");
-            return makeBool(false);
-        case 'n':
-            if (!consume("null"))
-                fail("bad literal");
-            return JsonValue{};
-        default: return number();
-        }
-    }
-
-    static JsonValue
-    makeBool(bool b)
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        v.boolean = b;
-        return v;
-    }
-
-    JsonValue
-    object()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            JsonValue key = string();
-            expect(':');
-            v.members.emplace_back(key.text, value());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    array()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.items.push_back(value());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    JsonValue
-    string()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return v;
-            if (c != '\\') {
-                v.text += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            const char e = text_[pos_++];
-            switch (e) {
-            case '"': v.text += '"'; break;
-            case '\\': v.text += '\\'; break;
-            case '/': v.text += '/'; break;
-            case 'b': v.text += '\b'; break;
-            case 'f': v.text += '\f'; break;
-            case 'n': v.text += '\n'; break;
-            case 'r': v.text += '\r'; break;
-            case 't': v.text += '\t'; break;
-            case 'u': {
-                // Benchmark names are ASCII; map \uXXXX to '?' when
-                // outside that range rather than carrying full UTF-16.
-                if (pos_ + 4 > text_.size())
-                    fail("short \\u escape");
-                const unsigned code = static_cast<unsigned>(std::stoul(
-                    std::string(text_.substr(pos_, 4)), nullptr, 16));
-                pos_ += 4;
-                v.text += code < 0x80 ? static_cast<char>(code) : '?';
-                break;
-            }
-            default: fail("bad escape");
-            }
-        }
-    }
-
-    JsonValue
-    number()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected number");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number =
-            std::stod(std::string(text_.substr(start, pos_ - start)));
-        return v;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
+using mosaic::telemetry::JsonParser;
+using mosaic::telemetry::JsonValue;
 
 std::string
 readFile(const fs::path &path)
