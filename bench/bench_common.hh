@@ -121,7 +121,9 @@ makeReport(const std::string &bench, std::uint64_t seed,
 
 /**
  * Stamp timings into @p report and write it out, echoing the
- * artifact path to @p os so runs show where their JSON landed.
+ * artifact path to @p os so runs show where their JSON landed. A
+ * failed write exits 1: the artifact is what the run exists to
+ * produce. MOSAIC_NO_JSON (NotFound) skips the write.
  */
 inline void
 finishReport(telemetry::BenchReport &report, std::ostream &os,
@@ -129,8 +131,11 @@ finishReport(telemetry::BenchReport &report, std::ostream &os,
 {
     report.timing().wallSeconds = wall_seconds;
     report.timing().serialSeconds = cell_seconds;
-    if (const auto path = report.write())
-        os << "telemetry: " << *path << "\n";
+    const Result<std::string> path = report.tryWrite();
+    if (path.ok())
+        os << "telemetry: " << path.value() << "\n";
+    else if (path.status().code() != StatusCode::NotFound)
+        fatal(path.status().toString());
 }
 
 /**

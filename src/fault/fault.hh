@@ -32,13 +32,12 @@
  * change guarantee.
  *
  * Serving sites (mosaicd, DESIGN.md §16) — every firing must surface
- * as a typed Status or a recovered restart, never a silent drop:
+ * as a typed Status or a crash the next incarnation recovers, never
+ * a silent drop:
  *     serve.admit        admission rejects the request (shed,
  *                        Status Injected, before acceptance)
  *     serve.log.append   the write-ahead append fails (shed,
  *                        IoError, before acceptance)
- *     serve.worker.stall a worker wedges until the watchdog
- *                        restarts it (requests stay queued)
  *     serve.crash        consulted at epoch boundaries; firing
  *                        crashes the daemon, which must recover
  *                        from checkpoint + request-log replay

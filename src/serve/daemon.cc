@@ -144,14 +144,13 @@ Mosaicd::~Mosaicd()
 {
     if (phase_.load() == Phase::Running)
         stop();
+    // Waits out a crash that a worker is still finishing.
+    std::lock_guard teardown(teardown_);
     stopWorkers_.store(true);
-    stopWatchdog_.store(true);
     for (auto &slot : workers_) {
         if (slot->thread.joinable())
             slot->thread.join();
     }
-    if (watchdog_.joinable())
-        watchdog_.join();
     if (manifest_ != nullptr) {
         std::fclose(manifest_);
         manifest_ = nullptr;
@@ -379,7 +378,6 @@ void
 Mosaicd::spawnThreads()
 {
     stopWorkers_.store(false);
-    stopWatchdog_.store(false);
     workers_.clear();
     for (unsigned w = 0; w < config_.workers; ++w) {
         auto slot = std::make_unique<WorkerSlot>();
@@ -392,7 +390,6 @@ Mosaicd::spawnThreads()
         workers_[w]->thread =
             std::thread([this, w] { workerMain(w); });
     }
-    watchdog_ = std::thread([this] { watchdogMain(); });
 }
 
 bool
@@ -552,7 +549,7 @@ Mosaicd::submit(ServeSession &session, Addr vaddr, bool write)
 }
 
 // ---------------------------------------------------------------
-// Worker / watchdog
+// Worker
 
 std::vector<std::shared_ptr<ServeSession>>
 Mosaicd::sessionsOwnedBy(unsigned slot)
@@ -592,22 +589,10 @@ Mosaicd::retireSession(ServeSession &session)
 }
 
 void
-Mosaicd::stallUntilCleared(WorkerSlot &slot)
-{
-    slot.wedged.store(true);
-    while (!slot.restartRequested.load() && !stopWorkers_.load() &&
-           !crashRequested_.load()) {
-        sleepBriefly(500);
-    }
-    slot.wedged.store(false);
-}
-
-void
 Mosaicd::workerMain(unsigned slot_index)
 {
     WorkerSlot &slot = *workers_[slot_index];
     while (!stopWorkers_.load()) {
-        slot.heartbeat.fetch_add(1, std::memory_order_relaxed);
         bool didWork = false;
         for (const auto &session : sessionsOwnedBy(slot_index)) {
             if (session->retired.load(std::memory_order_acquire))
@@ -620,22 +605,19 @@ Mosaicd::workerMain(unsigned slot_index)
                     1, std::memory_order_release);
                 ++session->appliedSinceEpoch;
                 didWork = true;
-                if (slot.injector.shouldFail(
-                        "serve.worker.stall")) {
-                    stallUntilCleared(slot);
-                    if (slot.restartRequested.load() ||
-                            stopWorkers_.load() ||
-                            crashRequested_.load())
-                        return;
-                }
                 if (session->appliedSinceEpoch >=
                         config_.epochEvery) {
                     session->appliedSinceEpoch = 0;
                     writeEpochCheckpoint(*session);
                     if (slot.injector.shouldFail("serve.crash")) {
-                        // The watchdog finishes the crash; this
-                        // worker is already gone.
-                        crashRequested_.store(true);
+                        // This worker finishes the crash itself,
+                        // unless a teardown already under way
+                        // (stop(), the destructor, a peer's crash)
+                        // is about to join it.
+                        std::unique_lock teardown(teardown_,
+                                                  std::try_to_lock);
+                        if (teardown.owns_lock())
+                            finishCrash();
                         return;
                     }
                 }
@@ -650,72 +632,8 @@ Mosaicd::workerMain(unsigned slot_index)
                 didWork = true;
             }
         }
-        if (stopWorkers_.load() || crashRequested_.load())
-            return;
         if (!didWork)
             sleepBriefly(100);
-    }
-}
-
-bool
-Mosaicd::workerHasPending(unsigned slot)
-{
-    for (const auto &session : sessionsOwnedBy(slot)) {
-        if (session->retired.load())
-            continue;
-        if (!session->ring.empty())
-            return true;
-        if (session->completed.load() <
-                session->accepted.load())
-            return true;
-    }
-    return false;
-}
-
-void
-Mosaicd::watchdogMain()
-{
-    const std::uint64_t pollMs =
-        config_.watchdogPollMs ? config_.watchdogPollMs : 1;
-    while (!stopWatchdog_.load()) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(pollMs));
-        if (crashRequested_.load() && !crashDone_.load()) {
-            finishCrash(/*from_watchdog=*/true);
-            continue;
-        }
-        if (phase_.load() != Phase::Running ||
-                config_.watchdogStallMs == 0)
-            continue;
-        for (unsigned w = 0; w < workers_.size(); ++w) {
-            WorkerSlot &slot = *workers_[w];
-            const std::uint64_t hb = slot.heartbeat.load();
-            if (hb != slot.lastSeenHeartbeat) {
-                slot.lastSeenHeartbeat = hb;
-                slot.frozenMs = 0;
-                continue;
-            }
-            if (!slot.wedged.load() && !workerHasPending(w)) {
-                slot.frozenMs = 0;
-                continue;
-            }
-            slot.frozenMs += pollMs;
-            if (slot.frozenMs < config_.watchdogStallMs)
-                continue;
-            // Restart the wedged worker: ask it to exit, join,
-            // respawn on the same slot (its injector state
-            // survives, so limit= rules keep their meaning).
-            slot.restartRequested.store(true);
-            if (slot.thread.joinable())
-                slot.thread.join();
-            slot.restartRequested.store(false);
-            slot.frozenMs = 0;
-            workerRestarts_.fetch_add(1,
-                                      std::memory_order_relaxed);
-            if (stopWorkers_.load() || crashRequested_.load())
-                continue;
-            slot.thread = std::thread([this, w] { workerMain(w); });
-        }
     }
 }
 
@@ -793,10 +711,10 @@ Mosaicd::stop()
     if (phase_.load() != Phase::Running)
         return;
     (void)drain(30.0);
+    std::lock_guard teardown(teardown_);
+    if (phase_.load() != Phase::Running)
+        return; // a worker's crash finished first
     stopWorkers_.store(true);
-    stopWatchdog_.store(true);
-    if (watchdog_.joinable())
-        watchdog_.join();
     for (auto &slot : workers_) {
         if (slot->thread.joinable())
             slot->thread.join();
@@ -819,27 +737,27 @@ Mosaicd::stop()
 void
 Mosaicd::crashForTesting()
 {
-    finishCrash(/*from_watchdog=*/false);
+    std::lock_guard teardown(teardown_);
+    finishCrash();
 }
 
 void
-Mosaicd::finishCrash(bool from_watchdog)
+Mosaicd::finishCrash()
 {
     if (crashDone_.exchange(true))
         return;
     crashes_.fetch_add(1, std::memory_order_relaxed);
     phase_.store(Phase::Crashed);
     stopWorkers_.store(true);
-    stopWatchdog_.store(true);
-    if (!from_watchdog && watchdog_.joinable())
-        watchdog_.join();
     for (auto &slot : workers_) {
-        if (slot->thread.joinable())
+        if (slot->thread.joinable() &&
+                slot->thread.get_id() != std::this_thread::get_id())
             slot->thread.join();
     }
-    // All submitters have left (exclusive lock) and all workers are
-    // joined: truncate every log to its flushed watermark — exactly
-    // what a real process death would have left on disk.
+    // All submitters have left (exclusive lock) and every other
+    // worker is joined: truncate every log to its flushed
+    // watermark — exactly what a real process death would have left
+    // on disk.
     std::unique_lock lifecycle(lifecycle_);
     std::lock_guard lk(sessionsMutex_);
     for (const auto &session : sessions_) {
@@ -874,7 +792,6 @@ Mosaicd::totals() const
     }
     for (std::uint64_t s : t.shed)
         t.shedTotal += s;
-    t.workerRestarts = workerRestarts_.load();
     t.epochCheckpoints = epochCheckpoints_.load();
     t.recoveredSessions = recoveredSessions_;
     t.crashes = crashes_.load();

@@ -69,7 +69,6 @@ struct ServeTotals
     std::uint64_t shedTotal = 0;
 
     std::uint64_t sessions = 0;
-    std::uint64_t workerRestarts = 0;
     std::uint64_t epochCheckpoints = 0;
     std::uint64_t recoveredSessions = 0;
     std::uint64_t crashes = 0;
@@ -131,16 +130,15 @@ class Mosaicd
 
     /**
      * Fresh start: create the state directory (must not already
-     * hold a manifest), write the manifest header, spawn workers +
-     * watchdog.
+     * hold a manifest), write the manifest header, spawn workers.
      */
     Status start();
 
     /**
      * Start from an existing state directory: recover every
      * manifest session (log replay + digest verification), then
-     * spawn workers + watchdog. DataLoss when the directory's state
-     * cannot be trusted.
+     * spawn workers. DataLoss when the directory's state cannot be
+     * trusted.
      */
     Status recoverAndStart();
 
@@ -205,13 +203,6 @@ class Mosaicd
     {
         std::thread thread;
         fault::FaultInjector injector;
-        std::atomic<std::uint64_t> heartbeat{0};
-        std::atomic<bool> restartRequested{false};
-        std::atomic<bool> wedged{false};
-
-        // Watchdog bookkeeping (watchdog thread only).
-        std::uint64_t lastSeenHeartbeat = 0;
-        std::uint64_t frozenMs = 0;
     };
 
     Status submit(ServeSession &session, Addr vaddr, bool write);
@@ -220,16 +211,13 @@ class Mosaicd
 
     void spawnThreads();
     void workerMain(unsigned slot);
-    void watchdogMain();
-    bool workerHasPending(unsigned slot);
-    void stallUntilCleared(WorkerSlot &slot);
     void writeEpochCheckpoint(ServeSession &session);
     void retireSession(ServeSession &session);
 
-    /** Stop workers and truncate logs to their flushed watermarks;
-     *  idempotent (first caller wins). @p from_watchdog skips the
-     *  watchdog join (it is the caller). */
-    void finishCrash(bool from_watchdog);
+    /** Stop and join every worker but the calling one, then
+     *  truncate logs to their flushed watermarks; idempotent (first
+     *  caller wins). The caller holds teardown_. */
+    void finishCrash();
 
     Status appendManifest(const ServeSession &session);
 
@@ -255,13 +243,15 @@ class Mosaicd
     std::FILE *manifest_ = nullptr;
 
     std::vector<std::unique_ptr<WorkerSlot>> workers_;
-    std::thread watchdog_;
     std::atomic<bool> stopWorkers_{false};
-    std::atomic<bool> stopWatchdog_{false};
-    std::atomic<bool> crashRequested_{false};
     std::atomic<bool> crashDone_{false};
 
-    std::atomic<std::uint64_t> workerRestarts_{0};
+    /** Held by the one thread that joins the workers: stop(), the
+     *  destructor, or whoever finishes a crash. A worker whose
+     *  serve.crash fires only try-locks it, so a teardown that is
+     *  joining that worker never waits on it. */
+    std::mutex teardown_;
+
     std::atomic<std::uint64_t> epochCheckpoints_{0};
     std::uint64_t recoveredSessions_ = 0;
     std::atomic<std::uint64_t> crashes_{0};
@@ -289,7 +279,6 @@ registerServeTotals(RegistryT &r, const ServeTotals &t,
                   t.shed[i]);
     }
     r.counter(prefix + ".sessions", t.sessions);
-    r.counter(prefix + ".workerRestarts", t.workerRestarts);
     r.counter(prefix + ".epochCheckpoints", t.epochCheckpoints);
     r.counter(prefix + ".recoveredSessions", t.recoveredSessions);
     r.counter(prefix + ".crashes", t.crashes);

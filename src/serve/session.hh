@@ -77,15 +77,6 @@ struct ServeConfig
     std::uint64_t seed = 7;
 
     /**
-     * Watchdog: a worker whose heartbeat freezes for stallMs while
-     * it has pending work (or sits in an injected wedge) is
-     * restarted. stallMs 0 disables restarts (the watchdog thread
-     * still runs — it also finalizes injected crashes).
-     */
-    std::uint64_t watchdogStallMs = 200;
-    std::uint64_t watchdogPollMs = 5;
-
-    /**
      * The replay-relevant configuration, stamped into every log,
      * checkpoint, and manifest header: state from a config whose
      * replay would diverge must refuse to load.

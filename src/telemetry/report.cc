@@ -121,16 +121,4 @@ BenchReport::tryWrite() const
     return file;
 }
 
-std::optional<std::string>
-BenchReport::write() const
-{
-    Result<std::string> written = tryWrite();
-    if (written.ok())
-        return written.value();
-    // Disabled-by-env is deliberate; only real failures warn.
-    if (written.status().code() != StatusCode::NotFound)
-        warn(written.status().toString());
-    return std::nullopt;
-}
-
 } // namespace mosaic::telemetry

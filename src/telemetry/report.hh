@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -100,15 +99,9 @@ class BenchReport
      * current directory) unless MOSAIC_NO_JSON is set. Returns the
      * path written; NotFound when MOSAIC_NO_JSON disables artifacts
      * (deliberate, not a failure) and IoError when the path can't be
-     * opened or the write is short. A failed artifact write is
-     * recoverable (the run's results were already printed) — callers
-     * decide whether to warn or abort.
+     * opened or the write is short.
      */
     Result<std::string> tryWrite() const;
-
-    /** tryWrite(), with failures downgraded to a stderr warn():
-     *  returns the path written, or nullopt when disabled/failed. */
-    std::optional<std::string> write() const;
 
     /** The output path this report would write to. */
     std::string path() const;

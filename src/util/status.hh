@@ -49,7 +49,7 @@ enum class StatusCode
     /** A capacity limit was hit (allocation, table full). */
     ResourceExhausted,
 
-    /** A watchdog or deadline expired. */
+    /** A deadline expired. */
     Timeout,
 
     /** A fault-injection site fired (always deliberate). */

@@ -54,8 +54,6 @@ smallConfig(const std::string &dir, unsigned workers)
     config.arity = 8;
     config.footprintBytes = std::uint64_t{1} << 20;
     config.epochEvery = 64;
-    config.watchdogStallMs = 100;
-    config.watchdogPollMs = 2;
     config.seed = 11;
     return config;
 }

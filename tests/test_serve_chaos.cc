@@ -2,11 +2,10 @@
  * @file
  * Chaos tests for mosaicd (DESIGN.md §16): MOSAIC_FAULTS plans
  * active inside the daemon. Every injected fault must surface as a
- * typed shed the client can retry, a watchdog-driven worker
- * restart, or a crash the next incarnation recovers from — never a
- * deadlock, never a silently dropped request. Conservation
- * (submitted == accepted + Σshed, accepted == completed after
- * drain) is asserted at every quiesce point.
+ * typed shed the client can retry or a crash the next incarnation
+ * recovers from — never a deadlock, never a silently dropped
+ * request. Conservation (submitted == accepted + Σshed, accepted ==
+ * completed after drain) is asserted at every quiesce point.
  */
 
 #include <gtest/gtest.h>
@@ -74,8 +73,6 @@ chaosConfig(const std::string &dir, unsigned workers)
     config.arity = 8;
     config.footprintBytes = std::uint64_t{1} << 20;
     config.epochEvery = 64;
-    config.watchdogStallMs = 50;
-    config.watchdogPollMs = 2;
     config.seed = 23;
     return config;
 }
@@ -172,128 +169,133 @@ TEST(ServeChaos, InjectedLogAppendShedsAreIoErrorAndRetryable)
     }
 }
 
-TEST(ServeChaos, StalledWorkerIsRestartedByTheWatchdog)
-{
-    const TempDir dir("serve_chaos_stall");
-    ScopedFaults faults("serve.worker.stall:every=300,limit=1");
-    Mosaicd daemon(chaosConfig(dir.str(), 1));
-    ASSERT_TRUE(daemon.start().ok());
-    auto handle = daemon.connect("alice");
-    ASSERT_TRUE(handle.ok());
-    SessionHandle session = handle.value();
-
-    const auto trace = syntheticTrace(9, 600);
-    Rng rng(0x57A);
-    for (const MemRef &ref : trace) {
-        ASSERT_TRUE(session
-                        .submitRetry(ref.vaddr, ref.write, rng,
-                                     128, 50)
-                        .ok());
-    }
-    // The stalled worker wedges mid-stream; the watchdog must
-    // restart it so the drain still completes.
-    ASSERT_TRUE(daemon.drain(60.0).ok());
-    EXPECT_GE(daemon.totals().workerRestarts, 1u);
-    const SessionSnapshot snap = session.snapshot();
-    EXPECT_EQ(snap.accepted, 600u);
-    EXPECT_EQ(snap.completed, 600u);
-    expectConservation(snap);
-    daemon.stop();
-}
-
 TEST(ServeChaos, InjectedCrashRecoversToTheReferenceDigest)
 {
-    // Reference: the same trace served with no faults.
-    const auto trace = syntheticTrace(13, 500);
-    std::uint64_t reference = 0;
+    // Session ids 0 and 1 land on different workers when there are
+    // four, so two slot injectors fire serve.crash and race to
+    // finish the crash; with one worker, one tenant suffices.
+    const std::vector<std::string> clients = {"alice", "bob"};
+    std::vector<std::vector<MemRef>> traces;
+    for (std::size_t c = 0; c < clients.size(); ++c)
+        traces.push_back(syntheticTrace(13 + c, 500));
+
+    // Reference: the same traces served with no faults. A session's
+    // digest depends only on its own requests and id, not on the
+    // worker count or the other tenant.
+    std::vector<std::uint64_t> reference;
     {
         const TempDir ref("serve_chaos_crash_ref");
         Mosaicd daemon(chaosConfig(ref.str(), 1));
         ASSERT_TRUE(daemon.start().ok());
-        auto handle = daemon.connect("alice");
-        ASSERT_TRUE(handle.ok());
-        SessionHandle session = handle.value();
-        Rng rng(0xCAFE);
-        for (const MemRef &ref2 : trace)
-            ASSERT_TRUE(session
-                            .submitRetry(ref2.vaddr, ref2.write,
-                                         rng, 64, 20)
-                            .ok());
-        ASSERT_TRUE(daemon.drain().ok());
-        reference = daemon.stateDigest(session.id()).value();
+        for (std::size_t c = 0; c < clients.size(); ++c) {
+            auto handle = daemon.connect(clients[c]);
+            ASSERT_TRUE(handle.ok());
+            SessionHandle session = handle.value();
+            Rng rng(0xCAFE);
+            for (const MemRef &ref2 : traces[c])
+                ASSERT_TRUE(session
+                                .submitRetry(ref2.vaddr, ref2.write,
+                                             rng, 64, 20)
+                                .ok());
+            ASSERT_TRUE(daemon.drain().ok());
+            reference.push_back(
+                daemon.stateDigest(session.id()).value());
+        }
         daemon.stop();
     }
 
-    const TempDir dir("serve_chaos_crash");
-    {
-        // serve.crash fires at an epoch boundary inside a worker:
-        // the daemon transitions to Crashed under live load.
-        ScopedFaults faults("serve.crash:every=2");
-        Mosaicd daemon(chaosConfig(dir.str(), 1));
-        ASSERT_TRUE(daemon.start().ok());
-        auto handle = daemon.connect("alice");
-        ASSERT_TRUE(handle.ok());
-        SessionHandle session = handle.value();
-        Rng rng(0xCAFE);
-        bool sawCrash = false;
-        for (const MemRef &ref : trace) {
-            const Status st = session.submitRetry(
-                ref.vaddr, ref.write, rng, 64, 20);
-            if (!st.ok()) {
-                EXPECT_EQ(st.code(), StatusCode::Internal);
-                sawCrash = true;
-                break;
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const std::size_t tenants = workers == 1 ? 1 : 2;
+        const TempDir dir("serve_chaos_crash");
+        {
+            // serve.crash fires at an epoch boundary inside a
+            // worker: the daemon transitions to Crashed under live
+            // load, and that worker finishes the crash itself.
+            ScopedFaults faults("serve.crash:every=2");
+            Mosaicd daemon(chaosConfig(dir.str(), workers));
+            ASSERT_TRUE(daemon.start().ok());
+            std::vector<SessionHandle> sessions;
+            for (std::size_t c = 0; c < tenants; ++c) {
+                auto handle = daemon.connect(clients[c]);
+                ASSERT_TRUE(handle.ok());
+                sessions.push_back(handle.value());
+            }
+            Rng rng(0xCAFE);
+            bool sawCrash = false;
+            for (std::size_t i = 0; i < 500 && !sawCrash; ++i) {
+                for (std::size_t c = 0; c < tenants; ++c) {
+                    const Status st = sessions[c].submitRetry(
+                        traces[c][i].vaddr, traces[c][i].write, rng,
+                        64, 20);
+                    if (!st.ok()) {
+                        EXPECT_EQ(st.code(), StatusCode::Internal);
+                        sawCrash = true;
+                        break;
+                    }
+                }
+            }
+            if (!sawCrash) {
+                // All submits landed before the crash took effect;
+                // it still must have happened (every=2 on epochs).
+                for (int spin = 0;
+                     spin < 20000 && !daemon.crashed(); ++spin)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(100));
+            }
+            EXPECT_TRUE(daemon.crashed());
+            // After a crash only the submit-side invariant holds:
+            // accepted requests may still be sitting in the ring.
+            for (const SessionHandle &session : sessions) {
+                const SessionSnapshot snap = session.snapshot();
+                EXPECT_EQ(snap.submitted,
+                          snap.accepted + snap.shedTotal());
             }
         }
-        if (!sawCrash) {
-            // All submits landed before the crash took effect;
-            // it still must have happened (every=2 on epochs).
-            for (int spin = 0;
-                 spin < 20000 && !daemon.crashed(); ++spin)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
+        {
+            // Chaos off: the next incarnation recovers and finishes.
+            Mosaicd revived(chaosConfig(dir.str(), workers));
+            ASSERT_TRUE(revived.recoverAndStart().ok());
+            std::vector<SessionHandle> sessions;
+            for (std::size_t c = 0; c < tenants; ++c) {
+                auto handle = revived.attach(clients[c]);
+                ASSERT_TRUE(handle.ok());
+                sessions.push_back(handle.value());
+            }
+            Rng rng(0xFEED);
+            for (std::size_t c = 0; c < tenants; ++c) {
+                const std::vector<MemRef> &trace = traces[c];
+                for (std::size_t i = sessions[c].nextSeq();
+                     i < trace.size(); ++i) {
+                    ASSERT_TRUE(sessions[c]
+                                    .submitRetry(trace[i].vaddr,
+                                                 trace[i].write, rng,
+                                                 64, 20)
+                                    .ok());
+                }
+            }
+            ASSERT_TRUE(revived.drain().ok());
+            for (std::size_t c = 0; c < tenants; ++c) {
+                EXPECT_EQ(
+                    revived.stateDigest(sessions[c].id()).value(),
+                    reference[c])
+                    << clients[c]
+                    << ": crash + recovery must converge to the "
+                       "fault-free state";
+                expectConservation(sessions[c].snapshot());
+            }
+            revived.stop();
         }
-        EXPECT_TRUE(daemon.crashed());
-        // After a crash only the submit-side invariant holds:
-        // accepted requests may still be sitting in the ring.
-        const SessionSnapshot snap = session.snapshot();
-        EXPECT_EQ(snap.submitted,
-                  snap.accepted + snap.shedTotal());
-    }
-    {
-        // Chaos off: the next incarnation recovers and finishes.
-        Mosaicd revived(chaosConfig(dir.str(), 1));
-        ASSERT_TRUE(revived.recoverAndStart().ok());
-        auto handle = revived.attach("alice");
-        ASSERT_TRUE(handle.ok());
-        SessionHandle session = handle.value();
-        Rng rng(0xFEED);
-        for (std::size_t i = session.nextSeq();
-             i < trace.size(); ++i) {
-            ASSERT_TRUE(session
-                            .submitRetry(trace[i].vaddr,
-                                         trace[i].write, rng, 64,
-                                         20)
-                            .ok());
-        }
-        ASSERT_TRUE(revived.drain().ok());
-        EXPECT_EQ(revived.stateDigest(session.id()).value(),
-                  reference)
-            << "crash + recovery must converge to the fault-free "
-               "state";
-        expectConservation(session.snapshot());
-        revived.stop();
     }
 }
 
 TEST(ServeChaos, MultiTenantChaosConservesEveryRequest)
 {
-    // Everything at once: admit faults, log faults, and a worker
-    // stall, two tenants, four workers. Nothing may be lost.
+    // Admit and log faults at once, two tenants, four workers.
+    // Nothing may be lost.
     const TempDir dir("serve_chaos_mixed");
     ScopedFaults faults(
-        "serve.admit:every=70;serve.log.append:every=113;"
-        "serve.worker.stall:every=900,limit=1");
+        "serve.admit:every=70;serve.log.append:every=113");
     Mosaicd daemon(chaosConfig(dir.str(), 4));
     ASSERT_TRUE(daemon.start().ok());
 

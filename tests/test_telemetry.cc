@@ -259,20 +259,25 @@ TEST(BenchReport, WriteHonorsJsonDirAndNoJson)
 
     ::setenv("MOSAIC_JSON_DIR", ::testing::TempDir().c_str(), 1);
     ::unsetenv("MOSAIC_NO_JSON");
-    const auto path = report.write();
-    ASSERT_TRUE(path.has_value());
-    EXPECT_NE(path->find("BENCH_telemetry_selftest.json"),
+    const Result<std::string> path = report.tryWrite();
+    ASSERT_TRUE(path.ok()) << path.status().toString();
+    EXPECT_NE(path.value().find("BENCH_telemetry_selftest.json"),
               std::string::npos);
-    std::ifstream in(*path);
+    std::ifstream in(path.value());
     ASSERT_TRUE(in.good());
     std::stringstream buffer;
     buffer << in.rdbuf();
     expectValidSchema(parseJson(buffer.str()));
-    std::remove(path->c_str());
+    std::remove(path.value().c_str());
+
+    // A directory that does not exist is an IoError, not a skip.
+    ::setenv("MOSAIC_JSON_DIR",
+             (::testing::TempDir() + "/no_such_dir").c_str(), 1);
+    EXPECT_EQ(report.tryWrite().status().code(), StatusCode::IoError);
 
     ::setenv("MOSAIC_NO_JSON", "1", 1);
     EXPECT_FALSE(BenchReport::jsonEnabled());
-    EXPECT_FALSE(report.write().has_value());
+    EXPECT_EQ(report.tryWrite().status().code(), StatusCode::NotFound);
     ::setenv("MOSAIC_NO_JSON", "0", 1);
     EXPECT_TRUE(BenchReport::jsonEnabled());
     ::unsetenv("MOSAIC_NO_JSON");

@@ -5,7 +5,8 @@
  * unreadable input — CI scripts branch on these, so they are API.
  * mosaicd: 0 success, 1 runtime failure, 2 usage. perf_gate: 0
  * pass, 1 regression or failed ratio, 2 usage. tlb_explorer: 0
- * success, 2 usage.
+ * success, 2 usage. Bench binaries (reach_table stands for all of
+ * them): 0 success, 1 when the BENCH_<name>.json write fails.
  */
 
 #include <gtest/gtest.h>
@@ -204,6 +205,16 @@ TEST(ToolsCli, TlbExplorerSmallRunExitsZero)
 {
     EXPECT_EQ(exitCodeOf(std::string(TLB_EXPLORER_BIN) + " gups 0.01 64"),
               0);
+}
+
+TEST(ToolsCli, BenchJsonWriteFailureExitsOne)
+{
+    const TempDir dir("tools_cli_reach_table");
+    const std::string bin = std::string(" ") + REACH_TABLE_BIN;
+    const std::string env = "env -u MOSAIC_NO_JSON MOSAIC_JSON_DIR=";
+    EXPECT_EQ(exitCodeOf(env + dir.str() + "/missing" + bin), 1);
+    EXPECT_EQ(exitCodeOf(env + dir.str() + bin), 0);
+    EXPECT_TRUE(fs::exists(dir.str() + "/BENCH_reach_table.json"));
 }
 
 namespace

@@ -282,12 +282,11 @@ main(int argc, char **argv)
     }
 
     std::printf("mosaicd: accepted=%llu completed=%llu shed=%llu "
-                "replayed=%llu restarts=%llu checkpoints=%llu\n",
+                "replayed=%llu checkpoints=%llu\n",
                 static_cast<unsigned long long>(totals.accepted),
                 static_cast<unsigned long long>(totals.completed),
                 static_cast<unsigned long long>(totals.shedTotal),
                 static_cast<unsigned long long>(totals.replayed),
-                static_cast<unsigned long long>(totals.workerRestarts),
                 static_cast<unsigned long long>(
                     totals.epochCheckpoints));
     if (printDigests) {

@@ -68,6 +68,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "telemetry/json_reader.hh"
 #include "util/parse.hh"
 
@@ -195,10 +197,11 @@ measure(const std::string &binary, std::uint64_t runs,
         const std::string &filter, const std::string &min_time)
 {
     std::map<std::string, double> best;
+    // The pid keeps concurrent gates on same-named binaries apart.
     const fs::path tmp =
         fs::temp_directory_path() /
-        ("perf_gate_" + fs::path(binary).filename().string() +
-         ".json");
+        ("perf_gate_" + std::to_string(::getpid()) + "_" +
+         fs::path(binary).filename().string() + ".json");
     for (std::uint64_t r = 0; r < runs; ++r) {
         std::string cmd = binary +
                           " --benchmark_out_format=json"
