@@ -104,7 +104,6 @@ main()
 
     ShardedVmConfig config;
     config.base.geometry = g;
-    config.base.seed = seed;
     config.shards = shards;
     ShardedMosaicVm vm(config);
 

@@ -57,7 +57,6 @@ runTable3Cell(WorkloadKind kind, const Table3Options &options,
     MosaicVmConfig config;
     config.geometry.numFrames = options.memFrames;
     config.geometry.hashSeed = seed ^ 0xA110C;
-    config.seed = seed;
     MosaicVm vm(config);
 
     VmTouchSink sink(vm, 1);
@@ -111,7 +110,6 @@ runTable4Cell(WorkloadKind kind, const Table4Options &options,
     MosaicVmConfig mosaic_config;
     mosaic_config.geometry.numFrames = options.memFrames;
     mosaic_config.geometry.hashSeed = seed ^ 0xA110C;
-    mosaic_config.seed = seed;
     MosaicVm mosaic_vm(mosaic_config);
 
     VmTouchSink linux_sink(linux_vm, 1);

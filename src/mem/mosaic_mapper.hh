@@ -8,9 +8,7 @@
  * critical path — so the OS allocator and the simulated TLB hardware
  * always agree on candidate buckets.
  *
- * The default hash input is the packed (ASID, VPN) pair. The
- * location-ID sharing extension (paper §2.5) passes a different
- * 64-bit input through the same mapper.
+ * The hash input is the packed (ASID, VPN) pair.
  */
 
 #ifndef MOSAIC_MEM_MOSAIC_MAPPER_HH_

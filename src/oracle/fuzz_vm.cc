@@ -1,9 +1,6 @@
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -61,13 +58,9 @@ mosaicVmCfgFromTrace(const Trace &t, fault::FaultInjector *faults)
         cfg.geometry.slotsPerBucket();
     cfg.geometry.hashSeed = t.cfgUint("hashseed", 1);
     cfg.arity = static_cast<unsigned>(t.cfgUint("arity", 4));
-    cfg.seed = t.cfgUint("seed", 12345);
     cfg.faults = faults;
     cfg.shrinkDelta =
         static_cast<double>(t.cfgUint("shrink_ppm", 20000)) / 1e6;
-    cfg.sharing = t.cfgValue("sharing", "pageid") == "locid"
-                      ? SharingMode::LocationId
-                      : SharingMode::PageIdHash;
     const std::string policy = t.cfgValue("policy", "horizon");
     if (policy == "horizon")
         cfg.policy = EvictionPolicy::HorizonLru;
@@ -101,17 +94,13 @@ class VmHarness
         }
         ensure(kind_ == "mosaic", "fuzzer: unknown vm kind");
         const MosaicVmConfig cfg = mosaicVmCfgFromTrace(t, faults);
-        locMode_ = cfg.sharing == SharingMode::LocationId;
         policy_ = cfg.policy;
-        arity_ = cfg.arity;
-        log2Arity_ = ceilLog2(arity_);
         mvm_ = std::make_unique<MosaicVm>(cfg);
         numFrames_ = cfg.geometry.numFrames;
         usedPre_.resize(numFrames_);
         dirtyPre_.resize(numFrames_);
         lastAccessPre_.resize(numFrames_);
-        ownerPre_.resize(numFrames_);
-        if (!locMode_ && policy_ == EvictionPolicy::HorizonLru)
+        if (policy_ == EvictionPolicy::HorizonLru)
             recency_ = std::make_unique<OracleVm>(OracleVmConfig{0});
     }
 
@@ -125,9 +114,6 @@ class VmHarness
     }
 
   private:
-    using TocKeyM = std::pair<Asid, Mvpn>;
-    using SlotId = std::pair<std::uint64_t, unsigned>;
-
     // ------------------------------------------------------- linux
 
     MaybeDivergence
@@ -254,7 +240,6 @@ class VmHarness
             usedPre_[p] = f.used;
             dirtyPre_[p] = f.dirty;
             lastAccessPre_[p] = f.lastAccess;
-            ownerPre_[p] = f.owner;
         }
         horizonPre_ = mvm_->horizon();
         statsPre_ = mvm_->stats();
@@ -268,59 +253,11 @@ class VmHarness
         return usedPre_[pfn] && lastAccessPre_[pfn] < horizonPre_;
     }
 
-    Vpn
-    vpnOfToc(const TocKeyM &key, unsigned sub) const
-    {
-        return (key.second << log2Arity_) | sub;
-    }
-
     /** Walk one page of the real mosaic page tables. */
     bool
     walkPresent(Asid asid, Vpn vpn)
     {
         return mvm_->pageTable(asid).walk(vpn).present;
-    }
-
-    /** Post-op mirror sweep: detect evictions (a bound page that went
-     *  absent outside @p expectedAbsent was evicted) and track
-     *  residency. A dirty eviction writes a swap copy; a clean one
-     *  leaves whatever copy state the slot already had (the copy a
-     *  clean page was read from usually persists, but a peer ToC's
-     *  unmap may have invalidated it while the frame lived on). */
-    void
-    sweepMirror(const std::set<PageId> &expectedAbsent)
-    {
-        for (auto &[key, group] : boundGroup_) {
-            for (unsigned sub = 0; sub < arity_; ++sub) {
-                const PageId page{key.first, vpnOfToc(key, sub)};
-                const bool now = walkPresent(page.asid, page.vpn);
-                const bool before = prevPresent_[page];
-                if (before && !now && !expectedAbsent.contains(page)) {
-                    if (slotFrameWasDirty(group, sub))
-                        slotSwap_[SlotId{group, sub}] = true;
-                }
-                prevPresent_[page] = now;
-            }
-        }
-    }
-
-    /** Dirty bit, at the start of the current op, of the frame that
-     *  backed slot (group, sub). The frame's owner is whichever group
-     *  member faulted it in, so it is found by owner scan. */
-    bool
-    slotFrameWasDirty(std::uint64_t group, unsigned sub) const
-    {
-        const auto &members = groups_.at(group);
-        for (Pfn p = 0; p < numFrames_; ++p) {
-            if (!usedPre_[p])
-                continue;
-            for (const TocKeyM &peer : members) {
-                if (ownerPre_[p] ==
-                        PageId{peer.first, vpnOfToc(peer, sub)})
-                    return dirtyPre_[p];
-            }
-        }
-        return false;
     }
 
     MaybeDivergence
@@ -335,32 +272,12 @@ class VmHarness
         case 'u':
             bad = mosaicUnmap(op, idx, dg);
             break;
-        case 's':
-            bad = mosaicShare(op, idx, applied, dg);
-            break;
         default:
             *applied = false;
             return std::nullopt;
         }
-        if (bad || !*applied)
+        if (bad)
             return bad;
-        if (locMode_ && op.kind == 't') {
-            // Record evictions the touch caused (a bound page that
-            // went absent must now have a swap copy) before the next
-            // op's expectations are computed.
-            sweepMirror({});
-        }
-        if (locMode_) {
-            if (mvm_->locationBindings() != boundGroup_.size()) {
-                return diverge(idx, "mosaic bindings: real=" +
-                    std::to_string(mvm_->locationBindings()) +
-                    " mirror=" + std::to_string(boundGroup_.size()));
-            }
-            if (mvm_->locationUsers() != mvm_->locationBindings()) {
-                return diverge(idx, "mosaic location user lists out of "
-                    "sync with bindings");
-            }
-        }
         if (policy_ != EvictionPolicy::HorizonLru &&
                 mvm_->ghostPages() != 0) {
             return diverge(idx, "mosaic: ghost pages under a policy "
@@ -371,17 +288,6 @@ class VmHarness
         return std::nullopt;
     }
 
-    /** Bind a ToC in the mirror if needed (mirrors locationIdFor). */
-    void
-    mirrorBind(const TocKeyM &key)
-    {
-        if (!boundGroup_.contains(key)) {
-            const std::uint64_t g = nextGroup_++;
-            boundGroup_.emplace(key, g);
-            groups_[g].push_back(key);
-        }
-    }
-
     MaybeDivergence
     mosaicTouch(const TraceOp &op, std::size_t idx, Digest &dg)
     {
@@ -389,28 +295,10 @@ class VmHarness
         const Vpn vpn = op.arg(1);
         const bool write = op.arg(2) != 0;
         snapshotPre();
+        const bool present = walkPresent(asid, vpn);
 
-        const TocKeyM key{asid, vpn >> log2Arity_};
-        const unsigned sub = static_cast<unsigned>(vpn & (arity_ - 1));
-        const bool ownPresent = walkPresent(asid, vpn);
-
-        bool aliasPresent = false;
-        if (locMode_ && !ownPresent) {
-            if (const auto it = boundGroup_.find(key);
-                    it != boundGroup_.end()) {
-                for (const TocKeyM &peer : groups_.at(it->second)) {
-                    if (peer == key)
-                        continue;
-                    if (walkPresent(peer.first, vpnOfToc(peer, sub))) {
-                        aliasPresent = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // PageIdHash mode: re-derive the exact placement decision from
-        // the public allocator before the touch mutates anything.
+        // Re-derive the exact placement decision from the public
+        // allocator before the touch mutates anything.
         bool predicted = false;
         bool predMajor = false;
         Pfn predPfn = invalidPfn;
@@ -419,8 +307,7 @@ class VmHarness
         Tick predHorizon = horizonPre_;
         std::int64_t predGhostDelta = 0, predResidentDelta = 0;
         std::optional<PageId> predVictim;
-        if (!locMode_ && !ownPresent &&
-                policy_ != EvictionPolicy::ShrunkenCache) {
+        if (!present && policy_ != EvictionPolicy::ShrunkenCache) {
             predicted = true;
             const std::uint64_t hin = packPageId(PageId{asid, vpn});
             predMajor = mvm_->swapDevice().contains(hin);
@@ -465,9 +352,7 @@ class VmHarness
         const Pfn pfn = mvm_->touch(asid, vpn, write);
         dg.mix('t');
         dg.mix(pfn);
-        if (locMode_)
-            mirrorBind(key);
-        else if (recency_)
+        if (recency_)
             recency_->touch(asid, vpn, write);
 
         const VmStats &s = mvm_->stats();
@@ -507,29 +392,25 @@ class VmHarness
             return diverge(idx, "mosaic horizon moved backwards");
         }
 
-        if (ownPresent || aliasPresent) {
-            // Hit or sharer adoption: no allocation happened, so ghost
-            // count may only move by rescuing this very frame.
+        if (present) {
+            // Hit: no allocation happened, so ghost count may only
+            // move by rescuing this very frame.
             const bool wasGhost = wasGhostPre(pfn);
             const std::int64_t expRescue = wasGhost ? 1 : 0;
             if (dConflicts != 0 || dGhostEvicts != 0 || dSwapOuts != 0 ||
                     dSwapIns != 0 || dMajor != 0 || dResident != 0) {
-                return diverge(idx, "mosaic " +
-                    std::string(ownPresent ? "hit" : "adoption") + " of " +
+                return diverge(idx, "mosaic hit of " +
                     pageStr(asid, vpn) + " changed allocation counters");
             }
-            if (dMinor != (ownPresent ? 0 : 1)) {
-                return diverge(idx, "mosaic " +
-                    std::string(ownPresent ? "hit" : "adoption") + " of " +
+            if (dMinor != 0) {
+                return diverge(idx, "mosaic hit of " +
                     pageStr(asid, vpn) + ": unexpected minor faults");
             }
             if (mvm_->horizon() != horizonPre_) {
-                return diverge(idx, "mosaic hit/adoption raised the "
-                    "horizon");
+                return diverge(idx, "mosaic hit raised the horizon");
             }
             if (dGhosts != -expRescue || dRescues != expRescue) {
-                return diverge(idx, "mosaic " +
-                    std::string(ownPresent ? "hit" : "adoption") + " of " +
+                return diverge(idx, "mosaic hit of " +
                     pageStr(asid, vpn) + (wasGhost
                         ? " on a ghost frame: ghostPages moved by " +
                           std::to_string(dGhosts) + " but ghostRescues "
@@ -538,8 +419,7 @@ class VmHarness
             }
             const bool expDirty = dirtyPre_[pfn] || write;
             if (f.dirty != expDirty) {
-                return diverge(idx, "mosaic hit/adoption dirty bit "
-                    "mismatch");
+                return diverge(idx, "mosaic hit dirty bit mismatch");
             }
             return std::nullopt;
         }
@@ -630,48 +510,22 @@ class VmHarness
         const std::size_t n = op.arg(2);
         snapshotPre();
 
-        // PageIdHash mode: the exact set of frames and swap copies the
-        // unmap must release is knowable up front.
+        // The exact set of frames and swap copies the unmap must
+        // release is knowable up front.
         std::int64_t predFreed = 0, predGhostsFreed = 0, predSwapDrop = 0;
-        if (!locMode_) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint64_t hin =
-                    packPageId(PageId{asid, vpn + i});
-                if (mvm_->swapDevice().contains(hin))
-                    ++predSwapDrop;
-                const MosaicWalkResult walk =
-                    mvm_->pageTable(asid).walk(vpn + i);
-                if (walk.present) {
-                    ++predFreed;
-                    const Pfn pfn = mvm_->allocator().mapper().toPfn(
-                        mvm_->allocator().mapper().candidates(hin),
-                        walk.cpfn);
-                    if (wasGhostPre(pfn))
-                        ++predGhostsFreed;
-                }
-            }
-        }
-
-        // LocationId mode: which slots the unmap covers, and which
-        // ToCs may lose their binding, mirrors unmapRange exactly.
-        std::set<SlotId> coveredSlots;
-        std::set<PageId> coveredPages;
-        std::set<TocKeyM> affected;
-        if (locMode_) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const Vpn v = vpn + i;
-                const TocKeyM key{asid, v >> log2Arity_};
-                const auto it = boundGroup_.find(key);
-                if (it == boundGroup_.end())
-                    continue;
-                const unsigned sub =
-                    static_cast<unsigned>(v & (arity_ - 1));
-                coveredSlots.insert(SlotId{it->second, sub});
-                for (const TocKeyM &peer : groups_.at(it->second)) {
-                    affected.insert(peer);
-                    coveredPages.insert(
-                        PageId{peer.first, vpnOfToc(peer, sub)});
-                }
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t hin = packPageId(PageId{asid, vpn + i});
+            if (mvm_->swapDevice().contains(hin))
+                ++predSwapDrop;
+            const MosaicWalkResult walk =
+                mvm_->pageTable(asid).walk(vpn + i);
+            if (walk.present) {
+                ++predFreed;
+                const Pfn pfn = mvm_->allocator().mapper().toPfn(
+                    mvm_->allocator().mapper().candidates(hin),
+                    walk.cpfn);
+                if (wasGhostPre(pfn))
+                    ++predGhostsFreed;
             }
         }
 
@@ -710,126 +564,21 @@ class VmHarness
         const std::int64_t dSwap =
             static_cast<std::int64_t>(mvm_->swapDevice().pagesStored()) -
             static_cast<std::int64_t>(swapPre);
-        if (!locMode_) {
-            if (dResident != -predFreed) {
-                return diverge(idx, "mosaic unmap freed " +
-                    std::to_string(-dResident) + " frames, expected " +
-                    std::to_string(predFreed));
-            }
-            if (dGhosts != -predGhostsFreed) {
-                return diverge(idx, "mosaic unmap ghost accounting: "
-                    "moved " + std::to_string(dGhosts) + ", expected " +
-                    std::to_string(-predGhostsFreed));
-            }
-            if (dSwap != -predSwapDrop) {
-                return diverge(idx, "mosaic unmap dropped " +
-                    std::to_string(-dSwap) + " swap copies, expected " +
-                    std::to_string(predSwapDrop));
-            }
-        } else {
-            if (dResident > 0 || dSwap > 0) {
-                return diverge(idx, "mosaic unmap grew resident or "
-                    "swap population");
-            }
-            std::int64_t expSwapDrop = 0;
-            for (const SlotId &slot : coveredSlots) {
-                if (slotSwap_[slot])
-                    ++expSwapDrop;
-                slotSwap_[slot] = false;
-            }
-            if (dSwap != -expSwapDrop) {
-                return diverge(idx, "mosaic unmap dropped " +
-                    std::to_string(-dSwap) + " swap copies, slot mirror "
-                    "expected " + std::to_string(expSwapDrop));
-            }
-            sweepMirror(coveredPages);
-            // Binding-death mirror of releaseBindingIfDead: a ToC's
-            // binding survives iff any of its pages is still mapped or
-            // any of its group's slots still has a swap copy.
-            for (const TocKeyM &key : affected) {
-                const auto it = boundGroup_.find(key);
-                if (it == boundGroup_.end())
-                    continue;
-                const std::uint64_t g = it->second;
-                bool alive = false;
-                for (unsigned sub = 0; sub < arity_ && !alive; ++sub) {
-                    if (walkPresent(key.first, vpnOfToc(key, sub)) ||
-                            slotSwap_[SlotId{g, sub}])
-                        alive = true;
-                }
-                if (alive)
-                    continue;
-                auto &members = groups_.at(g);
-                std::erase(members, key);
-                if (members.empty())
-                    groups_.erase(g);
-                boundGroup_.erase(it);
-                for (unsigned sub = 0; sub < arity_; ++sub)
-                    prevPresent_.erase(
-                        PageId{key.first, vpnOfToc(key, sub)});
-            }
+        if (dResident != -predFreed) {
+            return diverge(idx, "mosaic unmap freed " +
+                std::to_string(-dResident) + " frames, expected " +
+                std::to_string(predFreed));
         }
-        return std::nullopt;
-    }
-
-    MaybeDivergence
-    mosaicShare(const TraceOp &op, std::size_t idx, bool *applied,
-                Digest &dg)
-    {
-        const Asid sa = static_cast<Asid>(op.arg(0));
-        const Vpn sv = op.arg(1);
-        const Asid da = static_cast<Asid>(op.arg(2));
-        const Vpn dv = op.arg(3);
-        const std::size_t n = op.arg(4);
-
-        // Deterministic validity rules; an invalid share is skipped so
-        // that every subsequence of a trace replays identically.
-        bool valid = locMode_ && sa != da && n > 0 && n % arity_ == 0 &&
-                     (sv & (arity_ - 1)) == 0 && (dv & (arity_ - 1)) == 0;
-        for (std::size_t i = 0; valid && i < n; i += arity_) {
-            if (boundGroup_.contains(
-                    TocKeyM{da, (dv + i) >> log2Arity_}))
-                valid = false;
+        if (dGhosts != -predGhostsFreed) {
+            return diverge(idx, "mosaic unmap ghost accounting: moved " +
+                std::to_string(dGhosts) + ", expected " +
+                std::to_string(-predGhostsFreed));
         }
-        if (!valid) {
-            *applied = false;
-            return std::nullopt;
+        if (dSwap != -predSwapDrop) {
+            return diverge(idx, "mosaic unmap dropped " +
+                std::to_string(-dSwap) + " swap copies, expected " +
+                std::to_string(predSwapDrop));
         }
-        snapshotPre();
-        mvm_->shareRange(sa, sv, da, dv, n);
-        dg.mix('s');
-        dg.mix(mix(sa, sv, da, dv));
-
-        for (std::size_t i = 0; i < n; i += arity_) {
-            const TocKeyM src{sa, (sv + i) >> log2Arity_};
-            const TocKeyM dst{da, (dv + i) >> log2Arity_};
-            mirrorBind(src);
-            const std::uint64_t g = boundGroup_.at(src);
-            boundGroup_.emplace(dst, g);
-            groups_[g].push_back(dst);
-        }
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const MosaicWalkResult src =
-                mvm_->pageTable(sa).walk(sv + i);
-            const MosaicWalkResult dst =
-                mvm_->pageTable(da).walk(dv + i);
-            if (src.present != dst.present ||
-                    (src.present && src.cpfn != dst.cpfn)) {
-                return diverge(idx, "mosaic share: destination mapping "
-                    "of " + pageStr(da, dv + i) +
-                    " does not mirror the source");
-            }
-        }
-        const VmStats &s = mvm_->stats();
-        if (s.faults() != statsPre_.faults() ||
-                s.swapOuts != statsPre_.swapOuts ||
-                mvm_->residentPages() != residentPre_ ||
-                mvm_->horizon() != horizonPre_) {
-            return diverge(idx, "mosaic share changed fault or "
-                "residency state");
-        }
-        sweepMirror({});
         return std::nullopt;
     }
 
@@ -848,25 +597,21 @@ class VmHarness
                 ++ghosts;
             else
                 live.push_back(f.owner);
-            if (!locMode_) {
-                // CPFN round trip: the owner's page-table entry must
-                // decode back to exactly this frame.
-                const MosaicWalkResult walk =
-                    mvm_->pageTable(f.owner.asid).walk(f.owner.vpn);
-                if (!walk.present) {
-                    return diverge(idx, "mosaic deep: owner of frame " +
-                        std::to_string(p) + " not mapped");
-                }
-                const CandidateSet cand =
-                    mvm_->allocator().mapper().candidates(
-                        packPageId(f.owner));
-                if (mvm_->allocator().mapper().toPfn(cand, walk.cpfn) !=
-                            p ||
-                        mvm_->allocator().mapper().toCpfn(cand, p) !=
-                            walk.cpfn) {
-                    return diverge(idx, "mosaic deep: CPFN round trip "
-                        "failed for frame " + std::to_string(p));
-                }
+            // CPFN round trip: the owner's page-table entry must
+            // decode back to exactly this frame.
+            const MosaicWalkResult walk =
+                mvm_->pageTable(f.owner.asid).walk(f.owner.vpn);
+            if (!walk.present) {
+                return diverge(idx, "mosaic deep: owner of frame " +
+                    std::to_string(p) + " not mapped");
+            }
+            const CandidateSet cand =
+                mvm_->allocator().mapper().candidates(packPageId(f.owner));
+            if (mvm_->allocator().mapper().toPfn(cand, walk.cpfn) != p ||
+                    mvm_->allocator().mapper().toCpfn(cand, p) !=
+                        walk.cpfn) {
+                return diverge(idx, "mosaic deep: CPFN round trip "
+                    "failed for frame " + std::to_string(p));
             }
         }
         if (used != mvm_->residentPages()) {
@@ -915,29 +660,16 @@ class VmHarness
     // mosaic
     std::unique_ptr<MosaicVm> mvm_;
     EvictionPolicy policy_ = EvictionPolicy::HorizonLru;
-    bool locMode_ = false;
-    unsigned arity_ = 4;
-    unsigned log2Arity_ = 2;
     std::size_t numFrames_ = 0;
     std::vector<std::uint8_t> usedPre_;
     std::vector<std::uint8_t> dirtyPre_;
     std::vector<Tick> lastAccessPre_;
-    std::vector<PageId> ownerPre_;
     Tick horizonPre_ = 0;
     VmStats statsPre_;
     std::size_t residentPre_ = 0;
     std::size_t ghostPre_ = 0;
 
-    // LocationId mirror: ToC -> group, group -> members, slot -> does
-    // the swap device hold a copy, page -> was it mapped after the
-    // previous op.
-    std::map<TocKeyM, std::uint64_t> boundGroup_;
-    std::map<std::uint64_t, std::vector<TocKeyM>> groups_;
-    std::uint64_t nextGroup_ = 1;
-    std::map<SlotId, bool> slotSwap_;
-    std::map<PageId, bool> prevPresent_;
-
-    // PageIdHash + HorizonLru: unbounded recency oracle.
+    // HorizonLru: unbounded recency oracle.
     std::unique_ptr<OracleVm> recency_;
 };
 
@@ -1049,19 +781,6 @@ class VmBatchShadow
                 static_cast<MosaicVm &>(*batchVm_)
                     .unmapRange(asid, vpn, n);
             }
-            return compare(idx);
-        }
-        case 's': {
-            // The harness only reports valid shares as applied.
-            if (MaybeDivergence bad = drain(idx))
-                return bad;
-            const Asid da = static_cast<Asid>(op.arg(2));
-            const Vpn dv = op.arg(3);
-            const std::size_t n = op.arg(4);
-            static_cast<MosaicVm &>(*scalarVm_)
-                .shareRange(asid, vpn, da, dv, n);
-            static_cast<MosaicVm &>(*batchVm_)
-                .shareRange(asid, vpn, da, dv, n);
             return compare(idx);
         }
         default:
@@ -1211,8 +930,7 @@ generateMosaicVm(Rng &rng, std::size_t numOps)
     static constexpr unsigned arities[] = {1, 2, 4, 8};
     const unsigned arity = arities[rng.below(4)];
     t.setCfgUint("arity", arity);
-    const bool locMode = rng.chance(0.35);
-    t.setCfg("sharing", locMode ? "locid" : "pageid");
+    t.setCfg("sharing", "pageid");
     static constexpr const char *policies[] = {"horizon", "local",
                                                "shrunken"};
     t.setCfg("policy", policies[rng.pickWeighted({0.6, 0.2, 0.2})]);
@@ -1227,54 +945,23 @@ generateMosaicVm(Rng &rng, std::size_t numOps)
         2, frames * (120 + rng.below(180)) / 100 / arity / numAsids);
     const std::uint64_t universe = numTocs * arity;
 
-    // Track which ToCs shares have probably bound, to emit mostly
-    // valid share ops (the harness skips the rest deterministically).
-    std::set<std::pair<Asid, std::uint64_t>> bound;
-
     for (std::size_t i = 0; i < numOps; ++i) {
         TraceOp op;
-        const double shareWeight =
-            (locMode && numAsids >= 2) ? 0.06 : 0.0;
-        const unsigned which =
-            rng.pickWeighted({0.82, 0.12, shareWeight});
+        const bool touch = rng.pickWeighted({0.82, 0.12}) == 0;
         const Asid asid = static_cast<Asid>(1 + rng.below(numAsids));
-        if (which == 0) {
+        op.nargs = 3;
+        op.args[0] = asid;
+        if (touch) {
             op.kind = 't';
-            op.nargs = 3;
             const std::uint64_t mvpn = rng.chance(0.5)
                 ? rng.below(std::max<std::uint64_t>(1, numTocs / 4))
                 : rng.below(numTocs);
-            op.args[0] = asid;
             op.args[1] = mvpn * arity + rng.below(arity);
             op.args[2] = rng.chance(0.35) ? 1 : 0;
-            if (locMode)
-                bound.insert({asid, mvpn});
-        } else if (which == 1) {
+        } else {
             op.kind = 'u';
-            op.nargs = 3;
-            op.args[0] = asid;
             op.args[1] = rng.below(universe);
             op.args[2] = 1 + rng.below(2 * std::uint64_t{arity});
-        } else {
-            op.kind = 's';
-            op.nargs = 5;
-            Asid da = static_cast<Asid>(1 + rng.below(numAsids));
-            while (da == asid)
-                da = static_cast<Asid>(1 + rng.below(numAsids));
-            const std::uint64_t srcMvpn = rng.below(numTocs);
-            std::uint64_t dstMvpn = rng.below(numTocs);
-            for (unsigned tries = 0;
-                 tries < 8 && bound.contains({da, dstMvpn}); ++tries)
-                dstMvpn = rng.below(numTocs);
-            const std::uint64_t span = 1 + rng.below(2);
-            op.args[0] = asid;
-            op.args[1] = srcMvpn * arity;
-            op.args[2] = da;
-            op.args[3] = dstMvpn * arity;
-            op.args[4] = span * arity;
-            bound.insert({asid, srcMvpn});
-            for (std::uint64_t j = 0; j < span; ++j)
-                bound.insert({da, dstMvpn + j});
         }
         t.ops.push_back(op);
     }

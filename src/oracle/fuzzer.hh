@@ -21,15 +21,13 @@
  *  - vm/linux: full lockstep against the bounded OracleVm — fault
  *    kinds, all swap/fault counters, resident set, swap population,
  *    per-frame dirty bits and access times;
- *  - vm/mosaic (PageIdHash): the exact placement rule re-derived from
+ *  - vm/mosaic: the exact placement rule re-derived from
  *    MosaicAllocator, predicted PFN/victim/horizon/conflict/ghost
- *    accounting per touch, per-frame CPFN round trips, ghost-count
- *    scans, and (under HorizonLru) the live-set == global-LRU-top-L
- *    equivalence against an unbounded OracleVm;
- *  - vm/mosaic (LocationId): a slot-level alias mirror validating
- *    hits, sharer adoption, ghost-rescue accounting, binding
- *    lifetimes (creation, sharing, release-on-death) and swap
- *    population;
+ *    accounting per touch (every policy but ShrunkenCache), the exact
+ *    frames, ghosts and swap copies each unmap releases, per-frame
+ *    CPFN round trips, ghost-count scans, and (under HorizonLru) the
+ *    live-set == global-LRU-top-L equivalence against an unbounded
+ *    OracleVm;
  *  - tlb (every registry design kind): one harness builds the real
  *    design and its recency-list reference model from one parsed
  *    registry spec and checks the cached translation (PFN, or CPFN

@@ -1,8 +1,11 @@
 #include "oracle/trace.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "oracle/fuzzer.hh"
@@ -160,6 +163,26 @@ tryWriteTraceFile(const std::string &path, const Trace &trace)
     return Status();
 }
 
+namespace
+{
+
+/** invalidArgument unless @p key's value is one of @p allowed; an
+ *  absent key takes the first, the harnesses' default. */
+Status
+checkCfgEnum(const Trace &trace, const std::string &path,
+             const std::string &key,
+             std::initializer_list<std::string_view> allowed)
+{
+    const std::string value =
+        trace.cfgValue(key, std::string(*allowed.begin()));
+    if (std::ranges::find(allowed, value) != allowed.end())
+        return Status();
+    return Status::invalidArgument("trace: unsupported 'cfg " + key +
+                                   " " + value + "' in '" + path + "'");
+}
+
+} // namespace
+
 Result<Trace>
 tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
 {
@@ -192,12 +215,19 @@ tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
         return Status::invalidArgument(
             "trace: unknown component '" + trace.component + "' in '" +
             path + "'");
-    // The sharded engine refuses location-ID sharing (DESIGN.md §17).
-    if (trace.component == "vm-shard" &&
-            trace.cfgValue("sharing", "pageid") == "locid")
-        return Status::invalidArgument(
-            "trace: vm-shard does not support 'cfg sharing locid' in '" +
-            path + "'");
+    // The vm harnesses read these keys as enums (DESIGN.md §10): a
+    // value they do not know is unreadable input, not a crash.
+    if (trace.component == "vm" || trace.component == "vm-shard") {
+        Status status =
+            checkCfgEnum(trace, path, "kind", {"mosaic", "linux"});
+        if (status.ok())
+            status = checkCfgEnum(trace, path, "policy",
+                                  {"horizon", "local", "shrunken"});
+        if (status.ok())
+            status = checkCfgEnum(trace, path, "sharing", {"pageid"});
+        if (!status.ok())
+            return status;
+    }
     return parsed;
 }
 

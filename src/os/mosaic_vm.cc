@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
+#include <optional>
 
 namespace mosaic
 {
@@ -11,7 +11,6 @@ MosaicVm::MosaicVm(const MosaicVmConfig &config)
     : config_(config),
       allocator_(config.geometry),
       frames_(config.geometry.numFrames),
-      rng_(config.seed),
       ghosts_(config.geometry.numFrames)
 {
     liveCap_ = config_.policy == EvictionPolicy::ShrunkenCache
@@ -66,171 +65,38 @@ MosaicVm::noteFrameFreed(Pfn pfn)
     ghosts_.noteFreed(pfn, isGhostFrame(pfn));
 }
 
-std::uint64_t
-MosaicVm::locationIdFor(Asid asid, Vpn vpn)
-{
-    MosaicPageTable &pt = pageTable(asid);
-    const TocKey key{asid, pt.mvpnOf(vpn)};
-    if (const std::uint64_t *bound = locationIds_.find(key))
-        return *bound;
-    // Random IDs per §2.5: collisions are tolerable because
-    // iceberg hashing is robust to a few duplicate inputs.
-    const std::uint64_t loc_id = rng_() >> 6;
-    locationIds_[key] = loc_id;
-    locUsers_[loc_id].push_back(key);
-    return loc_id;
-}
-
-std::uint64_t
-MosaicVm::hashInputFor(Asid asid, Vpn vpn)
-{
-    if (config_.sharing == SharingMode::PageIdHash)
-        return packPageId(PageId{asid, vpn});
-    const std::uint64_t loc_id = locationIdFor(asid, vpn);
-    return (loc_id << 6) | pageTable(asid).offsetOf(vpn);
-}
-
-std::optional<std::uint64_t>
-MosaicVm::hashInputIfBound(Asid asid, Vpn vpn)
-{
-    if (config_.sharing == SharingMode::PageIdHash)
-        return packPageId(PageId{asid, vpn});
-    MosaicPageTable &pt = pageTable(asid);
-    const std::uint64_t *bound =
-        locationIds_.find(TocKey{asid, pt.mvpnOf(vpn)});
-    if (!bound)
-        return std::nullopt;
-    return (*bound << 6) | pt.offsetOf(vpn);
-}
-
-void
-MosaicVm::releaseBindingIfDead(const TocKey &key)
-{
-    const std::uint64_t *bound = locationIds_.find(key);
-    if (!bound)
-        return;
-    const std::uint64_t loc_id = *bound;
-    MosaicPageTable &pt = pageTable(key.asid);
-    const Vpn base = key.mvpn << ceilLog2(config_.arity);
-    for (unsigned sub = 0; sub < config_.arity; ++sub) {
-        if (pt.walk(base + sub).present ||
-                swap_.contains((loc_id << 6) | sub))
-            return;
-    }
-    // No sub-page of the ToC is resident or swapped out: the binding
-    // can never be referenced again, so drop it. Without this,
-    // locationIds_/locUsers_ grow without bound across map/unmap
-    // cycles and the sharer-adoption scan in touch() slows down.
-    if (auto *users = locUsers_.find(loc_id)) {
-        std::erase(*users, key);
-        if (users->empty())
-            locUsers_.erase(loc_id);
-    }
-    locationIds_.erase(key);
-}
-
 void
 MosaicVm::evictFrame(Pfn pfn)
 {
     const Frame &f = frames_.frame(pfn);
-    const std::uint64_t key = hashInputFor(f.owner.asid, f.owner.vpn);
     if (f.dirty) {
-        swap_.writeOut(key);
+        swap_.writeOut(packPageId(f.owner));
         ++stats_.swapOuts;
         if (stats_.firstSwapOutUtilization < 0)
             stats_.firstSwapOutUtilization = frames_.utilization();
     }
-    forEachMapping(pfn, [this](Asid asid, Vpn vpn) {
-        pageTable(asid).clearCpfn(vpn);
-    });
-    sharers_.erase(pfn);
+    pageTable(f.owner.asid).clearCpfn(f.owner.vpn);
     noteFrameFreed(pfn);
     frames_.unmap(pfn);
-    // No binding release here: an evicted page always leaves a swap
-    // copy behind (fresh pages are born dirty, and swap copies
-    // persist after swap-in), so its ToC's binding is still live.
 }
 
 void
 MosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
 {
     MosaicPageTable &pt = pageTable(asid);
-    const bool loc_mode = config_.sharing == SharingMode::LocationId;
-
-    // Every ToC whose binding may die with this unmap: the caller's
-    // own ToCs in range, plus every sharer of their location IDs
-    // (their mappings are torn down too, whether resident or not).
-    std::set<TocKey> affected;
-
     for (std::size_t i = 0; i < npages; ++i) {
         const Vpn v = vpn + i;
-        const std::optional<std::uint64_t> key = hashInputIfBound(asid, v);
-        if (!key) {
-            // LocationId mode, ToC never bound: nothing was ever
-            // mapped or swapped under it. Looking it up with
-            // hashInputFor here would *create* the binding we are
-            // trying not to leak.
-            continue;
-        }
-        if (loc_mode) {
-            if (const auto *users = locUsers_.find(*key >> 6))
-                affected.insert(users->begin(), users->end());
-        }
-        swap_.invalidate(*key);
+        const std::uint64_t key = packPageId(PageId{asid, v});
+        swap_.invalidate(key);
         const MosaicWalkResult walk = pt.walk(v);
         if (!walk.present)
             continue;
-        const Pfn pfn = allocator_.mapper().pfnOf(*key, walk.cpfn);
         // Unlike eviction, releasing a range writes nothing back:
-        // the contents are dead. Clear every mapping of the frame
-        // (shared ToCs release for all sharers at once).
-        forEachMapping(pfn, [this](Asid a, Vpn vp) {
-            pageTable(a).clearCpfn(vp);
-        });
-        sharers_.erase(pfn);
+        // the contents are dead.
+        const Pfn pfn = allocator_.mapper().pfnOf(key, walk.cpfn);
+        pt.clearCpfn(v);
         noteFrameFreed(pfn);
         frames_.unmap(pfn);
-    }
-
-    for (const TocKey &key : affected)
-        releaseBindingIfDead(key);
-}
-
-void
-MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
-                     Vpn dst_vpn, std::size_t npages)
-{
-    ensure(config_.sharing == SharingMode::LocationId,
-           "mosaic_vm: sharing requires LocationId mode");
-    MosaicPageTable &src_pt = pageTable(src_asid);
-    MosaicPageTable &dst_pt = pageTable(dst_asid);
-    const unsigned arity = config_.arity;
-    ensure(src_pt.offsetOf(src_vpn) == 0 && dst_pt.offsetOf(dst_vpn) == 0,
-           "mosaic_vm: share range must be mosaic-aligned");
-    ensure(npages % arity == 0,
-           "mosaic_vm: share range must cover whole mosaic pages");
-
-    for (std::size_t i = 0; i < npages; i += arity) {
-        // Bind the destination ToC to the source's location ID.
-        const std::uint64_t loc_id = locationIdFor(src_asid, src_vpn + i);
-        const TocKey dst_key{dst_asid, dst_pt.mvpnOf(dst_vpn + i)};
-        ensure(!locationIds_.contains(dst_key),
-               "mosaic_vm: destination ToC already bound");
-        locationIds_[dst_key] = loc_id;
-        locUsers_[loc_id].push_back(dst_key);
-
-        // Make already-resident sub-pages visible immediately.
-        for (unsigned sub = 0; sub < arity; ++sub) {
-            const Vpn sv = src_vpn + i + sub;
-            const Vpn dv = dst_vpn + i + sub;
-            const MosaicWalkResult walk = src_pt.walk(sv);
-            if (walk.present) {
-                dst_pt.setCpfn(dv, walk.cpfn);
-                const Pfn pfn = allocator_.mapper().pfnOf(
-                    hashInputFor(src_asid, sv), walk.cpfn);
-                sharers_[pfn].emplace_back(dst_asid, dv);
-            }
-        }
     }
 }
 
@@ -239,26 +105,21 @@ MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
     ++clock_;
     // A page keeps a frame it owns mapped for as long as the frame is
-    // used by it, in both sharing modes (DESIGN.md §12.1), so the
-    // last touch's frame, still owned by this page, is where the walk
-    // would lead.
-    if (frames_.holds(lastPfn_, PageId{asid, vpn}))
+    // used by it (DESIGN.md §12.1), so the last touch's frame, still
+    // owned by this page, is where the walk would lead.
+    const PageId id{asid, vpn};
+    if (frames_.holds(lastPfn_, id))
         return touchResident(lastPfn_, write);
     // Walk before hashing: a resident page's CPFN names the one hash
     // output its PFN needs, so only a fault computes the full
-    // candidate set. An unbound LocationId ToC has nothing mapped,
-    // and binding it (which draws the RNG) is the fault path's job.
-    if (const std::optional<std::uint64_t> bound =
-            hashInputIfBound(asid, vpn)) {
-        const MosaicWalkResult walk = pageTable(asid).walk(vpn);
-        if (walk.present) {
-            lastPfn_ = allocator_.mapper().pfnOf(*bound, walk.cpfn);
-            return touchResident(lastPfn_, write);
-        }
-        return lastPfn_ = touchAbsent(asid, vpn, write, *bound);
+    // candidate set.
+    const std::uint64_t hash_input = packPageId(id);
+    const MosaicWalkResult walk = pageTable(asid).walk(vpn);
+    if (walk.present) {
+        lastPfn_ = allocator_.mapper().pfnOf(hash_input, walk.cpfn);
+        return touchResident(lastPfn_, write);
     }
-    return lastPfn_ =
-               touchAbsent(asid, vpn, write, hashInputFor(asid, vpn));
+    return lastPfn_ = touchAbsent(asid, vpn, write, hash_input);
 }
 
 Pfn
@@ -284,34 +145,6 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
     // touchBatch re-checks each walk it gathered against its frame.
     MosaicPageTable &pt = pageTable(asid);
     const bool major = swap_.contains(hash_input);
-
-    if (config_.sharing == SharingMode::LocationId) {
-        // Another mapping of the same ToC may already have the page
-        // resident: adopt its frame instead of allocating.
-        const std::uint64_t loc_id = locationIdFor(asid, vpn);
-        const unsigned offset = pt.offsetOf(vpn);
-        for (const TocKey &user : locUsers_[loc_id]) {
-            if (user.asid == asid && user.mvpn == pt.mvpnOf(vpn))
-                continue;
-            MosaicPageTable &peer_pt = pageTable(user.asid);
-            const Vpn peer_vpn =
-                (user.mvpn << ceilLog2(config_.arity)) | offset;
-            const MosaicWalkResult peer = peer_pt.walk(peer_vpn);
-            if (peer.present) {
-                // The peer's ToC shares this location ID, so its CPFN
-                // decodes against the same hash input. Adopting a
-                // ghost frame rescues it exactly like a direct hit.
-                const Pfn pfn =
-                    allocator_.mapper().pfnOf(hash_input, peer.cpfn);
-                pt.setCpfn(vpn, peer.cpfn);
-                sharers_[pfn].emplace_back(asid, vpn);
-                touchResident(pfn, write);
-                ++stats_.minorFaults;
-                return pfn;
-            }
-        }
-    }
-
     const CandidateSet cand = allocator_.mapper().candidates(hash_input);
 
     // ShrunkenCache holds live pages below (1 - delta)p by evicting
@@ -388,10 +221,8 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
 void
 MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
 {
-    // LocationId hash inputs are derived statefully (binding creation
-    // draws the RNG), so staging them out of order would change
-    // observable state; trivial blocks have nothing to amortize.
-    if (config_.sharing == SharingMode::LocationId || block.size() < 2) {
+    // Trivial blocks have nothing to amortize.
+    if (block.size() < 2) {
         for (std::size_t i = 0; i < block.size(); ++i)
             out[i] = touch(block[i].asid, block[i].vpn, block[i].write);
         return;
@@ -454,8 +285,8 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
 
     // Apply in the caller's order — the determinism contract. A fault
     // may have evicted a walked page or mapped an absent one; a frame
-    // holds one page in PageIdHash mode, so a walk is current iff its
-    // frame is in use by this page. Other ops take the scalar touch().
+    // holds one page, so a walk is current iff its frame is in use by
+    // this page. Other ops take the scalar touch().
     std::size_t walked = 0;
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::size_t end = std::min(n, i + 1 + walkAhead);

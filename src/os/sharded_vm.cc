@@ -13,11 +13,6 @@ ShardedMosaicVm::shardConfig(const ShardedVmConfig &config,
         PoolPartition::split(config.base.geometry, config.shards);
     MosaicVmConfig cfg = config.base;
     cfg.geometry = part.shardGeometry(config.base.geometry, shard);
-    // Shard 0 keeps the base seed verbatim so a one-shard engine is
-    // byte-identical to the scalar MosaicVm; later shards draw from
-    // independent mixed streams.
-    if (shard != 0)
-        cfg.seed = mix64(config.base.seed ^ (0x5A4DED00ull + shard));
     return cfg;
 }
 
@@ -25,9 +20,6 @@ ShardedMosaicVm::ShardedMosaicVm(const ShardedVmConfig &config)
     : part_(PoolPartition::split(config.base.geometry, config.shards)),
       batches_(config.shards)
 {
-    if (config.base.sharing != SharingMode::PageIdHash)
-        fatal("sharded_vm: only PageIdHash sharing is supported; "
-              "location-ID sharing needs a single-pool MosaicVm");
     vms_.reserve(config.shards);
     for (std::size_t s = 0; s < config.shards; ++s)
         vms_.push_back(std::make_unique<MosaicVm>(shardConfig(config, s)));

@@ -8,10 +8,7 @@
  *
  * Routing. ASIDs are hash-routed to a home shard with a Lemire
  * multiply-shift (shardRoute), and every page of an ASID lives in its
- * home shard. The engine accepts only SharingMode::PageIdHash:
- * location-ID sharing (paper §2.5) binds ToCs across ASIDs, which
- * would let a page live away from its home shard, so it stays a
- * feature of the single-pool MosaicVm.
+ * home shard.
  *
  * Determinism contract: the engine is exactly N independent MosaicVms
  * built from shardConfig(), each fed its ASIDs' ops in order. So a
@@ -66,15 +63,12 @@ struct ShardCounters
 class ShardedMosaicVm : public VirtualMemory
 {
   public:
-    /** fatal() unless config.base.sharing is PageIdHash. */
     explicit ShardedMosaicVm(const ShardedVmConfig &config);
 
     /**
      * The config shard @p shard runs with: the base config over the
-     * shard's pool slice. Shard 0 keeps the base seed verbatim (the
-     * shards=1 identity), later shards get an independent mixed
-     * stream. Exposed so differential mirrors build bit-identical
-     * shard VMs.
+     * shard's pool slice. Exposed so differential mirrors build
+     * bit-identical shard VMs.
      */
     static MosaicVmConfig shardConfig(const ShardedVmConfig &config,
                                       std::size_t shard);

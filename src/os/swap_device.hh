@@ -3,9 +3,8 @@
  * A model of the swap device (the paper's experiments use a 4 GiB
  * ramdisk). Tracks which pages have a swap copy and counts I/Os.
  *
- * Pages are identified by an opaque 64-bit key — the VM's placement
- * hash input — so shared mappings (location-ID mode) naturally share
- * one swap slot.
+ * Pages are identified by an opaque 64-bit key, the VM's packed
+ * page ID.
  *
  * Swap copies persist after swap-in (a swap cache), so evicting a
  * page that has not been dirtied since its last swap-in costs no

@@ -43,9 +43,7 @@ struct CorpusGolden
 // One entry per checked-in corpus trace. Regenerate with
 // tools/mosaic_replay after an *intentional* behaviour change.
 constexpr CorpusGolden corpusGoldens[] = {
-    {"ghost_rescue_adoption.trace", 14674125878381882746ull, 126},
-    {"ghost_rescue_adoption_long.trace", 7267721577211409804ull, 577},
-    {"repeat_touch_hint.trace", 7833615143583530119ull, 98},
+    {"repeat_touch_hint.trace", 15805457968072811427ull, 143},
     {"repeat_touch_hint_linux.trace", 9828091013828289825ull, 99},
     {"tlb_seed1.trace", 8989511554147415485ull, 2000},
     {"tlb_seed13.trace", 8984735817782752560ull, 2000},
@@ -56,7 +54,6 @@ constexpr CorpusGolden corpusGoldens[] = {
     {"vm-shard_seed11.trace", 9328550632844078930ull, 2000},
     {"vm-shard_seed4.trace", 6269676809091984375ull, 2000},
     {"vm_seed1.trace", 16453423457793323468ull, 2000},
-    {"vm_seed13.trace", 4380896405506859887ull, 1872},
     {"vm_seed14.trace", 12612648230678402869ull, 2000},
     {"vm_seed2.trace", 17829253315784731889ull, 2000},
     {"vm_seed3.trace", 11893999554279364395ull, 2000},
@@ -84,12 +81,12 @@ struct FreshGolden
 // for vm-shard and for each design pseudo-component.
 constexpr FreshGolden freshGoldens[] = {
     {"vm", 1ull, 4000u, 1802567896903992309ull, 4000u},
-    {"vm", 2ull, 4000u, 12470357187984636251ull, 4000u},
-    {"vm", 3ull, 4000u, 4573978801501107102ull, 4000u},
-    {"vm", 4ull, 4000u, 5571181489335277707ull, 4000u},
+    {"vm", 2ull, 4000u, 227479879539742391ull, 4000u},
+    {"vm", 3ull, 4000u, 12975585293134197369ull, 4000u},
+    {"vm", 4ull, 4000u, 16192042451799791349ull, 4000u},
     {"vm", 5ull, 4000u, 6509343633951978690ull, 4000u},
-    {"vm", 6ull, 4000u, 12199113887720736735ull, 4000u},
-    {"vm", 7ull, 4000u, 15069368938410500506ull, 4000u},
+    {"vm", 6ull, 4000u, 15584828886362830418ull, 4000u},
+    {"vm", 7ull, 4000u, 18209927320135685503ull, 4000u},
     {"vm", 8ull, 4000u, 4558736807962956266ull, 4000u},
     {"vm-shard", 1ull, 4000u, 3747477134948378175ull, 4000u},
     {"vm-shard", 2ull, 4000u, 6811566868125455444ull, 4000u},

@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential fuzzing of the virtual-memory subsystems: random
- * generated traces drive LinuxVm and MosaicVm (every sharing mode and
- * eviction policy the generator emits) in lockstep with the oracle
+ * generated traces drive LinuxVm and MosaicVm (every eviction policy
+ * the generator emits) in lockstep with the oracle
  * models, asserting zero divergences. Budgets are overridable with
  * MOSAIC_FUZZ_SEEDS / MOSAIC_FUZZ_OPS (CI runs much larger sweeps
  * than the local default).
@@ -42,20 +42,16 @@ TEST(FuzzVm, CoversBothVmKinds)
     EXPECT_GT(mosaic_traces, 0u);
 }
 
-// Regression: the sharer-adoption path of MosaicVm::touch rescued
-// resident ghost frames without counting the rescue, so ghostPages()
-// and stats().ghostRescues drifted apart under LocationId sharing.
-// These traces were minimized from fuzzer-found divergences. The
-// repeat_touch_hint ones are hand-written: runs of touches of one page
-// broken by a conflict that hands its frame to another page, an
-// unmap, a sharer adoption and a ghost rescue (mosaic), or by reclaim
-// and unmaps (linux), since a repeat touch may skip the walk.
+// Regression traces for the repeat-touch hint, which lets a touch of
+// the page touched last skip the walk. Both are hand-written: runs of
+// touches of one page broken by a conflict that hands its frame to
+// another page, an unmap and a ghost rescue (mosaic), or by reclaim
+// and unmaps (linux). The name is kept from the minimized location-ID
+// sharing traces it first replayed, which went with that mode.
 TEST(FuzzVm, GhostRescueAdoptionRegression)
 {
     for (const char *name :
-         {"/ghost_rescue_adoption.trace",
-          "/ghost_rescue_adoption_long.trace",
-          "/repeat_touch_hint.trace", "/repeat_touch_hint_linux.trace"}) {
+         {"/repeat_touch_hint.trace", "/repeat_touch_hint_linux.trace"}) {
         const Trace trace =
             readTraceFile(std::string(MOSAIC_FUZZ_CORPUS_DIR) + name);
         const FuzzResult result = runTrace(trace);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the batched VM touch pipeline (DESIGN.md
- * §13): for every eviction policy, sharing mode, VM model, block size
+ * §13): for every eviction policy, VM model, block size
  * (including non-power-of-2 sizes and partial tail blocks) and thread
  * count tested, the batched path must be bit-identical to the scalar
  * path — same per-touch PFNs, same stats, same resident/ghost/horizon
@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -135,15 +134,12 @@ runStream(VirtualMemory &vm, std::span<const PageTouch> stream,
 }
 
 MosaicVmConfig
-mosaicConfig(std::uint64_t seed, EvictionPolicy policy,
-             SharingMode sharing = SharingMode::PageIdHash)
+mosaicConfig(std::uint64_t seed, EvictionPolicy policy)
 {
     MosaicVmConfig config;
     config.geometry.numFrames = 2048; // 32 buckets of 64
     config.geometry.hashSeed = seed ^ 0xA110C;
     config.policy = policy;
-    config.sharing = sharing;
-    config.seed = seed;
     return config;
 }
 
@@ -170,12 +166,11 @@ mosaicRun(const MosaicVmConfig &config, std::span<const PageTouch> stream,
 }
 
 VmOutcome
-mosaicOutcome(std::uint64_t seed, EvictionPolicy policy,
-              SharingMode sharing, unsigned block)
+mosaicOutcome(std::uint64_t seed, EvictionPolicy policy, unsigned block)
 {
     // Pressure past capacity: ~1.5x frames, two address spaces.
     const auto stream = makeStream(seed, 6007, 3072, 2);
-    return mosaicRun(mosaicConfig(seed, policy, sharing), stream, block);
+    return mosaicRun(mosaicConfig(seed, policy), stream, block);
 }
 
 /** One digest of an outcome's PFNs and every metric, bit for bit. */
@@ -200,33 +195,16 @@ TEST(BatchPipeline, MosaicBitIdenticalAcrossPoliciesAndBlocks)
          {EvictionPolicy::HorizonLru, EvictionPolicy::LocalLru,
           EvictionPolicy::ShrunkenCache}) {
         for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-            const VmOutcome scalar = mosaicOutcome(
-                seed, policy, SharingMode::PageIdHash, 1);
+            const VmOutcome scalar = mosaicOutcome(seed, policy, 1);
             for (const unsigned block : kBlocks) {
                 if (block <= 1)
                     continue;
-                const VmOutcome batched = mosaicOutcome(
-                    seed, policy, SharingMode::PageIdHash, block);
+                const VmOutcome batched =
+                    mosaicOutcome(seed, policy, block);
                 ASSERT_EQ(scalar, batched)
                     << "policy=" << static_cast<int>(policy)
                     << " seed=" << seed << " block=" << block;
             }
-        }
-    }
-}
-
-TEST(BatchPipeline, LocationIdModeFallsBackToScalarResults)
-{
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        const VmOutcome scalar = mosaicOutcome(
-            seed, EvictionPolicy::HorizonLru, SharingMode::LocationId,
-            1);
-        for (const unsigned block : {7u, 64u, 128u}) {
-            const VmOutcome batched = mosaicOutcome(
-                seed, EvictionPolicy::HorizonLru,
-                SharingMode::LocationId, block);
-            ASSERT_EQ(scalar, batched)
-                << "seed=" << seed << " block=" << block;
         }
     }
 }
@@ -378,100 +356,6 @@ TEST(BatchPipeline, ConflictReusesAWalkedFrameForAnotherPage)
     }
 }
 
-/**
- * A LocationId run that interleaves shareRange with touches: ASIDs 1
- * and 2 touch private pages, and now and then one mosaic page of
- * either is shared into a fresh range of ASID 3, whose pages join the
- * stream. Touches between shares go through touchBatch in @p block
- * blocks (scalar touch() when block <= 1). @p shared_hits, when
- * given, counts touches of ASID 3 that found their page resident.
- */
-VmOutcome
-sharedLocationIdRun(std::uint64_t seed, unsigned block,
-                    std::size_t *shared_hits = nullptr)
-{
-    MosaicVm vm(mosaicConfig(seed, EvictionPolicy::HorizonLru,
-                             SharingMode::LocationId));
-    constexpr unsigned arity = 4; // MosaicVmConfig's default
-    Rng rng(seed * 7919 + 3);
-    std::vector<PageTouch> shared;
-    std::vector<PageTouch> pending;
-    std::vector<Pfn> pfns(std::max(block, 1u));
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    const auto flush = [&] {
-        if (block > 1) {
-            vm.touchBatch(pending, pfns.data());
-        } else {
-            for (std::size_t k = 0; k < pending.size(); ++k) {
-                const PageTouch &t = pending[k];
-                const std::uint64_t faults = vm.stats().faults();
-                pfns[k] = vm.touch(t.asid, t.vpn, t.write);
-                if (shared_hits && t.asid == 3 &&
-                        vm.stats().faults() == faults)
-                    ++*shared_hits;
-            }
-        }
-        for (std::size_t k = 0; k < pending.size(); ++k)
-            digest = fnv1a(digest, pfns[k]);
-        pending.clear();
-    };
-    Vpn next_dst = 0;
-    for (std::size_t i = 0; i < 6007; ++i) {
-        if (rng.chance(0.01)) {
-            flush();
-            const Asid src = static_cast<Asid>(1 + rng.below(2));
-            const Vpn src_vpn = rng.below(3072 / arity) * arity;
-            vm.shareRange(src, src_vpn, 3, next_dst, arity);
-            for (unsigned sub = 0; sub < arity; ++sub)
-                shared.push_back(PageTouch{3, next_dst + sub, false});
-            next_dst += arity;
-            continue;
-        }
-        PageTouch t;
-        if (!shared.empty() && rng.chance(0.25)) {
-            t = shared[rng.below(shared.size())];
-        } else {
-            t.asid = static_cast<Asid>(1 + rng.below(2));
-            t.vpn = rng.chance(0.6) ? rng.below(384) : rng.below(3072);
-        }
-        t.write = rng.chance(0.3);
-        pending.push_back(t);
-        if (pending.size() == pfns.size())
-            flush();
-    }
-    flush();
-    VmOutcome out = captureOutcome(vm, digest);
-    addMosaicState(vm, out);
-    out.metrics.emplace_back(
-        "locationBindings", static_cast<double>(vm.locationBindings()));
-    out.metrics.emplace_back("locationUsers",
-                             static_cast<double>(vm.locationUsers()));
-    return out;
-}
-
-TEST(BatchPipeline, LocationIdSharedResidentTouchesAreUnchanged)
-{
-    // digestOf(scalar outcome) per seed, recorded before resident
-    // touches decoded one bucket instead of the full candidate set:
-    // walk-first touches must not move a single PFN or counter.
-    constexpr std::uint64_t pinned[] = {
-        1188378061536779148ull,
-        13785288545480407936ull,
-        18298093326071980436ull,
-    };
-    for (std::uint64_t seed = 1; seed <= std::size(pinned); ++seed) {
-        std::size_t shared_hits = 0;
-        const VmOutcome scalar =
-            sharedLocationIdRun(seed, 1, &shared_hits);
-        EXPECT_GT(shared_hits, 100u) << "seed=" << seed;
-        EXPECT_EQ(digestOf(scalar), pinned[seed - 1]) << "seed=" << seed;
-        for (const unsigned block : kHintBlocks) {
-            ASSERT_EQ(scalar, sharedLocationIdRun(seed, block))
-                << "seed=" << seed << " block=" << block;
-        }
-    }
-}
-
 TEST(BatchPipeline, LinuxVmDefaultBatchLoopIsBitIdentical)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -497,8 +381,7 @@ TEST(BatchPipeline, DifferentialDigestsAreThreadCountInvariant)
         std::vector<std::uint64_t> out(8);
         parallelFor(pool, out.size(), [&](std::size_t i) {
             out[i] = digestOf(
-                mosaicOutcome(i + 1, EvictionPolicy::HorizonLru,
-                              SharingMode::PageIdHash, 64));
+                mosaicOutcome(i + 1, EvictionPolicy::HorizonLru, 64));
         });
         return out;
     };

@@ -161,39 +161,5 @@ TEST(Invariants, TranslationSimTlbNeverLies)
     EXPECT_EQ(sim.mappedPages(), touched.size());
 }
 
-TEST(Invariants, MosaicVmSharedModeUnderPressure)
-{
-    // Location-ID mode with sharing and eviction churn: shared
-    // mappings must stay coherent (both PTs agree) throughout.
-    MosaicVmConfig config;
-    config.geometry.numFrames = 64 * 8;
-    config.sharing = SharingMode::LocationId;
-    MosaicVm vm(config);
-
-    vm.shareRange(1, 0, 2, 0, 64);
-    Rng rng(5);
-    for (int step = 0; step < 20000; ++step) {
-        if (rng.chance(0.3)) {
-            const Vpn vpn = rng.below(64);
-            const Asid asid = static_cast<Asid>(1 + rng.below(2));
-            vm.touch(asid, vpn, rng.chance(0.5));
-        } else {
-            vm.touch(3, 1000 + rng.below(600), true);
-        }
-        if (step % 2000 == 1999) {
-            for (Vpn vpn = 0; vpn < 64; ++vpn) {
-                const MosaicWalkResult w1 = vm.pageTable(1).walk(vpn);
-                const MosaicWalkResult w2 = vm.pageTable(2).walk(vpn);
-                // Both mapped -> identical CPFN (same frame); a
-                // one-sided mapping is fine (the other ASID simply
-                // hasn't faulted it in since the last eviction).
-                if (w1.present && w2.present) {
-                    ASSERT_EQ(w1.cpfn, w2.cpfn) << "vpn " << vpn;
-                }
-            }
-        }
-    }
-}
-
 } // namespace
 } // namespace mosaic

@@ -330,9 +330,7 @@ TEST(MosaicVm, GhostCountMatchesScanAcrossSeeds)
     // definitional scan at many points of randomized histories that
     // exercise conflicts, rescues, ghost evictions, and unmaps.
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        MosaicVmConfig c = config(64 * 8);
-        c.seed = seed;
-        MosaicVm vm(c);
+        MosaicVm vm(config(64 * 8));
         const std::size_t n = vm.numFrames();
         std::uint64_t state = seed * 0x9E3779B97F4A7C15ull + 1;
         auto next = [&] {
@@ -364,59 +362,6 @@ TEST(MosaicVm, GhostCountMatchesScanAcrossSeeds)
         EXPECT_EQ(vm.ghostPages(), scan()) << "seed " << seed;
         EXPECT_GT(vm.horizon(), 0u) << "history never raised horizon";
     }
-}
-
-TEST(MosaicVm, LocationBindingsReleasedOnUnmap)
-{
-    // Regression: unmapRange never erased locationIds_/locUsers_
-    // entries, so map/unmap cycles grew them without bound (and the
-    // sharer-adoption scan in touch() kept visiting dead ToCs).
-    MosaicVmConfig c = config(64 * 8);
-    c.sharing = SharingMode::LocationId;
-    MosaicVm vm(c);
-    const Vpn span = 64; // 16 mosaic pages at arity 4
-    for (int cycle = 0; cycle < 50; ++cycle) {
-        // A fresh range every cycle: without release, bindings would
-        // accumulate one range per cycle.
-        const Vpn base = static_cast<Vpn>(cycle) * span;
-        for (Vpn v = base; v < base + span; ++v)
-            vm.touch(1, v, true);
-        EXPECT_EQ(vm.locationBindings(), span / c.arity);
-        vm.unmapRange(1, base, span);
-        EXPECT_EQ(vm.locationBindings(), 0u) << "cycle " << cycle;
-        EXPECT_EQ(vm.locationUsers(), 0u) << "cycle " << cycle;
-    }
-}
-
-TEST(MosaicVm, LocationBindingsSurviveEvictionAndSwap)
-{
-    // A binding must persist while any sub-page still has a swap
-    // copy (the page can fault back in through it), and die once the
-    // range is unmapped even though its pages are not resident.
-    MosaicVmConfig c = config(64 * 8);
-    c.sharing = SharingMode::LocationId;
-    MosaicVm vm(c);
-    const std::size_t n = vm.numFrames();
-    for (Vpn vpn = 0; vpn < 2 * n; ++vpn)
-        vm.touch(1, vpn, true);
-    ASSERT_GT(vm.stats().swapOuts, 0u);
-    const std::size_t bindings_full = vm.locationBindings();
-    EXPECT_EQ(bindings_full, 2 * n / c.arity);
-
-    // Mosaic page 0 was evicted long ago; its binding is still live.
-    ASSERT_FALSE(vm.pageTable(1).walk(0).present);
-    vm.unmapRange(1, 0, c.arity);
-    EXPECT_EQ(vm.locationBindings(), bindings_full - 1);
-}
-
-TEST(MosaicVm, UnmapOfUntouchedRangeCreatesNoBindings)
-{
-    MosaicVmConfig c = config(64 * 8);
-    c.sharing = SharingMode::LocationId;
-    MosaicVm vm(c);
-    vm.unmapRange(1, 500, 64);
-    EXPECT_EQ(vm.locationBindings(), 0u);
-    EXPECT_EQ(vm.locationUsers(), 0u);
 }
 
 /** One op of the repeat-touch test: a touch, or an unmap of one page. */

@@ -413,7 +413,6 @@ TEST(HorizonLruProperties, LiveSetEqualsGlobalLruTopL)
         cfg.geometry.numFrames = 4 * cfg.geometry.slotsPerBucket();
         cfg.geometry.hashSeed = experimentCellSeed(0xBEEF, seed);
         cfg.policy = EvictionPolicy::HorizonLru;
-        cfg.sharing = SharingMode::PageIdHash;
         MosaicVm vm(cfg);
         OracleVm recency{OracleVmConfig{0}}; // unbounded: never evicts
 

@@ -246,7 +246,6 @@ TEST_P(GhostSetProperty, EqualsBruteForceScanAfterEveryOp)
         MosaicVmConfig c;
         c.geometry.numFrames = 64 * 8;
         c.policy = GetParam();
-        c.seed = seed;
         MosaicVm vm(c);
         const std::size_t n = vm.numFrames();
         Rng rng(seed);

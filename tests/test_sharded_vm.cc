@@ -7,8 +7,7 @@
  * preserve the whole-machine conservation invariants checked by the
  * shard oracle. The contract: a sharded machine is N independent
  * MosaicVms built from shardConfig and fed by home shard, touchBatch
- * ≡ scalar touch at any worker count, and location-ID sharing is
- * refused.
+ * ≡ scalar touch at any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -92,14 +91,12 @@ expectStatsEqual(const VmStats &a, const VmStats &b)
 }
 
 ShardedVmConfig
-shardedConfig(std::size_t shards, EvictionPolicy policy,
-              std::uint64_t seed)
+shardedConfig(std::size_t shards, EvictionPolicy policy)
 {
     ShardedVmConfig cfg;
     cfg.base.geometry = tinyGeometry(4 * shards);
     cfg.base.arity = 4;
     cfg.base.policy = policy;
-    cfg.base.seed = seed;
     cfg.shards = shards;
     return cfg;
 }
@@ -153,10 +150,7 @@ TEST(ShardedVm, OneShardMatchesScalarStatForStat)
                                            EvictionPolicy::ShrunkenCache};
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         for (const EvictionPolicy policy : policies) {
-            const ShardedVmConfig cfg =
-                shardedConfig(1, policy, seed * 977);
-            ASSERT_EQ(ShardedMosaicVm::shardConfig(cfg, 0).seed,
-                      cfg.base.seed);
+            const ShardedVmConfig cfg = shardedConfig(1, policy);
             MosaicVm scalar(cfg.base);
             ShardedMosaicVm sharded(cfg);
             OpStream a(seed, 3, 40, 4);
@@ -178,7 +172,7 @@ TEST(ShardedVm, MultiShardPreservesConservation)
     for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
                                      std::size_t{8}}) {
         const ShardedVmConfig cfg =
-            shardedConfig(shards, EvictionPolicy::HorizonLru, 11);
+            shardedConfig(shards, EvictionPolicy::HorizonLru);
         ShardedMosaicVm vm(cfg);
         OpStream ops(7, 12, 30 * shards, 4);
         for (int i = 0; i < 4000; ++i) {
@@ -191,16 +185,6 @@ TEST(ShardedVm, MultiShardPreservesConservation)
         }
         const auto bad = checkShardConservation(vm);
         ASSERT_FALSE(bad.has_value()) << *bad;
-    }
-}
-
-TEST(ShardedVmDeathTest, LocationIdSharingIsFatal)
-{
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        ShardedVmConfig cfg =
-            shardedConfig(shards, EvictionPolicy::HorizonLru, 3);
-        cfg.base.sharing = SharingMode::LocationId;
-        EXPECT_DEATH(ShardedMosaicVm vm(cfg), "only PageIdHash");
     }
 }
 
@@ -217,7 +201,7 @@ namespace
 struct DryHomeShard
 {
     DryHomeShard()
-        : cfg(shardedConfig(2, EvictionPolicy::HorizonLru, 5)),
+        : cfg(shardedConfig(2, EvictionPolicy::HorizonLru)),
           probe(cfg)
     {
         Asid asid = 1;
@@ -295,7 +279,7 @@ TEST(ShardedVm, DryHomeShardBatchMatchesIndependentShards)
 TEST(ShardedVm, BatchMatchesScalarLoopAndIsThreadInvariant)
 {
     const ShardedVmConfig cfg =
-        shardedConfig(4, EvictionPolicy::HorizonLru, 31);
+        shardedConfig(4, EvictionPolicy::HorizonLru);
     // Build the touch stream once: overcommitted enough to fault and
     // evict across every shard.
     Rng rng(99);
@@ -334,14 +318,13 @@ TEST(ShardedVm, BatchMatchesScalarLoopAndIsThreadInvariant)
     EXPECT_EQ(serial, threaded);
 }
 
-TEST(ShardedVm, ShardConfigSlicesPoolAndMixesSeeds)
+TEST(ShardedVm, ShardConfigSlicesPoolAndKeepsHashSeed)
 {
     const ShardedVmConfig cfg =
-        shardedConfig(4, EvictionPolicy::HorizonLru, 123);
+        shardedConfig(4, EvictionPolicy::HorizonLru);
     const MosaicVmConfig s0 = ShardedMosaicVm::shardConfig(cfg, 0);
     const MosaicVmConfig s1 = ShardedMosaicVm::shardConfig(cfg, 1);
-    EXPECT_EQ(s0.seed, cfg.base.seed);
-    EXPECT_NE(s1.seed, cfg.base.seed);
     EXPECT_EQ(s0.geometry.numFrames, cfg.base.geometry.numFrames / 4);
+    EXPECT_EQ(s1.geometry.numFrames, s0.geometry.numFrames);
     EXPECT_EQ(s1.geometry.hashSeed, cfg.base.geometry.hashSeed);
 }

@@ -115,15 +115,29 @@ TEST(ToolsCli, ReplayUnknownComponentExitsThree)
 
 TEST(ToolsCli, ReplayLocationIdShardTraceExitsThree)
 {
-    // The sharded engine refuses location-ID sharing, so such a trace
-    // is unreadable input, not a crash.
+    // A vm trace whose kind, policy or sharing cfg names no mode the
+    // harnesses run (location-ID sharing is gone) is unreadable input,
+    // not a crash or a silent fallback.
     const TempDir dir("tools_cli_replay_shard_locid");
-    const std::string path = dir.str() + "/vm-shard.trace";
-    Trace trace = generateTrace("vm-shard", 1, 50);
-    trace.setCfg("sharing", "locid");
-    writeTraceFile(path, trace);
-    EXPECT_EQ(exitCodeOf(std::string(MOSAIC_REPLAY_BIN) + " " + path),
-              3);
+    const struct
+    {
+        const char *component, *key, *value;
+    } cases[] = {
+        {"vm-shard", "sharing", "locid"},
+        {"vm", "sharing", "locid"},
+        {"vm", "policy", "horizn"},
+        {"vm", "kind", "bogus"},
+    };
+    for (const auto &c : cases) {
+        const std::string path =
+            dir.str() + "/" + c.component + "_" + c.key + ".trace";
+        Trace trace = generateTrace(c.component, 1, 50);
+        trace.setCfg(c.key, c.value);
+        writeTraceFile(path, trace);
+        EXPECT_EQ(
+            exitCodeOf(std::string(MOSAIC_REPLAY_BIN) + " " + path), 3)
+            << c.component << " cfg " << c.key << " " << c.value;
+    }
 }
 
 TEST(ToolsCli, ReplayUsageErrorsExitTwo)
