@@ -198,7 +198,9 @@ main()
     fnvMix(digest, stats.swapIns);
     fnvMix(digest, stats.swapOuts);
     fnvMix(digest, stats.conflicts);
-    fnvMix(digest, stats.recoveredConflicts);
+    // This slot held the recovered-conflict count; a failed placement
+    // has no retry, so it is 0, kept so the pinned digests hold.
+    fnvMix(digest, 0);
     fnvMix(digest, stats.ghostEvictions);
     fnvMix(digest, stats.ghostRescues);
     // This slot held the cross-shard steal count; shards never steal,
@@ -258,7 +260,6 @@ main()
     m.counter("mt.swapIns", stats.swapIns);
     m.counter("mt.swapOuts", stats.swapOuts);
     m.counter("mt.conflicts", stats.conflicts);
-    m.counter("mt.recoveredConflicts", stats.recoveredConflicts);
     m.counter("mt.ghostEvictions", stats.ghostEvictions);
     m.counter("mt.ghostRescues", stats.ghostRescues);
     m.counter("mt.imbalancePermille", imbalance_permille);

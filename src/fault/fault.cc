@@ -1,5 +1,6 @@
 #include "fault/fault.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 
@@ -163,14 +164,19 @@ FaultPlan::fromEnv()
     Result<FaultPlan> plan = parse(env);
     if (!plan.ok())
         fatal("MOSAIC_FAULTS: " + plan.status().toString());
+    for (const FaultSpec &spec : plan.value().specs()) {
+        if (std::ranges::find(knownSites, spec.site) != knownSites.end())
+            continue;
+        std::string known;
+        for (const std::string_view site : knownSites)
+            known += (known.empty() ? "" : ", ") + std::string(site);
+        fatal("MOSAIC_FAULTS: " +
+              Status::invalidArgument("fault plan: unknown site '" +
+                                      spec.site + "' (known sites: " +
+                                      known + ")")
+                  .toString());
+    }
     return plan.value();
-}
-
-bool
-FaultPlan::envActive()
-{
-    const char *env = std::getenv("MOSAIC_FAULTS");
-    return env != nullptr && *env != '\0';
 }
 
 const FaultSpec *
@@ -181,36 +187,6 @@ FaultPlan::spec(std::string_view site) const
             return &s;
     }
     return nullptr;
-}
-
-std::string
-FaultPlan::toString() const
-{
-    std::string out;
-    for (const FaultSpec &s : specs_) {
-        if (!out.empty())
-            out += ';';
-        out += s.site + ':';
-        bool first = true;
-        const auto append = [&](const std::string &kv) {
-            if (!first)
-                out += ',';
-            out += kv;
-            first = false;
-        };
-        if (s.every > 0)
-            append("every=" + std::to_string(s.every));
-        if (s.p > 0.0) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "p=%g", s.p);
-            append(buf);
-        }
-        if (s.after > 0)
-            append("after=" + std::to_string(s.after));
-        if (s.limit != ~std::uint64_t{0})
-            append("limit=" + std::to_string(s.limit));
-    }
-    return out;
 }
 
 FaultInjector::SiteState &
@@ -245,29 +221,6 @@ FaultInjector::shouldFail(std::string_view site)
     if (fire)
         ++s.fired;
     return fire;
-}
-
-std::uint64_t
-FaultInjector::hits(std::string_view site) const
-{
-    const auto it = sites_.find(site);
-    return it == sites_.end() ? 0 : it->second.hits;
-}
-
-std::uint64_t
-FaultInjector::fired(std::string_view site) const
-{
-    const auto it = sites_.find(site);
-    return it == sites_.end() ? 0 : it->second.fired;
-}
-
-std::uint64_t
-FaultInjector::totalFired() const
-{
-    std::uint64_t total = 0;
-    for (const auto &[site, state] : sites_)
-        total += state.fired;
-    return total;
 }
 
 } // namespace mosaic::fault

@@ -3,21 +3,20 @@
  * Deterministic fault injection (DESIGN.md §11).
  *
  * A FaultPlan names *injection sites* — fixed strings compiled into
- * the hot layers ("swap.write", "vm.place", ...) —
- * and for each site a firing rule. Components consult a FaultInjector
- * at their site; the injector decides from (plan, its seed, the
- * site's hit count) alone, never from ambient randomness or wall
- * clock, so a given plan replays bit-identically on any machine and
- * at any MOSAIC_THREADS setting, provided injectors are scoped the
- * way the rest of the determinism story scopes RNGs: one injector
- * per experiment cell / per trace run, seeded from the cell or trace
- * seed.
+ * the components (knownSites below) — and for each site a firing
+ * rule. Components consult a FaultInjector at their site; the
+ * injector decides from (plan, its seed, the site's hit count) alone,
+ * never from ambient randomness or wall clock, so a given plan
+ * replays bit-identically on any machine and at any MOSAIC_THREADS
+ * setting, provided injectors are scoped the way the rest of the
+ * determinism story scopes RNGs: one injector per sweep cell, worker
+ * slot or client session, seeded from that scope.
  *
  * Plan syntax (the MOSAIC_FAULTS environment variable):
  *
  *     site:key=value[,key=value][;site:key=value...]
  *
- * e.g.  MOSAIC_FAULTS="swap.write:every=1000;vm.place:p=1e-4"
+ * e.g.  MOSAIC_FAULTS="serve.admit:every=50;serve.crash:p=0.01"
  *
  * Keys per site:
  *     every=N   fire on every Nth hit (N >= 1)
@@ -27,10 +26,14 @@
  *     limit=K   fire at most K times
  * A site needs `every` or `p` (or both; either firing counts once).
  *
- * When no plan is set, components hold a null injector pointer and
- * skip the site check entirely: the zero-overhead / no-behavior-
- * change guarantee.
+ * When no plan is set, every injector is inert: shouldFail() is
+ * false without touching any site state.
  *
+ * A site exists only where its firing changes an outcome a check can
+ * see. The sweep site (DESIGN.md §11):
+ *     cell.run           the cell throws before its body runs; it
+ *                        lands in the sweep's failure manifest and
+ *                        a resumed run recomputes it
  * Serving sites (mosaicd, DESIGN.md §16) — every firing must surface
  * as a typed Status or a crash the next incarnation recovers, never
  * a silent drop:
@@ -46,6 +49,7 @@
 #ifndef MOSAIC_FAULT_FAULT_HH_
 #define MOSAIC_FAULT_FAULT_HH_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -57,6 +61,11 @@
 
 namespace mosaic::fault
 {
+
+/** Every site a component consults: the only names fromEnv()
+ *  accepts. */
+inline constexpr std::array<std::string_view, 4> knownSites = {
+    "cell.run", "serve.admit", "serve.log.append", "serve.crash"};
 
 /** Firing rule for one injection site. */
 struct FaultSpec
@@ -85,12 +94,10 @@ class FaultPlan
 
     /**
      * The process's plan from $MOSAIC_FAULTS ("" when unset).
-     * A malformed plan is a bad user configuration: fatal().
+     * A malformed plan, or one naming a site outside knownSites, is
+     * a bad user configuration: fatal().
      */
     static FaultPlan fromEnv();
-
-    /** True when $MOSAIC_FAULTS is set and non-empty. */
-    static bool envActive();
 
     bool empty() const { return specs_.empty(); }
 
@@ -98,9 +105,6 @@ class FaultPlan
     const FaultSpec *spec(std::string_view site) const;
 
     const std::vector<FaultSpec> &specs() const { return specs_; }
-
-    /** Canonical one-line form (for manifests and logs). */
-    std::string toString() const;
 
   private:
     std::vector<FaultSpec> specs_;
@@ -143,39 +147,12 @@ class FaultInjector
     {
     }
 
-    /** True when a plan with at least one site is attached. */
-    bool
-    active() const
-    {
-        return plan_ != nullptr && !plan_->empty();
-    }
-
     /**
      * Record one hit of @p site and decide whether it fails.
      * Deterministic: a pure function of (plan, seed, site, hit
      * index).
      */
     bool shouldFail(std::string_view site);
-
-    /** Hits recorded at the site so far. */
-    std::uint64_t hits(std::string_view site) const;
-
-    /** Failures injected at the site so far. */
-    std::uint64_t fired(std::string_view site) const;
-
-    /** Failures injected across all sites. */
-    std::uint64_t totalFired() const;
-
-    /** Visit (site, firedCount) for every site that fired. */
-    template <typename Fn>
-    void
-    forEachFired(Fn &&fn) const
-    {
-        for (const auto &[site, state] : sites_) {
-            if (state.fired > 0)
-                fn(site, state.fired);
-        }
-    }
 
   private:
     struct SiteState

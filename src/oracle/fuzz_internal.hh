@@ -20,7 +20,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "fault/fault.hh"
 #include "oracle/fuzzer.hh"
 #include "oracle/trace.hh"
 #include "os/mosaic_vm.hh"
@@ -127,19 +126,14 @@ drive(const Trace &trace, Harness &harness, Digest &dg, FuzzResult &res,
 }
 
 /** Trace -> MosaicVmConfig; the vm and vm-shard harnesses share it. */
-MosaicVmConfig mosaicVmCfgFromTrace(const Trace &t,
-                                    fault::FaultInjector *faults);
+MosaicVmConfig mosaicVmCfgFromTrace(const Trace &t);
 
 // Component runners: build the harness (and shadow) and drive the
 // trace. fuzz_tlb.cc, fuzz_vm.cc and fuzz_shard.cc.
 void runTlbTrace(const Trace &trace, Digest &dg, FuzzResult &res);
-void runVmTrace(const Trace &trace, std::uint64_t batch,
-                const fault::FaultPlan &plan, std::uint64_t iseed,
-                fault::FaultInjector *faults, Digest &dg,
+void runVmTrace(const Trace &trace, std::uint64_t batch, Digest &dg,
                 FuzzResult &res);
-void runShardTrace(const Trace &trace, const fault::FaultPlan &plan,
-                   std::uint64_t iseed, fault::FaultInjector *faults,
-                   Digest &dg, FuzzResult &res);
+void runShardTrace(const Trace &trace, Digest &dg, FuzzResult &res);
 
 // Generators, one per trace family.
 Trace generateTlb(Rng &rng, std::size_t numOps);

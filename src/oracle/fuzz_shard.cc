@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hh"
 #include "oracle/fuzz_internal.hh"
 #include "oracle/shard_oracle.hh"
 #include "os/mosaic_vm.hh"
@@ -22,40 +21,31 @@ namespace
  * Differential harness for the sharded multi-tenant engine
  * (DESIGN.md §17). The engine under test is a ShardedMosaicVm; the
  * mirror independently replays its routing over its own per-shard
- * scalar MosaicVms — built from ShardedMosaicVm::shardConfig with an
- * identically seeded fault injector and fed by shardRoute — and
- * every op must land on the same global frame. With one shard a
- * plain scalar MosaicVm is additionally locked in step, proving the
- * engine degenerates to MosaicVm over the whole corpus. Deep
- * checkpoints run the whole-machine conservation oracle and a
- * field-for-field per-shard state comparison.
+ * scalar MosaicVms — built from ShardedMosaicVm::shardConfig and fed
+ * by shardRoute — and every op must land on the same global frame.
+ * With one shard a plain scalar MosaicVm is additionally locked in
+ * step, proving the engine degenerates to MosaicVm over the whole
+ * corpus. Deep checkpoints run the whole-machine conservation oracle
+ * and a field-for-field per-shard state comparison.
  */
 class ShardHarness
 {
   public:
-    ShardHarness(const Trace &t, const fault::FaultPlan *plan,
-                 std::uint64_t iseed, fault::FaultInjector *faults)
-        : deep_(t.cfgUint("deep", 512)),
-          mirrorInj_(plan, iseed), scalarInj_(plan, iseed)
+    explicit ShardHarness(const Trace &t) : deep_(t.cfgUint("deep", 512))
     {
         ShardedVmConfig cfg;
-        cfg.base = mosaicVmCfgFromTrace(t, faults);
+        cfg.base = mosaicVmCfgFromTrace(t);
         cfg.shards = t.cfgUint("shards", 1);
         shards_ = cfg.shards;
         part_ = PoolPartition::split(cfg.base.geometry, cfg.shards);
         vm_ = std::make_unique<ShardedMosaicVm>(cfg);
 
-        ShardedVmConfig mcfg = cfg;
-        mcfg.base.faults = plan->empty() ? nullptr : &mirrorInj_;
         for (std::size_t s = 0; s < shards_; ++s) {
             mirror_.push_back(std::make_unique<MosaicVm>(
-                ShardedMosaicVm::shardConfig(mcfg, s)));
+                ShardedMosaicVm::shardConfig(cfg, s)));
         }
-        if (shards_ == 1) {
-            MosaicVmConfig scfg = cfg.base;
-            scfg.faults = plan->empty() ? nullptr : &scalarInj_;
-            scalar_ = std::make_unique<MosaicVm>(scfg);
-        }
+        if (shards_ == 1)
+            scalar_ = std::make_unique<MosaicVm>(cfg.base);
     }
 
     MaybeDivergence
@@ -199,8 +189,6 @@ class ShardHarness
     }
 
     std::size_t deep_;
-    fault::FaultInjector mirrorInj_;
-    fault::FaultInjector scalarInj_;
     std::size_t shards_ = 1;
     PoolPartition part_;
     std::unique_ptr<ShardedMosaicVm> vm_;
@@ -211,14 +199,12 @@ class ShardHarness
 } // namespace
 
 void
-runShardTrace(const Trace &trace, const fault::FaultPlan &plan,
-              std::uint64_t iseed, fault::FaultInjector *faults,
-              Digest &dg, FuzzResult &res)
+runShardTrace(const Trace &trace, Digest &dg, FuzzResult &res)
 {
     // The sharded engine's batched pipeline is covered by its own
     // tier-1 tests; like tlb, the batch knob changes nothing here,
     // so batched corpus sweeps reproduce these digests verbatim.
-    ShardHarness h(trace, &plan, iseed, faults);
+    ShardHarness h(trace);
     drive(trace, h, dg, res);
 }
 
@@ -256,7 +242,7 @@ generateShardedVm(Rng &rng, std::size_t numOps)
                                                "shrunken"};
     t.setCfg("policy", policies[rng.pickWeighted({0.6, 0.2, 0.2})]);
     t.setCfgUint("shrink_ppm", 20000);
-    t.setCfgUint("seed", rng());
+    (void)rng(); // the retired "cfg seed" draw: later draws stay put
     t.setCfgUint("hashseed", rng());
     t.setCfgUint("deep", 256);
 

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault.hh"
 #include "mem/geometry.hh"
 #include "oracle/fuzz_internal.hh"
 #include "oracle/oracle_vm.hh"
@@ -30,14 +29,13 @@ namespace
 /** Trace -> LinuxVmConfig. Shared by the harness and the batched
  *  pipeline shadow so both paths build identical instances. */
 LinuxVmConfig
-linuxVmCfgFromTrace(const Trace &t, fault::FaultInjector *faults)
+linuxVmCfgFromTrace(const Trace &t)
 {
     LinuxVmConfig cfg;
     cfg.numFrames = t.cfgUint("frames", 128);
     cfg.watermarkFraction =
         static_cast<double>(t.cfgUint("watermark_ppm", 8000)) / 1e6;
     cfg.reclaimBatch = static_cast<unsigned>(t.cfgUint("batch", 32));
-    cfg.faults = faults;
     return cfg;
 }
 
@@ -45,7 +43,7 @@ linuxVmCfgFromTrace(const Trace &t, fault::FaultInjector *faults)
 
 /** Trace -> MosaicVmConfig (see linuxVmCfgFromTrace). */
 MosaicVmConfig
-mosaicVmCfgFromTrace(const Trace &t, fault::FaultInjector *faults)
+mosaicVmCfgFromTrace(const Trace &t)
 {
     MosaicVmConfig cfg;
     cfg.geometry.frontSlots =
@@ -58,7 +56,6 @@ mosaicVmCfgFromTrace(const Trace &t, fault::FaultInjector *faults)
         cfg.geometry.slotsPerBucket();
     cfg.geometry.hashSeed = t.cfgUint("hashseed", 1);
     cfg.arity = static_cast<unsigned>(t.cfgUint("arity", 4));
-    cfg.faults = faults;
     cfg.shrinkDelta =
         static_cast<double>(t.cfgUint("shrink_ppm", 20000)) / 1e6;
     const std::string policy = t.cfgValue("policy", "horizon");
@@ -77,13 +74,12 @@ namespace
 class VmHarness
 {
   public:
-    explicit VmHarness(const Trace &t,
-                       fault::FaultInjector *faults = nullptr)
+    explicit VmHarness(const Trace &t)
         : kind_(t.cfgValue("kind", "mosaic")),
           deep_(t.cfgUint("deep", 512))
     {
         if (kind_ == "linux") {
-            const LinuxVmConfig cfg = linuxVmCfgFromTrace(t, faults);
+            const LinuxVmConfig cfg = linuxVmCfgFromTrace(t);
             lvm_ = std::make_unique<LinuxVm>(cfg);
             OracleVmConfig ocfg;
             ocfg.numFrames = cfg.numFrames;
@@ -93,7 +89,7 @@ class VmHarness
             return;
         }
         ensure(kind_ == "mosaic", "fuzzer: unknown vm kind");
-        const MosaicVmConfig cfg = mosaicVmCfgFromTrace(t, faults);
+        const MosaicVmConfig cfg = mosaicVmCfgFromTrace(t);
         policy_ = cfg.policy;
         mvm_ = std::make_unique<MosaicVm>(cfg);
         numFrames_ = cfg.geometry.numFrames;
@@ -710,14 +706,13 @@ vmStateVector(const VirtualMemory &vm, bool is_mosaic)
 /**
  * Lockstep shadow for the batched VM pipeline (DESIGN.md §13): every
  * applied vm-trace op is replayed into a scalar-driven VM and a
- * touchBatch-driven VM, each built from the same trace config with
- * its own identically seeded fault injector. Touches buffer into
- * blocks of @p batch, clamped to [2, maxBlock]; any non-touch
- * mutation and the end of the trace flush the pipeline. At every
- * flush boundary the per-touch PFNs and the full observable state
- * must match exactly — the primary harness (and therefore the
- * digest) is untouched, so batched runs reproduce scalar goldens by
- * construction.
+ * touchBatch-driven VM, both built from the same trace config.
+ * Touches buffer into blocks of @p batch, clamped to [2, maxBlock];
+ * any non-touch mutation and the end of the trace flush the
+ * pipeline. At every flush boundary the per-touch PFNs and the full
+ * observable state must match exactly — the primary harness (and
+ * therefore the digest) is untouched, so batched runs reproduce
+ * scalar goldens by construction.
  */
 class VmBatchShadow
 {
@@ -725,26 +720,16 @@ class VmBatchShadow
     /** Upper bound on the block (keeps the scratch bounded). */
     static constexpr std::uint64_t maxBlock = 4096;
 
-    VmBatchShadow(const Trace &t, std::uint64_t batch,
-                  const fault::FaultPlan *plan, std::uint64_t iseed)
+    VmBatchShadow(const Trace &t, std::uint64_t batch)
         : batch_(std::clamp<std::uint64_t>(batch, 2, maxBlock)),
-          scalarInj_(plan, iseed), batchInj_(plan, iseed),
           linux_(t.cfgValue("kind", "mosaic") == "linux")
     {
-        fault::FaultInjector *sf =
-            plan->empty() ? nullptr : &scalarInj_;
-        fault::FaultInjector *bf =
-            plan->empty() ? nullptr : &batchInj_;
         if (linux_) {
-            scalarVm_ =
-                std::make_unique<LinuxVm>(linuxVmCfgFromTrace(t, sf));
-            batchVm_ =
-                std::make_unique<LinuxVm>(linuxVmCfgFromTrace(t, bf));
+            scalarVm_ = std::make_unique<LinuxVm>(linuxVmCfgFromTrace(t));
+            batchVm_ = std::make_unique<LinuxVm>(linuxVmCfgFromTrace(t));
         } else {
-            scalarVm_ = std::make_unique<MosaicVm>(
-                mosaicVmCfgFromTrace(t, sf));
-            batchVm_ = std::make_unique<MosaicVm>(
-                mosaicVmCfgFromTrace(t, bf));
+            scalarVm_ = std::make_unique<MosaicVm>(mosaicVmCfgFromTrace(t));
+            batchVm_ = std::make_unique<MosaicVm>(mosaicVmCfgFromTrace(t));
         }
         pending_.reserve(batch_);
         expected_.reserve(batch_);
@@ -788,20 +773,8 @@ class VmBatchShadow
         }
     }
 
-    /** Flush the tail block and run the final cross-checks. */
-    MaybeDivergence
-    finish(std::size_t idx)
-    {
-        if (MaybeDivergence bad = drain(idx))
-            return bad;
-        if (scalarInj_.totalFired() != batchInj_.totalFired()) {
-            return diverge(idx, "batched pipeline: injected-fault "
-                "count diverged: scalar=" +
-                std::to_string(scalarInj_.totalFired()) + " batched=" +
-                std::to_string(batchInj_.totalFired()));
-        }
-        return std::nullopt;
-    }
+    /** Flush the tail block. */
+    MaybeDivergence finish(std::size_t idx) { return drain(idx); }
 
   private:
     MaybeDivergence
@@ -846,8 +819,6 @@ class VmBatchShadow
     }
 
     std::size_t batch_;
-    fault::FaultInjector scalarInj_;
-    fault::FaultInjector batchInj_;
     bool linux_;
     std::unique_ptr<VirtualMemory> scalarVm_;
     std::unique_ptr<VirtualMemory> batchVm_;
@@ -859,16 +830,13 @@ class VmBatchShadow
 } // namespace
 
 void
-runVmTrace(const Trace &trace, std::uint64_t batch,
-           const fault::FaultPlan &plan, std::uint64_t iseed,
-           fault::FaultInjector *faults, Digest &dg, FuzzResult &res)
+runVmTrace(const Trace &trace, std::uint64_t batch, Digest &dg,
+           FuzzResult &res)
 {
-    VmHarness h(trace, faults);
+    VmHarness h(trace);
     std::unique_ptr<VmBatchShadow> shadow;
-    if (batch > 1) {
-        shadow = std::make_unique<VmBatchShadow>(trace, batch,
-                                                 &plan, iseed);
-    }
+    if (batch > 1)
+        shadow = std::make_unique<VmBatchShadow>(trace, batch);
     drive(trace, h, dg, res, shadow.get());
 }
 
@@ -935,7 +903,7 @@ generateMosaicVm(Rng &rng, std::size_t numOps)
                                                "shrunken"};
     t.setCfg("policy", policies[rng.pickWeighted({0.6, 0.2, 0.2})]);
     t.setCfgUint("shrink_ppm", 20000);
-    t.setCfgUint("seed", rng());
+    (void)rng(); // the retired "cfg seed" draw: later draws stay put
     t.setCfgUint("hashseed", rng());
     t.setCfgUint("deep", 512);
 
@@ -1070,7 +1038,7 @@ generateWorkloadVm(Rng &rng, std::size_t numOps, std::string_view kind)
                                                    "shrunken"};
         t.setCfg("policy", policies[rng.pickWeighted({0.6, 0.2, 0.2})]);
         t.setCfgUint("shrink_ppm", 20000);
-        t.setCfgUint("seed", rng());
+        (void)rng(); // the retired "cfg seed" draw: later draws stay put
         t.setCfgUint("hashseed", rng());
         t.setCfgUint("deep", 512);
         const std::uint64_t frames = buckets * (shape.f + shape.b);

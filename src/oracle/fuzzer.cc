@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "fault/fault.hh"
 #include "oracle/fuzz_internal.hh"
 #include "util/log.hh"
 #include "util/random.hh"
@@ -29,31 +28,20 @@ runTrace(const Trace &trace, std::uint64_t batch)
     FuzzResult res;
     Digest dg;
 
-    // One injector per trace run, seeded from the trace itself, so
-    // injection decisions are a pure function of (plan, trace) —
-    // thread-count and machine invariant, like every other fuzz
-    // outcome. With MOSAIC_FAULTS unset the plan is empty and a null
-    // pointer reaches the harnesses: zero behavior change.
-    const fault::FaultPlan plan = fault::FaultPlan::fromEnv();
-    const std::uint64_t iseed = mix(
-        fault::hashString(trace.component), trace.cfgUint("pseed", 7));
-    fault::FaultInjector injector(&plan, iseed);
-    fault::FaultInjector *faults = plan.empty() ? nullptr : &injector;
-
-    if (trace.component == "tlb") {
+    // A cfg value the harnesses do not know fails the trace at op 0,
+    // as tryReadTraceFile refuses the file: an in-process trace must
+    // neither fall back to a default nor panic.
+    if (const Status cfg = checkTraceCfg(trace); !cfg.ok()) {
+        res.divergence = FuzzDivergence{0, cfg.message()};
+    } else if (trace.component == "tlb") {
         runTlbTrace(trace, dg, res);
     } else if (trace.component == "vm") {
-        runVmTrace(trace, batch, plan, iseed, faults, dg, res);
+        runVmTrace(trace, batch, dg, res);
     } else if (trace.component == "vm-shard") {
-        runShardTrace(trace, plan, iseed, faults, dg, res);
+        runShardTrace(trace, dg, res);
     } else {
         panic("fuzzer: unknown component '" + trace.component + "'");
     }
-    res.faultsInjected = injector.totalFired();
-    // Fold the injected-fault count into the digest only when a plan
-    // is active: fault-free digests stay byte-identical to pre-PR.
-    if (faults != nullptr)
-        dg.mix(res.faultsInjected);
     res.digest = dg.h;
     return res;
 }

@@ -35,6 +35,9 @@
  *    result, and after every op every metric forEachDesignMetric
  *    emits — all TlbStats counters, walk-cost and helper counters,
  *    coalesced coverage, reach and valid entries.
+ *
+ * Runs are fault-free: no MOSAIC_FAULTS site lies on a fuzzed
+ * component's path (DESIGN.md §11).
  */
 
 #ifndef MOSAIC_ORACLE_FUZZER_HH_
@@ -105,32 +108,19 @@ struct FuzzResult
 
     /** Ops actually applied (invalid ops are skipped, not counted). */
     std::size_t opsApplied = 0;
-
-    /** Faults injected during the run (0 unless MOSAIC_FAULTS names
-     *  a site this trace's component consults). Deterministic like
-     *  the digest: same trace + same plan = same count, anywhere. */
-    std::uint64_t faultsInjected = 0;
 };
 
 /**
- * Execute a trace; stops at the first divergence.
- *
- * When $MOSAIC_FAULTS is set, the run wires a per-trace
- * FaultInjector (seeded from the trace, so thread-count invariant)
- * into the component under test: swap I/O errors and latency spikes,
- * and "vm.place" placement failures (recovered by the VM's conflict-
- * recovery hook). The oracles stay in lockstep under every supported
- * plan — any divergence under injection is a real robustness bug,
- * which is the point of the chaos tests. The digest additionally
- * folds in the injected-fault count when (and only when) a plan is
- * active, so fault-free digests are unchanged.
+ * Execute a trace; stops at the first divergence. A vm or vm-shard
+ * trace whose cfg fails checkTraceCfg() diverges at op 0 with that
+ * check's message, applying nothing.
  */
 FuzzResult runTrace(const Trace &trace);
 
 /**
  * Execute a trace with the batched-pipeline shadow (DESIGN.md §13).
  * The primary component/oracle/digest path runs exactly as
- * runTrace(trace) — digests and fault counts are unchanged by
+ * runTrace(trace) — digests are unchanged by
  * construction — while every applied vm op is additionally mirrored
  * into a scalar-driven and a touchBatch-driven VM pair whose per-op
  * results and full observable state are compared at every flush

@@ -91,7 +91,6 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
         fold.swapIns += st.swapIns;
         fold.swapOuts += st.swapOuts;
         fold.conflicts += st.conflicts;
-        fold.recoveredConflicts += st.recoveredConflicts;
         fold.ghostEvictions += st.ghostEvictions;
         fold.ghostRescues += st.ghostRescues;
         if (st.firstConflictUtilization >= 0 &&
@@ -112,7 +111,6 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
             fold.swapIns != agg.swapIns ||
             fold.swapOuts != agg.swapOuts ||
             fold.conflicts != agg.conflicts ||
-            fold.recoveredConflicts != agg.recoveredConflicts ||
             fold.ghostEvictions != agg.ghostEvictions ||
             fold.ghostRescues != agg.ghostRescues ||
             fold.firstConflictUtilization !=

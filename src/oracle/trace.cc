@@ -169,8 +169,7 @@ namespace
 /** invalidArgument unless @p key's value is one of @p allowed; an
  *  absent key takes the first, the harnesses' default. */
 Status
-checkCfgEnum(const Trace &trace, const std::string &path,
-             const std::string &key,
+checkCfgEnum(const Trace &trace, const std::string &key,
              std::initializer_list<std::string_view> allowed)
 {
     const std::string value =
@@ -178,17 +177,30 @@ checkCfgEnum(const Trace &trace, const std::string &path,
     if (std::ranges::find(allowed, value) != allowed.end())
         return Status();
     return Status::invalidArgument("trace: unsupported 'cfg " + key +
-                                   " " + value + "' in '" + path + "'");
+                                   " " + value + "'");
 }
 
 } // namespace
 
-Result<Trace>
-tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
+Status
+checkTraceCfg(const Trace &trace)
 {
-    if (faults != nullptr && faults->shouldFail("trace.read"))
-        return Status::ioError("trace: injected read error on '" +
-                               path + "'");
+    // The vm harnesses read these keys as enums (DESIGN.md §10): a
+    // value they do not know is unreadable input, not a crash.
+    if (trace.component != "vm" && trace.component != "vm-shard")
+        return Status();
+    Status status = checkCfgEnum(trace, "kind", {"mosaic", "linux"});
+    if (status.ok())
+        status = checkCfgEnum(trace, "policy",
+                              {"horizon", "local", "shrunken"});
+    if (status.ok())
+        status = checkCfgEnum(trace, "sharing", {"pageid"});
+    return status;
+}
+
+Result<Trace>
+tryReadTraceFile(const std::string &path)
+{
     std::ifstream in(path, std::ios::binary);
     if (!in.good())
         return Status::notFound("trace: cannot open '" + path + "'");
@@ -197,17 +209,7 @@ tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
     if (in.bad())
         return Status::ioError("trace: read from '" + path +
                                "' failed");
-    std::string text = buffer.str();
-    if (faults != nullptr && faults->shouldFail("trace.corrupt")) {
-        // Model a torn write: drop the second half of the file,
-        // trimmed back to a line boundary so the damage is pure
-        // truncation. The parser then reports DataLoss (missing
-        // "end"), exercising the truncation path deterministically.
-        text.resize(text.size() / 2);
-        const std::size_t nl = text.rfind('\n');
-        text.resize(nl == std::string::npos ? 0 : nl + 1);
-    }
-    Result<Trace> parsed = tryParseTrace(text);
+    Result<Trace> parsed = tryParseTrace(buffer.str());
     if (!parsed.ok())
         return parsed;
     const Trace &trace = parsed.value();
@@ -215,19 +217,9 @@ tryReadTraceFile(const std::string &path, fault::FaultInjector *faults)
         return Status::invalidArgument(
             "trace: unknown component '" + trace.component + "' in '" +
             path + "'");
-    // The vm harnesses read these keys as enums (DESIGN.md §10): a
-    // value they do not know is unreadable input, not a crash.
-    if (trace.component == "vm" || trace.component == "vm-shard") {
-        Status status =
-            checkCfgEnum(trace, path, "kind", {"mosaic", "linux"});
-        if (status.ok())
-            status = checkCfgEnum(trace, path, "policy",
-                                  {"horizon", "local", "shrunken"});
-        if (status.ok())
-            status = checkCfgEnum(trace, path, "sharing", {"pageid"});
-        if (!status.ok())
-            return status;
-    }
+    if (const Status status = checkTraceCfg(trace); !status.ok())
+        return Status::invalidArgument(status.message() + " in '" +
+                                       path + "'");
     return parsed;
 }
 

@@ -21,13 +21,13 @@
  * byte-deterministic across machines and thread counts.
  *
  * Op vocabulary (args are decimal unsigned integers):
- *   vm:       t asid vpn write | u asid vpn npages | s sa sv da dv n
+ *   vm:       t asid vpn write | u asid vpn npages
  *   tlb:      l asid vpn       | c asid vpn (huge-mapped access)
  *             i asid vpn       | f asid     (flush the asid)
  * Harnesses may skip an op that is invalid in the current state
- * (e.g. a share into an ever-bound ToC); skipping is deterministic,
- * which keeps every subsequence of a trace itself a valid trace —
- * the property the delta-debugging shrinker relies on.
+ * (e.g. a `c` op on a design with no huge-page policy); skipping is
+ * deterministic, which keeps every subsequence of a trace itself a
+ * valid trace — the property the delta-debugging shrinker relies on.
  */
 
 #ifndef MOSAIC_ORACLE_TRACE_HH_
@@ -39,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault.hh"
 #include "util/status.hh"
 
 namespace mosaic
@@ -101,16 +100,20 @@ std::string serializeTrace(const Trace &trace);
 Result<Trace> tryParseTrace(const std::string &text);
 
 /**
- * Read and parse a trace file: NotFound / IoError for file-system
- * failures, everything tryParseTrace reports, and InvalidArgument for
- * a component no fuzz harness runs (fuzzer.hh's fuzzComponents
- * list). When @p faults is non-null, the "trace.read" site injects
- * an IoError and the "trace.corrupt" site truncates the text
- * mid-file before parsing (surfacing as DataLoss) — both
- * deliberate, for chaos testing.
+ * InvalidArgument when a vm or vm-shard trace sets `cfg kind`,
+ * `cfg policy` or `cfg sharing` to a value the vm harnesses do not
+ * read (an absent key takes the harness default); Ok otherwise.
+ * The message names the key and the value.
  */
-Result<Trace> tryReadTraceFile(const std::string &path,
-                               fault::FaultInjector *faults = nullptr);
+Status checkTraceCfg(const Trace &trace);
+
+/**
+ * Read and parse a trace file: NotFound / IoError for file-system
+ * failures, everything tryParseTrace reports (a file cut short is
+ * DataLoss), InvalidArgument for a component no fuzz harness runs
+ * (fuzzer.hh's fuzzComponents list), and checkTraceCfg's refusal.
+ */
+Result<Trace> tryReadTraceFile(const std::string &path);
 
 /** Write the canonical form; IoError when the path can't be opened
  *  or the write fails. */

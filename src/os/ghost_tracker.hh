@@ -1,8 +1,8 @@
 /**
  * @file
- * Horizon-LRU ghost bookkeeping, factored out of MosaicVm so each
- * shard of the sharded engine (DESIGN.md §17) reuses the exact same
- * recency-log / ghost-count / ghost-bitmap machinery.
+ * MosaicVm's Horizon-LRU ghost bookkeeping: the recency log, the
+ * ghost count and the ghost bitmap, kept in one class so the three
+ * change together and the invariants below hold at every call.
  *
  * Invariants: every used frame has exactly one live entry in the
  * recency log (the entry of its last map or touch) unless a reap has

@@ -15,7 +15,6 @@ LinuxVm::LinuxVm(const LinuxVmConfig &config)
         1, static_cast<std::size_t>(
                static_cast<double>(config.numFrames) *
                config.watermarkFraction));
-    swap_.setFaultInjector(config_.faults);
 }
 
 VanillaPageTable &

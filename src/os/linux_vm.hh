@@ -36,11 +36,6 @@ struct LinuxVmConfig
 
     /** Pages reclaimed per kswapd-style batch (SWAP_CLUSTER_MAX). */
     unsigned reclaimBatch = 32;
-
-    /** Optional fault-injection state (DESIGN.md §11); must outlive
-     *  the VM. Attached to the swap device for the "swap.read" /
-     *  "swap.write" / "swap.latency" sites. */
-    fault::FaultInjector *faults = nullptr;
 };
 
 /** Fully-associative demand paging with global LRU reclaim. */

@@ -18,7 +18,6 @@ MosaicVm::MosaicVm(const MosaicVmConfig &config)
               static_cast<double>(frames_.numFrames()) *
               (1.0 - config_.shrinkDelta))
         : frames_.numFrames();
-    swap_.setFaultInjector(config_.faults);
 }
 
 MosaicPageTable &
@@ -156,25 +155,8 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
         evictFrame(ghosts_.popOldest(frames_));
     }
 
-    std::optional<Placement> placement;
-    const bool place_injected = config_.faults != nullptr &&
-                                config_.faults->shouldFail("vm.place");
-    if (!place_injected)
-        placement = allocator_.place(cand, frames_, ghosts_.bits());
-
-    if (!placement) {
-        // Recovery: reclaim anything the horizon has already ghosted
-        // and retry once before escalating to a hard conflict.
-        // Placement is a pure function of frames_ and horizon_, so
-        // the retry succeeds only when the first attempt failed
-        // transiently (fault injection) — never on a real conflict;
-        // recoveries are counted in VmStats::recoveredConflicts.
-        reapGhosts();
-        placement = allocator_.place(cand, frames_, ghosts_.bits());
-        if (placement)
-            ++stats_.recoveredConflicts;
-    }
-
+    std::optional<Placement> placement =
+        allocator_.place(cand, frames_, ghosts_.bits());
     if (!placement) {
         // Associativity conflict: every candidate slot holds a live
         // page. Evict the LRU candidate; under Horizon LRU, also

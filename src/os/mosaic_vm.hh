@@ -60,11 +60,6 @@ struct MosaicVmConfig
      *  perfbench/tenants_churn.cc assign it; it goes with that
      *  benchmark's next revision (ROADMAP item 6(c)). */
     std::uint64_t seed = 12345;
-
-    /** Optional fault-injection state (DESIGN.md §11); must outlive
-     *  the VM. Consulted at the "vm.place" site and attached to the
-     *  swap device for "swap.read"/"swap.write"/"swap.latency". */
-    fault::FaultInjector *faults = nullptr;
 };
 
 /** Mosaic paging: iceberg allocation + Horizon LRU. */

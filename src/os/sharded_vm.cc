@@ -116,7 +116,6 @@ ShardedMosaicVm::stats() const
         agg.swapIns += s.swapIns;
         agg.swapOuts += s.swapOuts;
         agg.conflicts += s.conflicts;
-        agg.recoveredConflicts += s.recoveredConflicts;
         agg.ghostEvictions += s.ghostEvictions;
         agg.ghostRescues += s.ghostRescues;
         min_gauge(&agg.firstConflictUtilization,

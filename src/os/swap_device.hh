@@ -11,15 +11,11 @@
  * write I/O — matching Linux behaviour and applied identically to
  * both the mosaic and baseline VMs.
  *
- * Fault injection (DESIGN.md §11): when a FaultInjector is attached,
- * the sites "swap.read" and "swap.write" model transient I/O errors
- * — the errored transfer is retried once and the retry succeeds, so
- * the logical page state and the read/write counters are unchanged
- * while ioErrors records the exposure — and "swap.latency"
- * models a device latency spike, accumulating stallTicks. A read of
- * a page with no swap copy is never performed: it is counted as
- * spuriousReads (and panics in debug builds, since the VMs always
- * check contains() first).
+ * The device has no failure modes: Tables 3/4 read only its I/O
+ * counts, and the paper's device is a ramdisk. A read of a page with
+ * no swap copy is never performed: it is counted as spuriousReads
+ * (and panics in debug builds, since the VMs always check contains()
+ * first).
  */
 
 #ifndef MOSAIC_OS_SWAP_DEVICE_HH_
@@ -28,7 +24,6 @@
 #include <cstdint>
 #include <unordered_set>
 
-#include "fault/fault.hh"
 #include "util/log.hh"
 
 namespace mosaic
@@ -38,16 +33,6 @@ namespace mosaic
 class SwapDevice
 {
   public:
-    /** Simulated ticks one injected latency spike costs. */
-    static constexpr std::uint64_t latencySpikeTicks = 1000;
-
-    /** Attach fault-injection state (nullptr detaches; the injector
-     *  must outlive the device). */
-    void setFaultInjector(fault::FaultInjector *faults)
-    {
-        faults_ = faults;
-    }
-
     /** True when the page has an up-to-date copy on the device. */
     bool
     contains(std::uint64_t key) const
@@ -59,12 +44,6 @@ class SwapDevice
     void
     writeOut(std::uint64_t key)
     {
-        if (faults_ != nullptr) {
-            if (faults_->shouldFail("swap.write"))
-                ++ioErrors_; // transient: one retry, which succeeds
-            if (faults_->shouldFail("swap.latency"))
-                stallTicks_ += latencySpikeTicks;
-        }
         slots_.insert(key);
         ++writes_;
     }
@@ -81,12 +60,6 @@ class SwapDevice
             panic("swap: readIn of a page with no swap copy");
 #endif
             return;
-        }
-        if (faults_ != nullptr) {
-            if (faults_->shouldFail("swap.read"))
-                ++ioErrors_; // transient: one retry, which succeeds
-            if (faults_->shouldFail("swap.latency"))
-                stallTicks_ += latencySpikeTicks;
         }
         ++reads_;
     }
@@ -105,21 +78,13 @@ class SwapDevice
     /** Reads requested for pages with no swap copy (caller bugs). */
     std::uint64_t spuriousReads() const { return spuriousReads_; }
 
-    /** Injected transient I/O errors observed; each was retried
-     *  once, so this is also the retry count. */
-    std::uint64_t ioErrors() const { return ioErrors_; }
-
-    /** Simulated ticks lost to injected latency spikes. */
-    std::uint64_t stallTicks() const { return stallTicks_; }
-
     /** Pages currently holding swap copies. */
     std::size_t pagesStored() const { return slots_.size(); }
 
     /**
      * Visit every counter as (name, value) pairs for telemetry.
-     * Fault-exposure counters are visited only when nonzero, so a
-     * fault-free run's telemetry serializes byte-identically to the
-     * pre-fault-subsystem output (DESIGN.md §11).
+     * spuriousReads is visited only when nonzero, so a correct run's
+     * telemetry carries only the four I/O counters.
      */
     template <typename Fn>
     void
@@ -131,10 +96,6 @@ class SwapDevice
         fn("pagesStored", static_cast<std::uint64_t>(pagesStored()));
         if (spuriousReads_ > 0)
             fn("spuriousReads", spuriousReads_);
-        if (ioErrors_ > 0)
-            fn("ioErrors", ioErrors_);
-        if (stallTicks_ > 0)
-            fn("stallTicks", stallTicks_);
     }
 
   private:
@@ -144,12 +105,9 @@ class SwapDevice
     // which beats an open-addressed probe whose strong hash scatters
     // every lookup (measured ~2x on the eviction micros).
     std::unordered_set<std::uint64_t> slots_;
-    fault::FaultInjector *faults_ = nullptr;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
     std::uint64_t spuriousReads_ = 0;
-    std::uint64_t ioErrors_ = 0;
-    std::uint64_t stallTicks_ = 0;
 };
 
 } // namespace mosaic

@@ -42,11 +42,11 @@ struct VmStats
      *  swap-out. */
     double firstSwapOutUtilization = -1.0;
 
-    /** Placement failures recovered by the conflict-recovery hook
-     *  (ghost reclamation + retry) instead of escalating to a hard
-     *  conflict. Always zero in fault-free runs: a genuine conflict
-     *  is deterministic, so the retry fails exactly when the first
-     *  attempt did. */
+    /** Always 0: nothing writes it, and it is no metric. Placement
+     *  is a pure function of the frame state, so a failed placement
+     *  has no retry to recover it. Kept only because
+     *  perfbench/tenants_churn.cc reads it; it goes with that
+     *  benchmark's next revision (ROADMAP item 6(c)). */
     std::uint64_t recoveredConflicts = 0;
 
     /** Ghost pages whose frames were reclaimed for an allocation. */
@@ -80,10 +80,6 @@ struct VmStats
         fn("swapIns", swapIns);
         fn("swapOuts", swapOuts);
         fn("conflicts", conflicts);
-        // Emitted only when nonzero so fault-free telemetry stays
-        // byte-identical to pre-fault-subsystem output.
-        if (recoveredConflicts > 0)
-            fn("recoveredConflicts", recoveredConflicts);
         fn("firstConflictUtilization", firstConflictUtilization);
         fn("firstSwapOutUtilization", firstSwapOutUtilization);
         fn("ghostEvictions", ghostEvictions);

@@ -132,11 +132,8 @@ TraceReader::TraceReader(const std::string &path)
 }
 
 Result<std::unique_ptr<TraceReader>>
-TraceReader::open(const std::string &path, fault::FaultInjector *faults)
+TraceReader::open(const std::string &path)
 {
-    if (faults != nullptr && faults->shouldFail("tracefile.read"))
-        return Status::ioError("trace: injected read error on " +
-                               path);
     std::unique_ptr<TraceReader> reader(
         new TraceReader(Unchecked{}, path));
     const Status status = reader->validateHeader(path);

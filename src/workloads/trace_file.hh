@@ -4,10 +4,10 @@
  * once, replay it many times (e.g. to sweep TLB configurations
  * without re-executing the workload, as trace-driven studies do).
  *
- * Format: a 16-byte header ("MOSAICTR", version, record count),
- * then one 8-byte record per access — the virtual address in the
- * low 63 bits and the write flag in the top bit. Addresses in this
- * simulator fit 48 bits, so nothing is lost.
+ * Format: a 24-byte header ("MOSAICTR", version, a reserved word,
+ * record count), then one 8-byte record per access — the virtual
+ * address in the low 63 bits and the write flag in the top bit.
+ * Addresses in this simulator fit 48 bits, so nothing is lost.
  *
  * Trace files are external input (DESIGN.md §11): the open() factory
  * functions report unusable files as Status values so callers can
@@ -25,7 +25,6 @@
 #include <memory>
 #include <string>
 
-#include "fault/fault.hh"
 #include "util/status.hh"
 #include "workloads/access_sink.hh"
 
@@ -85,12 +84,9 @@ class TraceReader
      * Open and validate the header, reporting failure as a Status:
      * NotFound when the path can't be opened, DataLoss for a short
      * or foreign header, InvalidArgument for an unsupported version.
-     * When @p faults is non-null the "tracefile.read" site injects
-     * an IoError (chaos testing).
      */
     static Result<std::unique_ptr<TraceReader>>
-    open(const std::string &path,
-         fault::FaultInjector *faults = nullptr);
+    open(const std::string &path);
 
     /** Records the header claims. */
     std::uint64_t records() const { return records_; }

@@ -70,3 +70,34 @@ TEST(FuzzVm, ShrinkIsIdentityOnPassingTraces)
     const Trace same = shrinkTrace(trace);
     EXPECT_EQ(serializeTrace(same), serializeTrace(trace));
 }
+
+// A trace built in process never passes tryReadTraceFile's cfg check,
+// so runTrace applies the same check: an unknown enum value fails the
+// trace at op 0, naming key and value, instead of running a default
+// policy or panicking in the harness.
+void
+expectCfgRefusedAtOpZero(const std::string &component,
+                         const std::string &key, const std::string &value)
+{
+    Trace trace = generateTrace(component, 3, 50);
+    trace.setCfg(key, value);
+    const FuzzResult result = runTrace(trace);
+    ASSERT_TRUE(result.divergence.has_value()) << component;
+    EXPECT_EQ(result.divergence->opIndex, 0u);
+    EXPECT_NE(result.divergence->message.find("cfg " + key + " " + value),
+              std::string::npos)
+        << result.divergence->message;
+    EXPECT_EQ(result.opsApplied, 0u);
+}
+
+TEST(FuzzVm, InProcessUnknownPolicyIsRefusedAtOpZero)
+{
+    expectCfgRefusedAtOpZero("vm", "policy", "horizn");
+    expectCfgRefusedAtOpZero("vm-shard", "policy", "horizn");
+}
+
+TEST(FuzzVm, InProcessUnknownKindIsRefusedAtOpZero)
+{
+    expectCfgRefusedAtOpZero("vm", "kind", "bogus");
+    expectCfgRefusedAtOpZero("vm-shard", "kind", "bogus");
+}

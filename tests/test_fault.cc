@@ -1,24 +1,25 @@
 /**
  * @file
  * Tests for the robustness layer (DESIGN.md §11): the Status/Result
- * error taxonomy, deterministic fault injection (plan parsing and
- * firing rules), the per-component degradation contracts (swap I/O
- * retries, vm.place ghost-reclaim recovery),
- * negative tests for the Status-returning trace parser, and death
- * tests confirming internal-invariant panics still abort.
+ * error taxonomy, deterministic fault injection (plan parsing, the
+ * environment plan's site check and firing rules), negative tests for
+ * the Status-returning trace parser, and death tests confirming
+ * internal-invariant panics still abort.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hh"
+#include "mem/mosaic_mapper.hh"
 #include "oracle/trace.hh"
-#include "os/mosaic_vm.hh"
 #include "os/swap_device.hh"
 #include "util/stats.hh"
 #include "util/status.hh"
@@ -76,18 +77,18 @@ TEST(StatusDeathTest, ValueOnErrorResultPanics)
 TEST(FaultPlan, ParsesMultiSitePlans)
 {
     const auto r = fault::FaultPlan::parse(
-        "swap.write:every=1000;swap.latency:p=1e-4,after=10,limit=3");
+        "serve.admit:every=1000;serve.crash:p=1e-4,after=10,limit=3");
     ASSERT_TRUE(r.ok()) << r.status().toString();
     const fault::FaultPlan &plan = r.value();
     EXPECT_FALSE(plan.empty());
-    ASSERT_NE(plan.spec("swap.write"), nullptr);
-    EXPECT_EQ(plan.spec("swap.write")->every, 1000u);
-    const fault::FaultSpec *lat = plan.spec("swap.latency");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_DOUBLE_EQ(lat->p, 1e-4);
-    EXPECT_EQ(lat->after, 10u);
-    EXPECT_EQ(lat->limit, 3u);
-    EXPECT_EQ(plan.spec("vm.place"), nullptr);
+    ASSERT_NE(plan.spec("serve.admit"), nullptr);
+    EXPECT_EQ(plan.spec("serve.admit")->every, 1000u);
+    const fault::FaultSpec *crash = plan.spec("serve.crash");
+    ASSERT_NE(crash, nullptr);
+    EXPECT_DOUBLE_EQ(crash->p, 1e-4);
+    EXPECT_EQ(crash->after, 10u);
+    EXPECT_EQ(crash->limit, 3u);
+    EXPECT_EQ(plan.spec("cell.run"), nullptr);
 }
 
 TEST(FaultPlan, EmptyAndTrailingSeparatorsTolerated)
@@ -121,6 +122,18 @@ TEST(FaultPlan, MalformedPlansAreInvalidArgument)
     }
 }
 
+// A plan naming a site no component consults would run clean and
+// exit 0, so the user would think it was applied.
+TEST(FaultPlanDeathTest, EnvPlanNamingAnUnknownSiteIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            ::setenv("MOSAIC_FAULTS", "swap.write:every=50", 1);
+            (void)fault::FaultPlan::fromEnv();
+        },
+        ::testing::ExitedWithCode(1), "unknown site 'swap.write'");
+}
+
 // ----------------------------------------------------- FaultInjector
 
 TEST(FaultInjector, EveryNthHitFires)
@@ -133,9 +146,6 @@ TEST(FaultInjector, EveryNthHitFires)
     const std::vector<bool> want{false, false, true, false, false,
                                  true, false, false, true};
     EXPECT_EQ(fired, want);
-    EXPECT_EQ(inj.hits("s"), 9u);
-    EXPECT_EQ(inj.fired("s"), 3u);
-    EXPECT_EQ(inj.totalFired(), 3u);
 }
 
 TEST(FaultInjector, AfterSuppressesAndLimitCaps)
@@ -162,8 +172,6 @@ TEST(FaultInjector, ProbabilityOneAlwaysFiresAndOtherSitesNever)
         EXPECT_TRUE(a.shouldFail("s"));
         EXPECT_FALSE(a.shouldFail("unlisted.site"));
     }
-    EXPECT_EQ(a.hits("unlisted.site"), 100u);
-    EXPECT_EQ(a.fired("unlisted.site"), 0u);
 }
 
 TEST(FaultInjector, ProbabilisticFiringIsSeedDeterministic)
@@ -180,18 +188,17 @@ TEST(FaultInjector, ProbabilisticFiringIsSeedDeterministic)
     EXPECT_EQ(fa, fb); // same seed: identical sequence
     EXPECT_NE(fa, fc); // different seed: different draws
     // ~30 % firing rate, loose bounds.
-    EXPECT_GT(a.fired("s"), 30u);
-    EXPECT_LT(a.fired("s"), 90u);
+    const auto fired = std::count(fa.begin(), fa.end(), true);
+    EXPECT_GT(fired, 30);
+    EXPECT_LT(fired, 90);
 }
 
 TEST(FaultInjector, InertWithoutPlan)
 {
     fault::FaultInjector inj;
-    EXPECT_FALSE(inj.active());
     EXPECT_FALSE(inj.shouldFail("anything"));
     const auto empty = fault::FaultPlan::parse("").value();
     fault::FaultInjector with_empty(&empty, 1);
-    EXPECT_FALSE(with_empty.active());
     EXPECT_FALSE(with_empty.shouldFail("anything"));
 }
 
@@ -249,68 +256,37 @@ TEST(TraceErrors, UnwritablePathIsIoError)
     EXPECT_EQ(s.code(), StatusCode::IoError);
 }
 
-TEST(TraceErrors, InjectedReadAndCorruptionSurfaceAsStatus)
+TEST(TraceErrors, TruncatedFileOnDiskIsDataLoss)
 {
     Trace trace;
     trace.component = "vm";
     trace.setCfgUint("pseed", 7);
+    for (std::uint64_t vpn = 0; vpn < 8; ++vpn) {
+        TraceOp op;
+        op.kind = 't';
+        op.nargs = 3;
+        op.args = {1, vpn, 0};
+        trace.ops.push_back(op);
+    }
     const fs::path path =
-        fs::temp_directory_path() / "mosaic_fault_inject.trace";
+        fs::temp_directory_path() / "mosaic_truncated.trace";
     ASSERT_TRUE(tryWriteTraceFile(path.string(), trace).ok());
-
-    const auto read_plan =
-        fault::FaultPlan::parse("trace.read:every=1").value();
-    fault::FaultInjector read_inj(&read_plan, 1);
-    const auto r1 = tryReadTraceFile(path.string(), &read_inj);
-    ASSERT_FALSE(r1.ok());
-    EXPECT_EQ(r1.status().code(), StatusCode::IoError);
-
-    const auto corrupt_plan =
-        fault::FaultPlan::parse("trace.corrupt:every=1").value();
-    fault::FaultInjector corrupt_inj(&corrupt_plan, 1);
-    const auto r2 = tryReadTraceFile(path.string(), &corrupt_inj);
-    ASSERT_FALSE(r2.ok());
-    EXPECT_EQ(r2.status().code(), StatusCode::DataLoss);
-
-    // Without injection the same file parses fine.
     EXPECT_TRUE(tryReadTraceFile(path.string()).ok());
+
+    // A torn write: the file ends at a line boundary before "end".
+    std::string text = serializeTrace(trace);
+    text.resize(text.rfind("op t 1 4"));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << text;
+    }
+    const auto r = tryReadTraceFile(path.string());
     fs::remove(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::DataLoss);
 }
 
-// -------------------------------------------- swap device degradation
-
-TEST(SwapFaults, TransientIoErrorsAreRetriedNotCounted)
-{
-    const auto plan =
-        fault::FaultPlan::parse("swap.write:every=2;swap.read:every=2")
-            .value();
-    fault::FaultInjector inj(&plan, 9);
-    SwapDevice dev;
-    dev.setFaultInjector(&inj);
-    for (std::uint64_t k = 0; k < 10; ++k)
-        dev.writeOut(k);
-    for (std::uint64_t k = 0; k < 10; ++k)
-        dev.readIn(k);
-    // The logical I/O counters are unchanged by injection: every
-    // errored transfer retried once and succeeded, so ioErrors is
-    // also the retry count.
-    EXPECT_EQ(dev.writes(), 10u);
-    EXPECT_EQ(dev.reads(), 10u);
-    EXPECT_EQ(dev.ioErrors(), 10u);  // 5 write + 5 read errors
-    EXPECT_EQ(dev.pagesStored(), 10u);
-}
-
-TEST(SwapFaults, LatencySpikesAccumulateStallTicks)
-{
-    const auto plan =
-        fault::FaultPlan::parse("swap.latency:every=3").value();
-    fault::FaultInjector inj(&plan, 9);
-    SwapDevice dev;
-    dev.setFaultInjector(&inj);
-    for (std::uint64_t k = 0; k < 9; ++k)
-        dev.writeOut(k);
-    EXPECT_EQ(dev.stallTicks(), 3 * SwapDevice::latencySpikeTicks);
-}
+// ------------------------------------------------------ swap device
 
 TEST(SwapFaults, FaultCountersAbsentFromCleanMetrics)
 {
@@ -341,36 +317,6 @@ TEST(SwapFaultsDeathTest, SpuriousReadPanicsInDebugBuilds)
     EXPECT_DEATH(dev.readIn(123), "no swap copy");
 }
 #endif
-
-// -------------------------------------- vm.place conflict recovery
-
-TEST(VmRecovery, InjectedPlacementFailuresRecoverIdentically)
-{
-    MosaicVmConfig clean_cfg;
-    clean_cfg.geometry.numFrames = 64 * 64;
-    MosaicVm clean(clean_cfg);
-
-    const auto plan =
-        fault::FaultPlan::parse("vm.place:every=5").value();
-    fault::FaultInjector inj(&plan, 11);
-    MosaicVmConfig faulty_cfg = clean_cfg;
-    faulty_cfg.faults = &inj;
-    MosaicVm faulty(faulty_cfg);
-
-    // Identical touch sequence: recovery must yield identical
-    // placements (it reaps ghosts and retries; placement is a pure
-    // function of the frame state, which reaping doesn't alter for
-    // a first-touch stream).
-    for (Vpn vpn = 0; vpn < 1000; ++vpn) {
-        const Pfn a = clean.touch(1, vpn, false);
-        const Pfn b = faulty.touch(1, vpn, false);
-        ASSERT_EQ(a, b) << "vpn " << vpn;
-    }
-    EXPECT_EQ(clean.stats().recoveredConflicts, 0u);
-    EXPECT_GT(faulty.stats().recoveredConflicts, 0u);
-    EXPECT_EQ(clean.stats().conflicts, faulty.stats().conflicts);
-    EXPECT_EQ(clean.stats().minorFaults, faulty.stats().minorFaults);
-}
 
 // -------------------------------- internal-invariant death tests
 

@@ -80,7 +80,6 @@ expectStatsEqual(const VmStats &a, const VmStats &b)
     EXPECT_EQ(a.swapIns, b.swapIns);
     EXPECT_EQ(a.swapOuts, b.swapOuts);
     EXPECT_EQ(a.conflicts, b.conflicts);
-    EXPECT_EQ(a.recoveredConflicts, b.recoveredConflicts);
     EXPECT_EQ(a.ghostEvictions, b.ghostEvictions);
     EXPECT_EQ(a.ghostRescues, b.ghostRescues);
     EXPECT_EQ(a.firstConflictUtilization, b.firstConflictUtilization);

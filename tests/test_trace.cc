@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -122,6 +123,56 @@ TEST_F(TraceTest, ExplicitCloseThenRead)
     writer.close();
     TraceReader reader(path_);
     EXPECT_EQ(reader.records(), 1u);
+}
+
+TEST_F(TraceTest, OpenReportsAMissingFileAsNotFound)
+{
+    const auto r = TraceReader::open(path_ + ".nope");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::NotFound);
+}
+
+TEST_F(TraceTest, OpenReportsAShortHeaderAsDataLoss)
+{
+    {
+        std::ofstream junk(path_, std::ios::binary);
+        junk << "MOSAICTR"; // the magic, then nothing
+    }
+    const auto r = TraceReader::open(path_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::DataLoss);
+}
+
+TEST_F(TraceTest, OpenReportsAnUnknownVersionAsInvalidArgument)
+{
+    {
+        TraceWriter writer(path_);
+        writer.access(0x1000, false);
+    }
+    {
+        // The version word follows the 8-byte magic.
+        std::fstream file(path_,
+                          std::ios::binary | std::ios::in | std::ios::out);
+        const std::uint32_t version = 2;
+        file.seekp(8);
+        file.write(reinterpret_cast<const char *>(&version),
+                   sizeof version);
+    }
+    const auto r = TraceReader::open(path_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
+}
+
+TEST_F(TraceTest, OpenReadsAValidFile)
+{
+    {
+        TraceWriter writer(path_);
+        writer.access(0x1000, false);
+        writer.access(0x2000, true);
+    }
+    const auto r = TraceReader::open(path_);
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    EXPECT_EQ(r.value()->records(), 2u);
 }
 
 using TraceDeathTest = TraceTest;

@@ -25,9 +25,7 @@
  *      ... printed to stderr) and no trace diverged
  *
  * An unreadable or malformed trace is reported with its structured
- * status and the remaining traces still run. When MOSAIC_FAULTS is
- * active, the per-trace report also shows how many faults were
- * injected.
+ * status and the remaining traces still run.
  */
 
 #include <cstdint>
@@ -35,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hh"
 #include "oracle/fuzzer.hh"
 #include "oracle/trace.hh"
 #include "util/parse.hh"
@@ -85,7 +82,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const bool chaos = fault::FaultPlan::envActive();
     bool anyDiverged = false;
     bool anyUnreadable = false;
     for (const std::string &path : paths) {
@@ -111,11 +107,7 @@ main(int argc, char **argv)
         }
         if (!result.divergence) {
             std::cout << path << ": ok, " << result.opsApplied
-                      << " ops, digest " << result.digest;
-            if (chaos)
-                std::cout << ", " << result.faultsInjected
-                          << " faults injected";
-            std::cout << "\n";
+                      << " ops, digest " << result.digest << "\n";
         }
     }
     return replayExitCode(anyDiverged, anyUnreadable);
