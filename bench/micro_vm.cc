@@ -12,7 +12,6 @@
 #include "bench_gbench.hh"
 
 #include <cstdint>
-#include <vector>
 
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
@@ -45,33 +44,6 @@ BM_MosaicVmTouchResident(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MosaicVmTouchResident);
-
-void
-BM_MosaicVmTouchResidentBatched(benchmark::State &state)
-{
-    // The batched-pipeline twin of BM_MosaicVmTouchResident: the same
-    // resident working set streamed through touchBatch in blocks of
-    // 64 (DESIGN.md §13). Time is per touch, directly comparable to
-    // the scalar series.
-    MosaicVm vm(mosaicConfig(64 * 256));
-    constexpr Vpn ws = 4096;
-    for (Vpn v = 0; v < ws; ++v)
-        vm.touch(1, v, true);
-    constexpr unsigned block = 64;
-    std::vector<PageTouch> touches(block);
-    std::vector<Pfn> out(block);
-    Vpn v = 0;
-    for (auto _ : state) {
-        for (unsigned i = 0; i < block; ++i) {
-            touches[i] = PageTouch{1, v, false};
-            v = (v + 1) % ws;
-        }
-        vm.touchBatch({touches.data(), block}, out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * block);
-}
-BENCHMARK(BM_MosaicVmTouchResidentBatched);
 
 void
 BM_LinuxVmTouchResident(benchmark::State &state)

@@ -126,28 +126,6 @@ class FrameTable
         --used_;
     }
 
-    /**
-     * Hint the cache hierarchy that the metadata of frames
-     * [base, base + width) is about to be scanned: the dense tick
-     * run, the used-bit word, and the Frame records themselves. Pure
-     * performance hint — no observable state changes. Used by the
-     * batched touch pipeline to warm a resident page's frame before
-     * its touch updates it.
-     */
-    void
-    prefetchRange(Pfn base, unsigned width) const
-    {
-        if (base >= frames_.size())
-            return;
-        __builtin_prefetch(&ticks_[base]);
-        __builtin_prefetch(usedBits_.wordAddr(base));
-        // Frame records are 32 bytes; touch each cache line of the run.
-        const std::size_t last =
-            std::min<std::size_t>(base + width, frames_.size()) - 1;
-        for (std::size_t p = base; p <= last; p += 2)
-            __builtin_prefetch(&frames_[p]);
-    }
-
     /** Hint that lastAccessOf(pfn) is about to be read; pure hint. */
     void prefetchTick(Pfn pfn) const { __builtin_prefetch(&ticks_[pfn]); }
 

@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "oracle/fuzzer.hh"
@@ -91,36 +90,20 @@ pageStr(Asid asid, Vpn vpn)
 /**
  * Apply every op of @p trace to @p harness until the first
  * divergence, folding outcomes into @p dg and counts into @p res.
- * Every op the harness applies is also mirrored into the batched
- * pipeline shadow (a vm trace with batch > 1), which flags any scalar
- * / batched disagreement as a divergence. The primary path — and
- * therefore the digest — is byte-identical either way.
  */
-template <typename Harness, typename Shadow = std::nullptr_t>
+template <typename Harness>
 void
-drive(const Trace &trace, Harness &harness, Digest &dg, FuzzResult &res,
-      Shadow shadow = nullptr)
+drive(const Trace &trace, Harness &harness, Digest &dg, FuzzResult &res)
 {
-    constexpr bool shadowed = !std::is_null_pointer_v<Shadow>;
     for (std::size_t i = 0; i < trace.ops.size(); ++i) {
         bool applied = false;
         MaybeDivergence bad =
             harness.apply(trace.ops[i], i, &applied, dg);
         if (applied)
             ++res.opsApplied;
-        if constexpr (shadowed) {
-            if (!bad && applied && shadow != nullptr)
-                bad = shadow->mirror(trace.ops[i], i);
-        }
         if (bad) {
             res.divergence = std::move(bad);
             return;
-        }
-    }
-    if constexpr (shadowed) {
-        if (shadow != nullptr) {
-            if (MaybeDivergence bad = shadow->finish(trace.ops.size()))
-                res.divergence = std::move(bad);
         }
     }
 }
@@ -128,11 +111,10 @@ drive(const Trace &trace, Harness &harness, Digest &dg, FuzzResult &res,
 /** Trace -> MosaicVmConfig; the vm and vm-shard harnesses share it. */
 MosaicVmConfig mosaicVmCfgFromTrace(const Trace &t);
 
-// Component runners: build the harness (and shadow) and drive the
-// trace. fuzz_tlb.cc, fuzz_vm.cc and fuzz_shard.cc.
+// Component runners: build the harness and drive the trace.
+// fuzz_tlb.cc, fuzz_vm.cc and fuzz_shard.cc.
 void runTlbTrace(const Trace &trace, Digest &dg, FuzzResult &res);
-void runVmTrace(const Trace &trace, std::uint64_t batch, Digest &dg,
-                FuzzResult &res);
+void runVmTrace(const Trace &trace, Digest &dg, FuzzResult &res);
 void runShardTrace(const Trace &trace, Digest &dg, FuzzResult &res);
 
 // Generators, one per trace family.

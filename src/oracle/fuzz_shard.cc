@@ -201,9 +201,6 @@ class ShardHarness
 void
 runShardTrace(const Trace &trace, Digest &dg, FuzzResult &res)
 {
-    // The sharded engine's batched pipeline is covered by its own
-    // tier-1 tests; like tlb, the batch knob changes nothing here,
-    // so batched corpus sweeps reproduce these digests verbatim.
     ShardHarness h(trace);
     drive(trace, h, dg, res);
 }

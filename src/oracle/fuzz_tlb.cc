@@ -262,8 +262,6 @@ class DesignHarness
 void
 runTlbTrace(const Trace &trace, Digest &dg, FuzzResult &res)
 {
-    // A design has one drive path, access(); there is no batched
-    // TLB engine to shadow.
     DesignHarness h(trace);
     drive(trace, h, dg, res);
 }

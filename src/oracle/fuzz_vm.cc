@@ -2,7 +2,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,8 +25,7 @@ namespace
 
 // --------------------------------------------------------- vm harness
 
-/** Trace -> LinuxVmConfig. Shared by the harness and the batched
- *  pipeline shadow so both paths build identical instances. */
+/** Trace -> LinuxVmConfig. */
 LinuxVmConfig
 linuxVmCfgFromTrace(const Trace &t)
 {
@@ -669,175 +667,13 @@ class VmHarness
     std::unique_ptr<OracleVm> recency_;
 };
 
-// ------------------------------------- batched pipeline shadows
-
-/** Flattened observable VM state for exact scalar/batched
- *  comparison: every stats metric plus residency and (for mosaic)
- *  ghost/horizon/clock state. */
-std::vector<std::pair<std::string, double>>
-vmStateVector(const VirtualMemory &vm, bool is_mosaic)
-{
-    std::vector<std::pair<std::string, double>> out;
-    vm.stats().forEachMetric([&](const char *name,
-                                 const auto &value) {
-        using T = std::decay_t<decltype(value)>;
-        if constexpr (std::is_same_v<T, RunningStat>) {
-            const std::string base = name;
-            out.emplace_back(base + ".count",
-                             static_cast<double>(value.count()));
-            out.emplace_back(base + ".mean", value.mean());
-        } else {
-            out.emplace_back(name, static_cast<double>(value));
-        }
-    });
-    out.emplace_back("residentPages",
-                     static_cast<double>(vm.residentPages()));
-    if (is_mosaic) {
-        const auto &mvm = static_cast<const MosaicVm &>(vm);
-        out.emplace_back("ghostPages",
-                         static_cast<double>(mvm.ghostPages()));
-        out.emplace_back("horizon",
-                         static_cast<double>(mvm.horizon()));
-        out.emplace_back("now", static_cast<double>(mvm.now()));
-    }
-    return out;
-}
-
-/**
- * Lockstep shadow for the batched VM pipeline (DESIGN.md §13): every
- * applied vm-trace op is replayed into a scalar-driven VM and a
- * touchBatch-driven VM, both built from the same trace config.
- * Touches buffer into blocks of @p batch, clamped to [2, maxBlock];
- * any non-touch mutation and the end of the trace flush the
- * pipeline. At every flush boundary the per-touch PFNs and the full
- * observable state must match exactly — the primary harness (and
- * therefore the digest) is untouched, so batched runs reproduce
- * scalar goldens by construction.
- */
-class VmBatchShadow
-{
-  public:
-    /** Upper bound on the block (keeps the scratch bounded). */
-    static constexpr std::uint64_t maxBlock = 4096;
-
-    VmBatchShadow(const Trace &t, std::uint64_t batch)
-        : batch_(std::clamp<std::uint64_t>(batch, 2, maxBlock)),
-          linux_(t.cfgValue("kind", "mosaic") == "linux")
-    {
-        if (linux_) {
-            scalarVm_ = std::make_unique<LinuxVm>(linuxVmCfgFromTrace(t));
-            batchVm_ = std::make_unique<LinuxVm>(linuxVmCfgFromTrace(t));
-        } else {
-            scalarVm_ = std::make_unique<MosaicVm>(mosaicVmCfgFromTrace(t));
-            batchVm_ = std::make_unique<MosaicVm>(mosaicVmCfgFromTrace(t));
-        }
-        pending_.reserve(batch_);
-        expected_.reserve(batch_);
-        got_.resize(batch_);
-    }
-
-    /** Mirror one applied op; non-vm op kinds are ignored. */
-    MaybeDivergence
-    mirror(const TraceOp &op, std::size_t idx)
-    {
-        const Asid asid = static_cast<Asid>(op.arg(0));
-        const Vpn vpn = op.arg(1);
-        switch (op.kind) {
-        case 't': {
-            const bool write = op.arg(2) != 0;
-            pending_.push_back(PageTouch{asid, vpn, write});
-            expected_.push_back(scalarVm_->touch(asid, vpn, write));
-            if (pending_.size() >= batch_)
-                return drain(idx);
-            return std::nullopt;
-        }
-        case 'u': {
-            if (MaybeDivergence bad = drain(idx))
-                return bad;
-            const std::size_t n = op.arg(2);
-            if (linux_) {
-                static_cast<LinuxVm &>(*scalarVm_)
-                    .unmapRange(asid, vpn, n);
-                static_cast<LinuxVm &>(*batchVm_)
-                    .unmapRange(asid, vpn, n);
-            } else {
-                static_cast<MosaicVm &>(*scalarVm_)
-                    .unmapRange(asid, vpn, n);
-                static_cast<MosaicVm &>(*batchVm_)
-                    .unmapRange(asid, vpn, n);
-            }
-            return compare(idx);
-        }
-        default:
-            return std::nullopt;
-        }
-    }
-
-    /** Flush the tail block. */
-    MaybeDivergence finish(std::size_t idx) { return drain(idx); }
-
-  private:
-    MaybeDivergence
-    drain(std::size_t idx)
-    {
-        if (pending_.empty())
-            return std::nullopt;
-        batchVm_->touchBatch(pending_, got_.data());
-        for (std::size_t k = 0; k < pending_.size(); ++k) {
-            if (got_[k] != expected_[k]) {
-                return diverge(idx, "batched pipeline: touch " +
-                    pageStr(pending_[k].asid, pending_[k].vpn) +
-                    " returned pfn " + std::to_string(got_[k]) +
-                    ", scalar returned " +
-                    std::to_string(expected_[k]));
-            }
-        }
-        pending_.clear();
-        expected_.clear();
-        return compare(idx);
-    }
-
-    MaybeDivergence
-    compare(std::size_t idx)
-    {
-        const auto want = vmStateVector(*scalarVm_, !linux_);
-        const auto got = vmStateVector(*batchVm_, !linux_);
-        for (std::size_t k = 0; k < want.size() && k < got.size();
-             ++k) {
-            if (want[k] != got[k]) {
-                return diverge(idx, "batched pipeline: vm metric " +
-                    want[k].first + ": scalar=" +
-                    std::to_string(want[k].second) + " batched=" +
-                    std::to_string(got[k].second));
-            }
-        }
-        if (want.size() != got.size()) {
-            return diverge(idx,
-                "batched pipeline: vm metric sets differ");
-        }
-        return std::nullopt;
-    }
-
-    std::size_t batch_;
-    bool linux_;
-    std::unique_ptr<VirtualMemory> scalarVm_;
-    std::unique_ptr<VirtualMemory> batchVm_;
-    std::vector<PageTouch> pending_;
-    std::vector<Pfn> expected_;
-    std::vector<Pfn> got_;
-};
-
 } // namespace
 
 void
-runVmTrace(const Trace &trace, std::uint64_t batch, Digest &dg,
-           FuzzResult &res)
+runVmTrace(const Trace &trace, Digest &dg, FuzzResult &res)
 {
     VmHarness h(trace);
-    std::unique_ptr<VmBatchShadow> shadow;
-    if (batch > 1)
-        shadow = std::make_unique<VmBatchShadow>(trace, batch);
-    drive(trace, h, dg, res, shadow.get());
+    drive(trace, h, dg, res);
 }
 
 Trace

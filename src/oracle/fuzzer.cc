@@ -19,12 +19,6 @@ using namespace fuzz;
 FuzzResult
 runTrace(const Trace &trace)
 {
-    return runTrace(trace, 0);
-}
-
-FuzzResult
-runTrace(const Trace &trace, std::uint64_t batch)
-{
     FuzzResult res;
     Digest dg;
 
@@ -36,7 +30,7 @@ runTrace(const Trace &trace, std::uint64_t batch)
     } else if (trace.component == "tlb") {
         runTlbTrace(trace, dg, res);
     } else if (trace.component == "vm") {
-        runVmTrace(trace, batch, dg, res);
+        runVmTrace(trace, dg, res);
     } else if (trace.component == "vm-shard") {
         runShardTrace(trace, dg, res);
     } else {

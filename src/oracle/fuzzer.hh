@@ -118,21 +118,6 @@ struct FuzzResult
 FuzzResult runTrace(const Trace &trace);
 
 /**
- * Execute a trace with the batched-pipeline shadow (DESIGN.md §13).
- * The primary component/oracle/digest path runs exactly as
- * runTrace(trace) — digests are unchanged by
- * construction — while every applied vm op is additionally mirrored
- * into a scalar-driven and a touchBatch-driven VM pair whose per-op
- * results and full observable state are compared at every flush
- * boundary: block full, any mutating non-touch op, and end of trace.
- * Any mismatch surfaces as a divergence. @p batch <= 1 is the plain
- * scalar run, and a block above 4096 runs at 4096, so an untrusted
- * CLI value bounds the shadow's scratch; tlb and vm-shard traces
- * ignore it.
- */
-FuzzResult runTrace(const Trace &trace, std::uint64_t batch);
-
-/**
  * Build a deterministic random trace.
  *
  * @param component a fuzzComponents name: "vm", "vm-shard", or

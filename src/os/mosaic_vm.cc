@@ -1,7 +1,6 @@
 #include "os/mosaic_vm.hh"
 
 #include <algorithm>
-#include <array>
 #include <optional>
 
 namespace mosaic
@@ -140,8 +139,7 @@ Pfn
 MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
                       std::uint64_t hash_input)
 {
-    // Page fault. Every path below changes a page->frame mapping, so
-    // touchBatch re-checks each walk it gathered against its frame.
+    // Page fault. Every path below changes a page->frame mapping.
     MosaicPageTable &pt = pageTable(asid);
     const bool major = swap_.contains(hash_input);
     const CandidateSet cand = allocator_.mapper().candidates(hash_input);
@@ -198,91 +196,6 @@ MosaicVm::touchAbsent(Asid asid, Vpn vpn, bool write,
         stats_.steadyUtilization.add(frames_.utilization());
     }
     return placement->pfn;
-}
-
-void
-MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
-{
-    // Trivial blocks have nothing to amortize.
-    if (block.size() < 2) {
-        for (std::size_t i = 0; i < block.size(); ++i)
-            out[i] = touch(block[i].asid, block[i].vpn, block[i].write);
-        return;
-    }
-
-    // Ops walked ahead of the apply point, and leaves prefetched
-    // ahead of the walk: each stage's lines land before the next
-    // stage reads them.
-    constexpr std::size_t walkAhead = 8;
-    constexpr std::size_t leafAhead = 8;
-    const std::size_t n = block.size();
-    const MosaicMapper &mapper = allocator_.mapper();
-
-    // Walk results of the ops in flight (at most walkAhead + 1),
-    // slotted by op index: the resident page's PFN, or invalidPfn.
-    std::array<Pfn, walkAhead + 1> walks;
-    const auto walk_of = [&](std::size_t j) -> Pfn & {
-        return walks[j % walks.size()];
-    };
-
-    // Page tables are read with find(), not pageTable(): the walks
-    // must not create address spaces, and a missing table just means
-    // "absent". Tables are never destroyed, so the last one found
-    // stays valid for the whole block.
-    Asid last_asid = 0;
-    const MosaicPageTable *last_table = nullptr;
-    const auto table_of = [&](Asid asid) -> const MosaicPageTable * {
-        if (last_table && last_asid == asid)
-            return last_table;
-        const auto *table = tables_.find(asid);
-        if (!table)
-            return nullptr;
-        last_asid = asid;
-        last_table = table->get();
-        return last_table;
-    };
-
-    // Walk op j; a resident page's frame record is prefetched for its
-    // apply. (Its recency-log append lands on the log's tail, which
-    // is already cached.)
-    const auto walk_op = [&](std::size_t j) {
-        if (j + leafAhead < n) {
-            const PageTouch &ahead = block[j + leafAhead];
-            if (const MosaicPageTable *table = table_of(ahead.asid))
-                table->prefetch(ahead.vpn);
-        }
-        const PageTouch &t = block[j];
-        walk_of(j) = invalidPfn;
-        const MosaicPageTable *table = table_of(t.asid);
-        if (!table)
-            return;
-        const MosaicWalkResult walk = table->walk(t.vpn);
-        if (!walk.present)
-            return;
-        const Pfn pfn =
-            mapper.pfnOf(packPageId(PageId{t.asid, t.vpn}), walk.cpfn);
-        walk_of(j) = pfn;
-        frames_.prefetchRange(pfn, 1);
-    };
-
-    // Apply in the caller's order — the determinism contract. A fault
-    // may have evicted a walked page or mapped an absent one; a frame
-    // holds one page, so a walk is current iff its frame is in use by
-    // this page. Other ops take the scalar touch().
-    std::size_t walked = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const std::size_t end = std::min(n, i + 1 + walkAhead);
-             walked < end; ++walked)
-            walk_op(walked);
-        const PageTouch &t = block[i];
-        const Pfn pfn = walk_of(i);
-        if (frames_.holds(pfn, PageId{t.asid, t.vpn})) {
-            ++clock_;
-            out[i] = touchResident(pfn, t.write);
-        } else {
-            out[i] = touch(t.asid, t.vpn, t.write);
-        }
-    }
 }
 
 } // namespace mosaic

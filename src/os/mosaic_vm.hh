@@ -70,21 +70,6 @@ class MosaicVm final : public VirtualMemory
 
     Pfn touch(Asid asid, Vpn vpn, bool write) override;
 
-    /**
-     * Batched touch (ROADMAP item 2): a walk-first pipeline. A fixed
-     * lookahead ahead of the apply point it prefetches each op's
-     * page-table leaf, walks the op, and for a resident page decodes
-     * the one bucket its CPFN names (MosaicMapper::pfnOf) and
-     * prefetches that frame's record. Touches are
-     * then applied in the caller's order, so results, stats and
-     * placements are bit-identical to a scalar touch() loop; faults
-     * take the scalar fault path. A fault may evict a walked page, so
-     * a walk is applied only if its frame still holds that page;
-     * otherwise the op runs the scalar touch(). Trivial blocks run
-     * the scalar loop directly.
-     */
-    void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
-
     std::size_t numFrames() const override;
     std::size_t residentPages() const override;
     const VmStats &stats() const override { return stats_; }

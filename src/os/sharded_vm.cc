@@ -35,13 +35,6 @@ ShardedMosaicVm::touch(Asid asid, Vpn vpn, bool write)
 void
 ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
 {
-    if (vms_.size() == 1) {
-        // Pure delegation: the one-shard engine inherits the PR 6
-        // batched pipeline and its exact scalar equivalence.
-        vms_[0]->touchBatch(block, out);
-        return;
-    }
-
     for (ShardBatch &b : batches_) {
         b.ops.clear();
         b.idx.clear();
@@ -57,8 +50,12 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
     // schedules the shards across workers.
     parallelFor(vms_.size(), [&](std::size_t s) {
         ShardBatch &b = batches_[s];
+        MosaicVm &vm = *vms_[s];
         b.out.resize(b.ops.size());
-        vms_[s]->touchBatch(b.ops, b.out.data());
+        for (std::size_t j = 0; j < b.ops.size(); ++j) {
+            const PageTouch &t = b.ops[j];
+            b.out[j] = vm.touch(t.asid, t.vpn, t.write);
+        }
     });
 
     // Gather on the calling thread after the join: scattered from the

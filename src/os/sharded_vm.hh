@@ -14,9 +14,8 @@
  * built from shardConfig(), each fed its ASIDs' ops in order. So a
  * sharded machine equals N plain MosaicVms, touchBatch equals a scalar
  * touch() loop, and both hold at any MOSAIC_THREADS. With shards=1
- * the engine is a pure delegate: stat-for-stat and
- * placement-for-placement identical to a plain MosaicVm built from
- * the same config.
+ * the engine is stat-for-stat and placement-for-placement identical
+ * to a plain MosaicVm built from the same config.
  */
 
 #ifndef MOSAIC_OS_SHARDED_VM_HH_
@@ -38,7 +37,7 @@ struct ShardedVmConfig
 {
     /** The whole machine's config; geometry covers the full pool
      *  (all shards together). With shards == 1 this is byte-for-byte
-     *  the config of the single delegate MosaicVm. */
+     *  the config of its single shard. */
     MosaicVmConfig base;
 
     /** Number of shards; the pool must split evenly into valid
@@ -78,7 +77,7 @@ class ShardedMosaicVm : public VirtualMemory
     /**
      * Batched touch across shards: the block is partitioned by home
      * shard, and each shard runs its ops, in block order, through its
-     * own MosaicVm::touchBatch on the MOSAIC_THREADS pool. The
+     * own MosaicVm::touch() on the MOSAIC_THREADS pool. The
      * calling thread gathers the shards' results into @p out after
      * the join. Shards share no state, so results are bit-identical
      * to a scalar touch() loop for any thread count.

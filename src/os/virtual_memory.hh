@@ -45,8 +45,8 @@ class VirtualMemory
      * Access a block of pages. out[i] receives the PFN of block[i].
      * The contract is exact equivalence: every stat, placement, and
      * returned PFN must match a scalar touch() loop over the block
-     * in order. The default *is* that loop; models with a batched
-     * fast path (MosaicVm) override it.
+     * in order. The default *is* that loop; ShardedMosaicVm
+     * overrides it to run its shards in parallel.
      */
     virtual void
     touchBatch(std::span<const PageTouch> block, Pfn *out)

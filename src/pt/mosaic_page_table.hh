@@ -69,9 +69,6 @@ class MosaicPageTable
         return out;
     }
 
-    /** Prefetch the ToC a walk of @p vpn will read; creates nothing. */
-    void prefetch(Vpn vpn) const { tree_.prefetch(mvpnOf(vpn)); }
-
     /** Number of base pages currently mapped. */
     std::uint64_t mappedPages() const { return mapped_; }
 

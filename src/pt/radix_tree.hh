@@ -97,35 +97,6 @@ class RadixTree
         return const_cast<RadixTree *>(this)->lookup<false>(key, refs);
     }
 
-    /**
-     * Hint the cache hierarchy that a key's leaves are about to be
-     * read: descends the interior nodes (never creating one, and
-     * skipping them when the key's leaf node is remembered)
-     * and prefetches every cache line of the key's run. Pure
-     * performance hint; a missing path is a no-op.
-     */
-    void
-    prefetch(std::uint64_t key) const
-    {
-        const Leaf *leaves = remembered(key >> fanoutBits);
-        if (!leaves) {
-            const void *node = root_;
-            for (unsigned level = levels_; node && level-- > 1;) {
-                node = static_cast<const Interior *>(node)
-                           ->children[indexAt(key, level)];
-            }
-            if (!node)
-                return;
-            leaves = static_cast<const Leaf *>(node);
-        }
-        const auto *first =
-            reinterpret_cast<const char *>(leaves + runOffset(key));
-        const char *last = first + width_ * sizeof(Leaf) - 1;
-        for (const char *line = first; line < last; line += 64)
-            __builtin_prefetch(line);
-        __builtin_prefetch(last);
-    }
-
     /** Visit every instantiated key as (key, span of its leaves). */
     template <typename Visitor>
     void

@@ -166,47 +166,6 @@ TEST(FuzzEquivalence, FreshTraceDigestsMatchGoldens)
     }
 }
 
-TEST(FuzzEquivalence, BatchedCorpusReproducesScalarGoldens)
-{
-    // The batched-pipeline leg (DESIGN.md §13): replaying the whole
-    // corpus with the touchBatch shadow engaged must (a)
-    // never diverge — the shadow cross-checks every block against
-    // the scalar path — and (b) reproduce the pinned scalar digests
-    // bit for bit, because batching cannot change observable
-    // behaviour.
-    for (const CorpusGolden &g : corpusGoldens) {
-        const Trace trace = readTraceFile(corpusPath(g.name));
-        for (const unsigned batch : {7u, 64u}) {
-            const FuzzResult r = runTrace(trace, batch);
-            ASSERT_FALSE(r.divergence.has_value())
-                << g.name << " batch " << batch << " diverged at op "
-                << r.divergence->opIndex << ": "
-                << r.divergence->message;
-            EXPECT_EQ(r.digest, g.digest)
-                << g.name << " batch " << batch;
-            EXPECT_EQ(r.opsApplied, g.opsApplied)
-                << g.name << " batch " << batch;
-        }
-    }
-}
-
-TEST(FuzzEquivalence, BatchedFreshTracesReproduceScalarGoldens)
-{
-    for (const FreshGolden &g : freshGoldens) {
-        const Trace trace =
-            generateTrace(g.component, g.seed, g.numOps);
-        const FuzzResult r = runTrace(trace, 64);
-        ASSERT_FALSE(r.divergence.has_value())
-            << g.component << " seed " << g.seed
-            << " diverged at op " << r.divergence->opIndex << ": "
-            << r.divergence->message;
-        EXPECT_EQ(r.digest, g.digest)
-            << g.component << " seed " << g.seed;
-        EXPECT_EQ(r.opsApplied, g.opsApplied)
-            << g.component << " seed " << g.seed;
-    }
-}
-
 TEST(FuzzEquivalence, DigestsAreThreadCountInvariant)
 {
     // The same property the driver checks with MOSAIC_THREADS=1 vs 4:

@@ -9,8 +9,8 @@
  * instead of uniform noise.
  *
  * Coverage: fresh generated seeds per engine, checked-in corpus
- * traces (minimized shapes the generator rarely reproduces),
- * determinism replays, and the batched-pipeline shadow at block 64.
+ * traces (minimized shapes the generator rarely reproduces), and
+ * determinism replays.
  */
 
 #include "fuzz_test_util.hh"
@@ -101,18 +101,3 @@ TEST(FuzzWorkloads, ReplayIsDeterministic)
     }
 }
 
-// The batched-pipeline shadow (DESIGN.md §13) must agree with the
-// scalar path on the engines' structured streams too.
-TEST(FuzzWorkloads, BatchedShadowMatchesScalar)
-{
-    for (const char *component : kComponents) {
-        const Trace trace = generateTrace(component, 5, opBudget(2000));
-        const FuzzResult scalar = runTrace(trace);
-        const FuzzResult batched = runTrace(trace, 64);
-        EXPECT_FALSE(batched.divergence.has_value())
-            << component << ": "
-            << (batched.divergence ? batched.divergence->message : "");
-        EXPECT_EQ(scalar.digest, batched.digest) << component;
-        EXPECT_EQ(scalar.opsApplied, batched.opsApplied) << component;
-    }
-}

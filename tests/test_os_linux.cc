@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "oracle/oracle_vm.hh"
 #include "os/linux_vm.hh"
 
@@ -258,6 +260,31 @@ TEST(LinuxVm, DeterministicAcrossInstances)
         EXPECT_EQ(a.touch(1, v, i % 2 == 0), b.touch(1, v, i % 2 == 0));
     }
     EXPECT_EQ(a.stats().swapOuts, b.stats().swapOuts);
+}
+
+// VirtualMemory::touchBatch's default loop, the one perfbench's
+// table4_swap drives both plain VMs through, must equal touch() op by
+// op across reclaim.
+TEST(LinuxVm, TouchBatchDefaultLoopMatchesScalar)
+{
+    LinuxVm scalar(config(512)), batched(config(512));
+    std::vector<PageTouch> block(100);
+    std::vector<Pfn> out(block.size());
+    for (Vpn i = 0; i < 5000; i += block.size()) {
+        for (std::size_t k = 0; k < block.size(); ++k) {
+            const Vpn v = ((i + k) * 2654435761ull) % 700;
+            block[k] = PageTouch{1, v, (i + k) % 2 == 0};
+        }
+        batched.touchBatch(block, out.data());
+        for (std::size_t k = 0; k < block.size(); ++k) {
+            const PageTouch &t = block[k];
+            ASSERT_EQ(out[k], scalar.touch(t.asid, t.vpn, t.write))
+                << "op " << i + k;
+        }
+    }
+    EXPECT_GT(scalar.stats().swapOuts, 0u);
+    EXPECT_EQ(batched.stats().swapOuts, scalar.stats().swapOuts);
+    EXPECT_EQ(batched.stats().majorFaults, scalar.stats().majorFaults);
 }
 
 } // namespace

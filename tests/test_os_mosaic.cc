@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
+#include "oracle/fuzz_internal.hh"
+#include "oracle/fuzzer.hh"
+#include "oracle/trace.hh"
 #include "os/mosaic_vm.hh"
 
 namespace mosaic
@@ -364,81 +368,47 @@ TEST(MosaicVm, GhostCountMatchesScanAcrossSeeds)
     }
 }
 
-/** One op of the repeat-touch test: a touch, or an unmap of one page. */
-struct HintOp
-{
-    bool unmap = false;
-    Asid asid = 0;
-    Vpn vpn = 0;
-    bool write = false;
-};
-
-/**
- * Replay @p ops on a fresh VM, each run of touches as one touchBatch
- * block, and return the last op's PFN (invalidPfn after an unmap) and
- * the VM's stats. touchBatch checks each walk it gathered against its
- * frame, so this replays resident touches without the scalar hint.
- */
-std::pair<Pfn, VmStats>
-batchReplay(const MosaicVmConfig &config, const std::vector<HintOp> &ops)
-{
-    MosaicVm vm(config);
-    std::vector<PageTouch> block;
-    std::vector<Pfn> out;
-    Pfn last = invalidPfn;
-    const auto flush = [&] {
-        out.resize(block.size());
-        vm.touchBatch(block, out.data());
-        if (!out.empty())
-            last = out.back();
-        block.clear();
-    };
-    for (const HintOp &op : ops) {
-        if (op.unmap) {
-            flush();
-            vm.unmapRange(op.asid, op.vpn, 1);
-            last = invalidPfn;
-        } else {
-            block.push_back(PageTouch{op.asid, op.vpn, op.write});
-        }
-    }
-    flush();
-    return {last, vm.stats()};
-}
-
 /**
  * A repeat touch of the last page touched skips the walk while that
- * page still owns its frame. Under the batch-pipeline tests' conflict
- * geometry (eight candidate frames per page in 48), page A is touched
- * in runs; between runs a conflict evicts A and hands its frame to
- * another page, or unmapRange frees it and another page may take it.
- * After every op, the PFN and stats must equal a touchBatch replay's,
- * and the frame must be the one A's CPFN names and hold the page.
+ * page still owns its frame. In a conflict geometry (eight candidate
+ * frames per page in 48), page A is touched in runs; between runs a
+ * conflict evicts A and hands its frame to another page, or
+ * unmapRange frees it and another page may take it. After every op
+ * the frame must be the one A's CPFN names and hold the page. The ops
+ * are also recorded as a vm trace and replayed through the fuzz
+ * harness, which checks every touch against the allocator's
+ * placement rule and the oracle's counters; the digest of this VM's
+ * results must equal the harness's, so the PFNs checked here are the
+ * ones the harness validated.
  */
 TEST(MosaicVm, RepeatTouchesFollowTheirPageAcrossConflictAndUnmap)
 {
-    MosaicVmConfig cfg;
-    cfg.geometry.frontSlots = 4;
-    cfg.geometry.backSlots = 2;
-    cfg.geometry.backChoices = 2;
-    cfg.geometry.numFrames = 8 * cfg.geometry.slotsPerBucket();
-    MosaicVm vm(cfg);
-    std::vector<HintOp> ops;
-    const auto check = [&](Pfn pfn) {
-        const auto [replay_pfn, replay] = batchReplay(cfg, ops);
-        const VmStats &r = vm.stats();
-        EXPECT_EQ(pfn, replay_pfn) << "op " << ops.size();
-        EXPECT_EQ(r.minorFaults, replay.minorFaults);
-        EXPECT_EQ(r.majorFaults, replay.majorFaults);
-        EXPECT_EQ(r.swapIns, replay.swapIns);
-        EXPECT_EQ(r.swapOuts, replay.swapOuts);
-        EXPECT_EQ(r.conflicts, replay.conflicts);
-        EXPECT_EQ(r.ghostEvictions, replay.ghostEvictions);
-        EXPECT_EQ(r.ghostRescues, replay.ghostRescues);
+    Trace trace;
+    trace.component = "vm";
+    trace.setCfg("kind", "mosaic");
+    trace.setCfgUint("buckets", 8);
+    trace.setCfgUint("front", 4);
+    trace.setCfgUint("back", 2);
+    trace.setCfgUint("d", 2);
+    trace.setCfgUint("arity", 4);
+    trace.setCfg("sharing", "pageid");
+    trace.setCfg("policy", "horizon");
+    trace.setCfgUint("deep", 1);
+    MosaicVm vm(fuzz::mosaicVmCfgFromTrace(trace));
+    fuzz::Digest digest;
+    const auto record = [&](char kind, std::uint64_t a, std::uint64_t b,
+                            std::uint64_t c) {
+        TraceOp op;
+        op.kind = kind;
+        op.nargs = 3;
+        op.args = {a, b, c};
+        trace.ops.push_back(op);
     };
     const auto touch = [&](Asid asid, Vpn vpn, bool write) {
-        ops.push_back(HintOp{false, asid, vpn, write});
+        record('t', asid, vpn, write ? 1 : 0);
         const Pfn pfn = vm.touch(asid, vpn, write);
+        digest.mix('t');
+        digest.mix(pfn);
         const PageId page{asid, vpn};
         const MosaicWalkResult walk = vm.pageTable(asid).walk(vpn);
         EXPECT_TRUE(walk.present) << vpn;
@@ -447,13 +417,15 @@ TEST(MosaicVm, RepeatTouchesFollowTheirPageAcrossConflictAndUnmap)
                   pfn)
             << vpn;
         EXPECT_TRUE(vm.frameTable().holds(pfn, page)) << vpn;
-        check(pfn);
         return pfn;
     };
     const auto unmap = [&](Asid asid, Vpn vpn) {
-        ops.push_back(HintOp{true, asid, vpn, false});
+        record('u', asid, vpn, 1);
         vm.unmapRange(asid, vpn, 1);
-        check(invalidPfn);
+        digest.mix('u');
+        digest.mix(asid);
+        digest.mix(vpn);
+        digest.mix(1);
     };
     const PageId a{1, 7};
     const auto run_a = [&] {
@@ -489,6 +461,13 @@ TEST(MosaicVm, RepeatTouchesFollowTheirPageAcrossConflictAndUnmap)
         taken = touch(3, next, true);
     ASSERT_EQ(taken, frame);
     run_a();
+
+    const FuzzResult replay = runTrace(trace);
+    EXPECT_FALSE(replay.divergence.has_value())
+        << "op " << replay.divergence->opIndex << ": "
+        << replay.divergence->message;
+    EXPECT_EQ(replay.opsApplied, trace.ops.size());
+    EXPECT_EQ(replay.digest, digest.h);
 }
 
 TEST(MosaicVm, DeterministicAcrossInstances)

@@ -3,15 +3,15 @@
  * Exit-code contract tests for the command-line tools, run as real
  * subprocesses. mosaic_replay: 0 clean, 1 divergence, 2 usage, 3
  * unreadable input — CI scripts branch on these, so they are API.
- * mosaicd: 0 success, 1 runtime failure, 2 usage. perf_gate: 0
- * pass, 1 regression or failed ratio, 2 usage. tlb_explorer: 0
- * success, 2 usage. Bench binaries (reach_table stands for all of
- * them): 0 success, 1 when the BENCH_<name>.json write fails.
+ * mosaic_fuzz: 2 usage. mosaicd: 0 success, 1 runtime failure, 2
+ * usage. perf_gate: 0 pass, 1 regression or failed ratio, 2 usage.
+ * tlb_explorer: 0 success, 2 usage. Bench binaries (reach_table
+ * stands for all of them): 0 success, 1 when the BENCH_<name>.json
+ * write fails.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -45,27 +45,33 @@ class TempDir
     fs::path path_;
 };
 
-/** Run a shell command with its output redirected as @p redirect
- *  says; return its exit code (-1 on signal). */
+/** Run a shell command line; return its exit code (-1 on signal). */
 int
-exitCodeOf(const std::string &command,
-           const std::string &redirect = ">/dev/null")
+statusOf(const std::string &shell)
 {
-    const int raw =
-        std::system((command + " " + redirect + " 2>/dev/null").c_str());
+    const int raw = std::system(shell.c_str());
     if (raw == -1 || !WIFEXITED(raw))
         return -1;
     return WEXITSTATUS(raw);
 }
 
-/** Run @p command with stdout kept in file @p out and read back into
- *  @p text; return its exit code. */
+/** Run a shell command with its output redirected as @p redirect
+ *  says and stderr discarded; return its exit code. */
 int
-stdoutOf(const std::string &command, const std::string &out,
+exitCodeOf(const std::string &command,
+           const std::string &redirect = ">/dev/null")
+{
+    return statusOf(command + " " + redirect + " 2>/dev/null");
+}
+
+/** Run @p command with stdout discarded and stderr kept in file
+ *  @p err, read back into @p text; return its exit code. */
+int
+stderrOf(const std::string &command, const std::string &err,
          std::string *text)
 {
-    const int code = exitCodeOf(command, ">" + out);
-    std::ifstream in(out);
+    const int code = statusOf(command + " >/dev/null 2>" + err);
+    std::ifstream in(err);
     text->assign(std::istreambuf_iterator<char>(in), {});
     return code;
 }
@@ -143,34 +149,40 @@ TEST(ToolsCli, ReplayLocationIdShardTraceExitsThree)
 TEST(ToolsCli, ReplayUsageErrorsExitTwo)
 {
     EXPECT_EQ(exitCodeOf(MOSAIC_REPLAY_BIN), 2);
-    EXPECT_EQ(exitCodeOf(std::string(MOSAIC_REPLAY_BIN) +
-                         " --batch=notanumber whatever.trace"),
+    EXPECT_EQ(exitCodeOf(std::string(MOSAIC_REPLAY_BIN) + " --digest"),
               2);
 }
 
-TEST(ToolsCli, ReplayBatchShadowKeepsCorpusDigests)
+TEST(ToolsCli, ReplayRefusesUnknownFlags)
 {
-    // The batched-pipeline shadow compares touchBatch against scalar
-    // touches beside the primary run, so digests cannot move; an
-    // oversized block is clamped, not refused.
-    const TempDir dir("tools_cli_replay_batch");
-    const std::string out = dir.str() + "/digests";
-    const std::string traces =
-        std::string(" " MOSAIC_FUZZ_CORPUS_DIR "/vm_seed1.trace") +
-        " " MOSAIC_FUZZ_CORPUS_DIR "/vm-shard_seed1.trace";
-    const std::string replay =
-        std::string(MOSAIC_REPLAY_BIN) + " --digest";
-    std::string scalar, batched, clamped;
-    ASSERT_EQ(stdoutOf(replay + traces, out, &scalar), 0);
-    ASSERT_EQ(stdoutOf(replay + " --batch=64" + traces, out, &batched),
-              0);
-    ASSERT_EQ(stdoutOf(replay + " --batch=1000000" + traces, out,
-                       &clamped),
-              0);
-    EXPECT_EQ(std::count(scalar.begin(), scalar.end(), '\n'), 2);
-    EXPECT_EQ(batched, scalar);
-    EXPECT_EQ(clamped, scalar);
-    EXPECT_EQ(exitCodeOf(replay + " --batch=notanumber" + traces), 2);
+    // A flag replay does not know (a typo, or the retired --batch=N)
+    // is misuse, not a trace path to report as unreadable (exit 3).
+    const TempDir dir("tools_cli_replay_flags");
+    const std::string err = dir.str() + "/stderr";
+    for (const char *flag : {"--batch=64", "--digets"}) {
+        std::string text;
+        EXPECT_EQ(stderrOf(std::string(MOSAIC_REPLAY_BIN) + " " + flag +
+                               " " MOSAIC_FUZZ_CORPUS_DIR "/vm_seed1.trace",
+                           err, &text),
+                  2)
+            << flag;
+        EXPECT_NE(text.find("usage: mosaic_replay"), std::string::npos)
+            << flag << ": " << text;
+    }
+}
+
+TEST(ToolsCli, FuzzRefusesRetiredBatchFlag)
+{
+    // The sweep is kept tiny, so a fuzzer that wrongly took the flag
+    // would still finish fast (and exit 0, failing the check).
+    const TempDir dir("tools_cli_fuzz_flags");
+    std::string text;
+    EXPECT_EQ(stderrOf(std::string(MOSAIC_FUZZ_BIN) +
+                           " --component vm --seeds 1 --ops 10 --out " +
+                           dir.str() + " --batch 64",
+                       dir.str() + "/stderr", &text),
+              2);
+    EXPECT_NE(text.find("usage: mosaic_fuzz"), std::string::npos) << text;
 }
 
 TEST(ToolsCli, MosaicdUsageErrorsExitTwo)

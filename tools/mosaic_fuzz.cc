@@ -8,16 +8,10 @@
  *
  * Usage:
  *   mosaic_fuzz [--component NAME|all] [--seeds N] [--first-seed S]
- *               [--ops N] [--out DIR] [--emit] [--batch N]
+ *               [--ops N] [--out DIR] [--emit]
  *
  * NAME is any fuzzComponents entry (oracle/fuzzer.hh); `all` runs
  * each of them.
- *
- * --batch N (N > 1, at most 4096 used) engages the batched-pipeline
- * shadow (DESIGN.md §13): every applied vm op also drives a
- * touchBatch-driven VM pair, with scalar/batched state compared at
- * every flush boundary.
- * Digests are identical to scalar runs by construction.
  *
  * --emit also writes every PASSING trace to the out dir (named
  * <component>_seed<S>.trace) — used to regenerate the seed corpus.
@@ -52,7 +46,6 @@ struct Options
     std::size_t ops = 20000;
     std::string outDir = ".";
     bool emit = false;
-    std::uint64_t batch = 0;
 };
 
 int
@@ -63,7 +56,7 @@ usage()
         std::cerr << c.name << "|";
     std::cerr << "all]\n"
         "                   [--seeds N] [--first-seed S] [--ops N]\n"
-        "                   [--out DIR] [--emit] [--batch N]\n";
+        "                   [--out DIR] [--emit]\n";
     return 2;
 }
 
@@ -134,9 +127,6 @@ parseArgs(int argc, char **argv, Options *opts)
             opts->outDir = v;
         } else if (arg == "--emit") {
             opts->emit = true;
-        } else if (arg == "--batch") {
-            if (!parseCount("--batch", next(), &opts->batch))
-                return false;
         } else {
             return false;
         }
@@ -184,7 +174,7 @@ main(int argc, char **argv)
         const Job &job = jobs[i];
         const Trace trace =
             generateTrace(job.component, job.seed, opts.ops);
-        const FuzzResult result = runTrace(trace, opts.batch);
+        const FuzzResult result = runTrace(trace);
         std::lock_guard<std::mutex> lock(outMutex);
         if (!result.divergence) {
             std::cout << job.component << " seed " << job.seed << ": ok, "

@@ -8,19 +8,12 @@
  *                                   per trace (for determinism
  *                                   comparisons across hosts or
  *                                   MOSAIC_THREADS settings)
- *   mosaic_replay --batch=N TRACE.. additionally run the batched-
- *                                   pipeline shadow at block size N
- *                                   (at most 4096 used; DESIGN.md
- *                                   §13); a scalar /
- *                                   batched mismatch reports as a
- *                                   divergence while digests stay
- *                                   identical to the scalar run.
  *
  * Exit status (each condition distinct, so CI logs are actionable):
  *   0  every trace replayed cleanly
  *   1  divergence detected (op index printed to stderr); takes
  *      precedence when some traces also failed to load
- *   2  usage error (bad flag / no traces given)
+ *   2  usage error (an unknown --flag, or no traces given)
  *   3  a trace was unreadable or malformed (NOT_FOUND / DATA_LOSS /
  *      ... printed to stderr) and no trace diverged
  *
@@ -28,14 +21,12 @@
  * status and the remaining traces still run.
  */
 
-#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "oracle/fuzzer.hh"
 #include "oracle/trace.hh"
-#include "util/parse.hh"
 
 using namespace mosaic;
 
@@ -57,28 +48,23 @@ int
 main(int argc, char **argv)
 {
     bool digestOnly = false;
-    std::uint64_t batch = 0;
+    bool badFlag = false;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--digest") {
             digestOnly = true;
-        } else if (arg.rfind("--batch=", 0) == 0) {
-            const Result<std::uint64_t> parsed =
-                parseUnsigned("--batch", arg.substr(8));
-            if (!parsed.ok()) {
-                std::cerr << "mosaic_replay: "
-                          << parsed.status().toString() << "\n";
-                return 2;
-            }
-            batch = parsed.value();
+        } else if (arg.rfind("--", 0) == 0) {
+            // A mistyped flag is not a trace path: report it as
+            // misuse, not as an unreadable file.
+            std::cerr << "mosaic_replay: unknown flag " << arg << "\n";
+            badFlag = true;
         } else {
             paths.push_back(arg);
         }
     }
-    if (paths.empty()) {
-        std::cerr << "usage: mosaic_replay [--digest] [--batch=N] "
-                     "TRACE...\n";
+    if (badFlag || paths.empty()) {
+        std::cerr << "usage: mosaic_replay [--digest] TRACE...\n";
         return 2;
     }
 
@@ -93,7 +79,7 @@ main(int argc, char **argv)
             anyUnreadable = true;
             continue;
         }
-        const FuzzResult result = runTrace(read.value(), batch);
+        const FuzzResult result = runTrace(read.value());
         if (result.divergence) {
             anyDiverged = true;
             std::cerr << path << ": DIVERGED at op "
